@@ -8,6 +8,7 @@ codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -223,13 +224,22 @@ def cmd_refine(args) -> int:
 
 
 def cmd_propose(args) -> int:
+    if args.iters < 1:
+        raise UsageError(f"--iters must be >= 1, got {args.iters}")
+    if not 0.0 <= args.nms_iou <= 1.0:
+        raise UsageError(f"--nms-iou must be in [0, 1], got {args.nms_iou}")
+    if not (math.isfinite(args.decay) and args.decay > 1.0):
+        raise UsageError(f"--decay must be finite and > 1, got {args.decay}")
+    try:
+        grid = SeedGridConfig(
+            scales=tuple(_float_list(args.scales)),
+            aspect_ratios=tuple(_float_list(args.ratios)),
+            stride=args.stride,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     scenes = _build_scenes(args)
     model = load_model(args.model)
-    grid = SeedGridConfig(
-        scales=tuple(_float_list(args.scales)),
-        aspect_ratios=tuple(_float_list(args.ratios)),
-        stride=args.stride,
-    )
     by_image = {
         s.id: generate_proposals(model, s, grid, iterations=args.iters, nms_iou=args.nms_iou, decay=args.decay)
         for s in scenes

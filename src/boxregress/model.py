@@ -340,25 +340,36 @@ def train(
     return best_model, log
 
 
-def refine(model: RegressorModel, scene, boxes: list[Box], iterations: int = 1) -> list[list[Box]]:
-    """Iteratively refine boxes against one scene.
+def refine_array(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
+    """Array form of `refine`: (N, 4) center-form rows in, one (N, 4) array per iteration out.
 
-    The scene's feature map is computed once and reused. Returns the
-    boxes after each iteration, so the result has `iterations` entries.
+    Raises ValueError if a refined row is not a box (a non-finite field
+    or a non-positive side).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     fm = scene.feature_map()
     if fm.channels != model.channels:
         raise ValueError(f"model expects {model.channels} channels, scene provides {fm.channels}")
-    arr = boxes_to_array(boxes)
-    out: list[list[Box]] = []
+    arr = boxes
+    out: list[np.ndarray] = []
     for _ in range(iterations):
         feats = roi_align_many(fm, arr / FEATURE_STRIDE, model.pool_size)
         pred, _ = _forward_batch(model, feats)
         arr = apply_offsets_array(arr, pred)
-        out.append(boxes_from_array(arr))
+        if not (np.isfinite(arr).all() and (arr[:, 2:] > 0.0).all()):
+            raise ValueError("refined boxes left the numeric range")
+        out.append(arr)
     return out
+
+
+def refine(model: RegressorModel, scene, boxes: list[Box], iterations: int = 1) -> list[list[Box]]:
+    """Iteratively refine boxes against one scene.
+
+    The scene's feature map is computed once and reused. Returns the
+    boxes after each iteration, so the result has `iterations` entries.
+    """
+    return [boxes_from_array(a) for a in refine_array(model, scene, boxes_to_array(boxes), iterations)]
 
 
 def save_model(path: str, model: RegressorModel) -> None:

@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, boxes_to_array, iou_pairwise
+from .boxes import Box, boxes_from_array, boxes_to_array, iou_pairwise
 from .errors import DataFormatError
 from .ioutil import atomic_write
-from .model import RegressorModel, refine
+from .model import RegressorModel, refine_array
 
 # A refined box counts toward a seed's score above this overlap.
 NEIGHBOR_IOU = 0.7
@@ -43,25 +43,63 @@ class SeedGridConfig:
     stride: float = 0.0625
 
     def __post_init__(self):
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValueError(f"scales must be nonempty and positive, got {self.scales}")
-        if not self.aspect_ratios or any(r <= 0 for r in self.aspect_ratios):
-            raise ValueError(f"aspect_ratios must be nonempty and positive, got {self.aspect_ratios}")
-        if self.stride <= 0:
-            raise ValueError(f"stride must be positive, got {self.stride}")
+        if not self.scales or not all(_finite_positive(s) for s in self.scales):
+            raise ValueError(f"scales must be nonempty, finite and positive, got {self.scales}")
+        if not self.aspect_ratios or not all(_finite_positive(r) for r in self.aspect_ratios):
+            raise ValueError(f"aspect_ratios must be nonempty, finite and positive, got {self.aspect_ratios}")
+        if not _finite_positive(self.stride):
+            raise ValueError(f"stride must be finite and positive, got {self.stride}")
+
+
+def _finite_positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+def _check_nms_args(iou_thresh: float, decay: float) -> None:
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
+    # Emitted boxes sit at -inf and keep being divided; -inf / inf is NaN.
+    if not (math.isfinite(decay) and decay > 1):
+        raise ValueError(f"decay must be finite and > 1, got {decay}")
+
+
+def _clip_array(arr: np.ndarray, image_w: float, image_h: float, min_side: float = 1.0) -> np.ndarray:
+    """Clip (N, 4) center-form rows to image bounds, keeping at least min_side per axis.
+
+    Only min, max, sums and halving are used, each elementwise, so a row
+    comes out bitwise equal to the same arithmetic on Python floats.
+    """
+    xmin = np.maximum(arr[:, 0] - 0.5 * arr[:, 2], 0.0)
+    xmax = np.minimum(arr[:, 0] + 0.5 * arr[:, 2], image_w)
+    ymin = np.maximum(arr[:, 1] - 0.5 * arr[:, 3], 0.0)
+    ymax = np.minimum(arr[:, 1] + 0.5 * arr[:, 3], image_h)
+    w = np.maximum(xmax - xmin, min_side)
+    h = np.maximum(ymax - ymin, min_side)
+    cx = np.minimum(np.maximum(0.5 * (xmin + xmax), 0.5 * w), image_w - 0.5 * w)
+    cy = np.minimum(np.maximum(0.5 * (ymin + ymax), 0.5 * h), image_h - 0.5 * h)
+    return np.stack([cx, cy, w, h], axis=1)
 
 
 def clip_box(b: Box, image_w: float, image_h: float, min_side: float = 1.0) -> Box:
     """Clip a box to image bounds, keeping at least min_side per axis."""
-    xmin = max(b.x - 0.5 * b.w, 0.0)
-    xmax = min(b.x + 0.5 * b.w, image_w)
-    ymin = max(b.y - 0.5 * b.h, 0.0)
-    ymax = min(b.y + 0.5 * b.h, image_h)
-    w = max(xmax - xmin, min_side)
-    h = max(ymax - ymin, min_side)
-    cx = min(max(0.5 * (xmin + xmax), 0.5 * w), image_w - 0.5 * w)
-    cy = min(max(0.5 * (ymin + ymax), 0.5 * h), image_h - 0.5 * h)
-    return Box(cx, cy, w, h)
+    return boxes_from_array(_clip_array(boxes_to_array([b]), image_w, image_h, min_side))[0]
+
+
+def _seed_grid_array(image_w: float, image_h: float, cfg: SeedGridConfig) -> np.ndarray:
+    if image_w <= 0 or image_h <= 0:
+        raise ValueError(f"image dims must be positive, got {image_w} x {image_h}")
+    short = min(image_w, image_h)
+    step = cfg.stride * short
+    xs = np.arange(0.5 * step, image_w, step)
+    ys = np.arange(0.5 * step, image_h, step)
+    cy, cx = (g.ravel() for g in np.meshgrid(ys, xs, indexing="ij"))
+    blocks = []
+    for scale in cfg.scales:
+        for ratio in cfg.aspect_ratios:
+            w = scale * short * math.sqrt(ratio)
+            h = scale * short / math.sqrt(ratio)
+            blocks.append(np.stack([cx, cy, np.full_like(cx, w), np.full_like(cx, h)], axis=1))
+    return _clip_array(np.concatenate(blocks), image_w, image_h)
 
 
 def seed_grid(image_w: float, image_h: float, cfg: SeedGridConfig = SeedGridConfig()) -> list[Box]:
@@ -71,21 +109,130 @@ def seed_grid(image_w: float, image_h: float, cfg: SeedGridConfig = SeedGridConf
     cover the whole image; enumeration order is scales, then ratios,
     then rows, then columns.
     """
-    if image_w <= 0 or image_h <= 0:
-        raise ValueError(f"image dims must be positive, got {image_w} x {image_h}")
-    short = min(image_w, image_h)
-    step = cfg.stride * short
-    xs = np.arange(0.5 * step, image_w, step)
-    ys = np.arange(0.5 * step, image_h, step)
-    out = []
-    for scale in cfg.scales:
-        for ratio in cfg.aspect_ratios:
-            w = scale * short * math.sqrt(ratio)
-            h = scale * short / math.sqrt(ratio)
-            for cy in ys:
-                for cx in xs:
-                    out.append(clip_box(Box(float(cx), float(cy), w, h), image_w, image_h))
-    return out
+    return boxes_from_array(_seed_grid_array(image_w, image_h, cfg))
+
+
+# The pruning bounds in _neighbor_graph hold in exact arithmetic. Widening
+# them by this relative slack keeps every pair whose IoU, as iou_pairwise
+# computes it with a relative error of a few ulps, exceeds the threshold.
+_SLACK = 1e-9
+
+# Upper bound on rows x columns per iou_pairwise block.
+_BLOCK = 1 << 15
+
+
+def _neighbor_graph(arr: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair (i, j), self included, with IoU(i, j) > t, in CSR form.
+
+    Returns (indptr, cols, ious): box i's neighbors are
+    cols[indptr[i]:indptr[i + 1]], in no particular order, and ious
+    holds their IoU with i as `iou_pairwise` computes it. That kernel is bitwise symmetric, so the
+    graph is exactly the entries above t of the dense IoU matrix, for
+    any t in [0, 1].
+
+    IoU is computed only on candidate blocks. 2-D IoU is at most the
+    1-D IoU on either axis, since A + B - iw*ih >= ih*(wa + wb - iw).
+    So IoU > t implies that both side ratios lie in (t, 1/t), and that
+    |xmin_i - xmin_j| < min(w_i, w_j) * (1/t - 1). Boxes are bucketed by
+    log(width) and log(height) in steps of log(1/t); a box can only
+    overlap boxes in its own or an adjacent bucket on each axis, and
+    within those only boxes whose xmin lies in a window swept along a
+    sort by xmin. As t falls to 0 the buckets and windows widen until
+    every pair is a candidate.
+    """
+    n = len(arr)
+    if t >= 1.0 or n == 0:
+        return np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    # Corner extents as iou_pairwise computes them: the bounds apply to these.
+    lo = arr[:, 0] - 0.5 * arr[:, 2]
+    wid = (arr[:, 0] + 0.5 * arr[:, 2]) - lo
+    hgt = (arr[:, 1] + 0.5 * arr[:, 3]) - (arr[:, 1] - 0.5 * arr[:, 3])
+    # A box with no finite positive corner extent has IoU 0 or NaN with everything.
+    ok = np.flatnonzero(np.isfinite(wid) & np.isfinite(hgt) & (wid > 0.0) & (hgt > 0.0))
+    tp = t * (1.0 - _SLACK)
+    bucket = -math.log(tp) + _SLACK if tp > 0.0 else math.inf
+    reach = 1.0 / tp - 1.0 if tp > 0.0 else math.inf
+    pad = _SLACK * (float(np.abs(lo[ok]).max()) + float(wid[ok].max())) if ok.size else 0.0
+
+    logs = np.stack([np.log(wid[ok]), np.log(hgt[ok])], axis=1)
+    keys, inverse, counts = np.unique(
+        np.floor(logs / bucket).astype(np.int64), axis=0, return_inverse=True, return_counts=True
+    )
+    by_group = ok[np.lexsort((lo[ok], inverse.ravel()))]
+    groups = {}
+    for key, members in zip(map(tuple, keys.tolist()), np.split(by_group, np.cumsum(counts)[:-1])):
+        groups[key] = (members, lo[members], float(wid[members].max()))
+
+    # Each unordered pair is computed once and entered in both directions:
+    # a bucket meets the adjacent buckets on one side only, and itself from
+    # each row chunk onwards.
+    rows_out = [np.zeros(0, dtype=np.intp)]
+    cols_out = [np.zeros(0, dtype=np.intp)]
+    ious_out = [np.zeros(0)]
+    for (kw, kh), (rows, rows_lo, _) in groups.items():
+        for dw, dh in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+            other = groups.get((kw + dw, kh + dh))
+            if other is None:
+                continue
+            same = dw == 0 and dh == 0
+            cols, cols_lo, cols_wmax = other
+            step = max(1, _BLOCK // len(cols))
+            for r0 in range(0, len(rows), step):
+                chunk = rows[r0 : r0 + step]
+                window = reach * min(float(wid[chunk].max()), cols_wmax) + pad
+                c0 = r0 if same else np.searchsorted(cols_lo, rows_lo[r0] - window, side="left")
+                c1 = np.searchsorted(cols_lo, rows_lo[r0 + len(chunk) - 1] + window, side="right")
+                if c0 >= c1:
+                    continue
+                block = iou_pairwise(arr[chunk], arr[cols[c0:c1]])
+                r, c = np.nonzero(block > t)
+                i, j, q = chunk[r], cols[c0 + c], block[r, c]
+                mirror = c0 + c >= r0 + len(chunk) if same else slice(None)
+                rows_out += [i, j[mirror]]
+                cols_out += [j, i[mirror]]
+                ious_out += [q, q[mirror]]
+    rows = np.concatenate(rows_out)
+    order = np.argsort(rows)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, np.concatenate(cols_out)[order], np.concatenate(ious_out)[order]
+
+
+def _above(graph, thresh: float):
+    """The entries of a neighbor graph with IoU > thresh."""
+    indptr, cols, ious = graph
+    keep = ious > thresh
+    kept_before = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[indptr], cols[keep], ious[keep]
+
+
+def _neighbor_scores(graph) -> np.ndarray:
+    """Neighbors above NEIGHBOR_IOU per box, itself excluded, from a graph at t <= NEIGHBOR_IOU."""
+    indptr, _, _ = _above(graph, NEIGHBOR_IOU)
+    return (np.diff(indptr) - 1).astype(np.float64)
+
+
+def _decay_ranking(graph, scores: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """Emission order and emitted scores of decay NMS over a neighbor graph.
+
+    Each step emits argmax(live), whose ties go to the lowest index, and
+    sets it to -inf; then every neighbor of it is divided by decay. An
+    emitted box stays at -inf, so each remaining box gets exactly the
+    divisions of the dense formulation, in the same order.
+    """
+    indptr, cols, _ = graph
+    live = np.array(scores, dtype=np.float64)
+    nbrs = np.split(cols, indptr[1:-1])
+    order = np.empty(len(live), dtype=np.intp)
+    emitted = np.empty(len(live), dtype=np.float64)
+    for k in range(len(live)):
+        i = int(live.argmax())
+        order[k] = i
+        emitted[k] = live[i]
+        live[i] = -np.inf
+        live[nbrs[i]] /= decay
+    return order, emitted
 
 
 def score_proposals(boxes: Sequence[Box]) -> list[float]:
@@ -94,17 +241,9 @@ def score_proposals(boxes: Sequence[Box]) -> list[float]:
     The score of box n is the number of other boxes with IoU(b_n, b_m)
     strictly above 0.7.
     """
-    n = len(boxes)
-    if n == 0:
+    if len(boxes) == 0:
         return []
-    arr = boxes_to_array(boxes)
-    counts = np.zeros(n, dtype=np.int64)
-    block = 512
-    for start in range(0, n, block):
-        sub = iou_pairwise(arr[start : start + block], arr)
-        counts[start : start + block] = (sub > NEIGHBOR_IOU).sum(axis=1)
-    # Self-IoU is 1 and always counted above; remove it.
-    return [float(c - 1) for c in counts]
+    return _neighbor_scores(_neighbor_graph(boxes_to_array(boxes), NEIGHBOR_IOU)).tolist()
 
 
 def decay_nms(
@@ -115,26 +254,16 @@ def decay_nms(
     Repeatedly emits the highest-score remaining proposal (ties break to
     the lower input index), then divides by `decay` the score of every
     remaining proposal whose IoU with the emitted one exceeds
-    iou_thresh. Nothing is deleted: the result is a permutation of the
-    input carrying the decayed scores as of emission time.
+    iou_thresh, which must lie in [0, 1]. Nothing is deleted: the result
+    is a permutation of the input carrying the decayed scores as of
+    emission time.
     """
-    if decay <= 1:
-        raise ValueError(f"decay must be > 1, got {decay}")
-    n = len(proposals)
-    if n == 0:
+    _check_nms_args(iou_thresh, decay)
+    if len(proposals) == 0:
         return []
-    arr = boxes_to_array([p.box for p in proposals])
-    scores = np.array([p.score for p in proposals], dtype=np.float64)
-    remaining = np.ones(n, dtype=bool)
-    out: list[Proposal] = []
-    for _ in range(n):
-        pick = int(np.argmax(np.where(remaining, scores, -np.inf)))
-        out.append(Proposal(proposals[pick].box, float(scores[pick])))
-        remaining[pick] = False
-        if remaining.any():
-            overlaps = iou_pairwise(arr[pick : pick + 1], arr)[0]
-            scores[remaining & (overlaps > iou_thresh)] /= decay
-    return out
+    graph = _neighbor_graph(boxes_to_array([p.box for p in proposals]), iou_thresh)
+    order, emitted = _decay_ranking(graph, np.array([p.score for p in proposals], dtype=np.float64), decay)
+    return [Proposal(proposals[i].box, s) for i, s in zip(order.tolist(), emitted.tolist())]
 
 
 def generate_proposals(
@@ -145,12 +274,19 @@ def generate_proposals(
     nms_iou: float = 0.6,
     decay: float = 10.0,
 ) -> list[Proposal]:
-    """Full pipeline: seed, refine, score, rank; output boxes clipped."""
-    seeds = seed_grid(scene.width, scene.height, grid_cfg)
-    refined = refine(model, scene, seeds, iterations=iterations)[-1]
-    scores = score_proposals(refined)
-    ranked = decay_nms([Proposal(b, s) for b, s in zip(refined, scores)], nms_iou, decay)
-    return [Proposal(clip_box(p.box, scene.width, scene.height), p.score) for p in ranked]
+    """Full pipeline: seed, refine, score, rank; output boxes clipped.
+
+    One neighbor graph at IoU > min(nms_iou, 0.7) serves both steps; the
+    result equals decay_nms over the refined boxes and their
+    score_proposals scores, with each box then clipped.
+    """
+    _check_nms_args(nms_iou, decay)
+    seeds = _seed_grid_array(scene.width, scene.height, grid_cfg)
+    refined = refine_array(model, scene, seeds, iterations=iterations)[-1]
+    graph = _neighbor_graph(refined, min(nms_iou, NEIGHBOR_IOU))
+    order, emitted = _decay_ranking(_above(graph, nms_iou), _neighbor_scores(graph), decay)
+    clipped = _clip_array(refined[order], scene.width, scene.height)
+    return [Proposal(Box(*row), s) for row, s in zip(clipped.tolist(), emitted.tolist())]
 
 
 def save_proposals(path: str, by_image: dict[str, list[Proposal]]) -> None:

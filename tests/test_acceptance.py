@@ -157,6 +157,7 @@ def test_criterion_3_sampler_contract():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_end_to_end_training(bench):
     per_scene = bench.scene_trajectories(bench.model_t03)
     refined1 = pooled_mean(per_scene, 0)
@@ -173,6 +174,7 @@ def test_criterion_4_end_to_end_training(bench):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_iterative_refinement(bench):
     per_scene_t03 = bench.scene_trajectories(bench.model_t03)
     # Non-inferiority tolerance of 0.01 applies to both comparisons here
@@ -198,6 +200,7 @@ def test_criterion_5_iterative_refinement(bench):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_loss_ordering(bench):
     t03 = pooled_mean(bench.scene_trajectories(bench.model_t03, iterations=1), 0)
     sl1 = pooled_mean(bench.scene_trajectories(bench.model_sl1, iterations=1), 0)
@@ -209,6 +212,7 @@ def test_criterion_6_loss_ordering(bench):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_proposal_recall(bench):
     scenes = bench.held_scenes[:20]
     refined_records = []
@@ -239,6 +243,7 @@ def test_criterion_7_proposal_recall(bench):
     )
 
 
+@pytest.mark.slow
 def test_example_single_object_top1(bench):
     # Single-object scenes: the top-ranked proposal should already enclose
     # the object at IoU >= 0.7 with the trained benchmark model.

@@ -42,6 +42,27 @@ class TestUsageErrors:
     def test_bad_hidden_spec(self, tmp_path):
         assert run_cli(["train", "--out-dir", str(tmp_path), "--synth", "--hidden", "8"]) == 1
 
+    @pytest.mark.parametrize("flag", [
+        ["--decay", "1"],
+        ["--decay", "nan"],
+        ["--iters", "0"],
+        ["--scales", "0,-1"],
+        ["--stride", "0"],
+        ["--nms-iou", "-0.5"],
+        ["--nms-iou", "1.5"],
+        ["--nms-iou", "nan"],
+    ], ids="=".join)
+    def test_bad_propose_flag(self, tmp_path, capsys, flag):
+        # The model path does not exist: a usage check that ran after the
+        # model load would exit 2 instead.
+        code = run_cli([
+            "propose", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1",
+            "--model", str(tmp_path / "missing.ubbr"),
+        ] + flag)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestDataErrors:
     def test_bad_annotations(self, tmp_path):

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boxregress.boxes import Box, boxes_to_array, iou, iou_pairwise
 from boxregress.errors import DataFormatError
+from boxregress.model import init_model, refine
 from boxregress.proposals import (
+    NEIGHBOR_IOU,
     Proposal,
     SeedGridConfig,
+    _neighbor_graph,
     clip_box,
     decay_nms,
     generate_proposals,
@@ -14,7 +21,7 @@ from boxregress.proposals import (
     score_proposals,
     seed_grid,
 )
-from boxregress.scenes import Scene
+from boxregress.scenes import Scene, SynthConfig, synth_scenes
 
 
 def overlap_pair(target_iou, w=10.0):
@@ -22,6 +29,15 @@ def overlap_pair(target_iou, w=10.0):
     # same size, shift s: iou = (w - s) / (w + s)
     s = w * (1 - target_iou) / (1 + target_iou)
     return Box(0, 0, w, w), Box(s, 0, w, w)
+
+
+def nested_pair(target_iou, w=10.0, rel=0.0):
+    """A box and a narrower one right-aligned inside it, at IoU target_iou * (1 + rel).
+
+    Near the target their xmin gap is the widest that IoU > target allows.
+    """
+    m = w * target_iou * (1 + rel)
+    return Box(0, 0, w, w), Box(0.5 * (w - m), 0, m, w)
 
 
 class TestSeedGrid:
@@ -53,6 +69,14 @@ class TestSeedGrid:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             seed_grid(0, 100, SeedGridConfig())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"scales": ()}, {"scales": (0.5, math.nan)}, {"scales": (math.inf,)},
+        {"aspect_ratios": (-1.0,)}, {"stride": 0.0}, {"stride": math.nan},
+    ])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            SeedGridConfig(**kwargs)
 
 
 class TestClipBox:
@@ -166,8 +190,14 @@ class TestDecayNms:
         assert [p.box for p in out[: len(kept)]] == [p.box for p in kept]
 
     def test_decay_validation(self):
-        with pytest.raises(ValueError):
-            decay_nms([Proposal(Box(0, 0, 1, 1), 1.0)], decay=1.0)
+        for decay in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                decay_nms([Proposal(Box(0, 0, 1, 1), 1.0)], decay=decay)
+
+    def test_iou_thresh_validation(self):
+        for thresh in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                decay_nms([Proposal(Box(0, 0, 1, 1), 1.0)], iou_thresh=thresh)
 
 
 class TestGenerateProposals:
@@ -225,3 +255,180 @@ class TestProposalIo:
     def test_proposal_score_validation(self):
         with pytest.raises(ValueError):
             Proposal(Box(0, 0, 1, 1), -1.0)
+
+
+# Dense reference implementations: the proposal stage as it was before the
+# sparse neighbor graph. The library must reproduce them bit for bit.
+
+
+def oracle_clip_box(b, image_w, image_h, min_side=1.0):
+    xmin = max(b.x - 0.5 * b.w, 0.0)
+    xmax = min(b.x + 0.5 * b.w, image_w)
+    ymin = max(b.y - 0.5 * b.h, 0.0)
+    ymax = min(b.y + 0.5 * b.h, image_h)
+    w = max(xmax - xmin, min_side)
+    h = max(ymax - ymin, min_side)
+    cx = min(max(0.5 * (xmin + xmax), 0.5 * w), image_w - 0.5 * w)
+    cy = min(max(0.5 * (ymin + ymax), 0.5 * h), image_h - 0.5 * h)
+    return Box(cx, cy, w, h)
+
+
+def oracle_seed_grid(image_w, image_h, cfg):
+    short = min(image_w, image_h)
+    step = cfg.stride * short
+    xs = np.arange(0.5 * step, image_w, step)
+    ys = np.arange(0.5 * step, image_h, step)
+    out = []
+    for scale in cfg.scales:
+        for ratio in cfg.aspect_ratios:
+            w = scale * short * math.sqrt(ratio)
+            h = scale * short / math.sqrt(ratio)
+            for cy in ys:
+                for cx in xs:
+                    out.append(oracle_clip_box(Box(float(cx), float(cy), w, h), image_w, image_h))
+    return out
+
+
+def oracle_score_proposals(boxes):
+    n = len(boxes)
+    if n == 0:
+        return []
+    arr = boxes_to_array(boxes)
+    counts = np.zeros(n, dtype=np.int64)
+    block = 512
+    for start in range(0, n, block):
+        sub = iou_pairwise(arr[start : start + block], arr)
+        counts[start : start + block] = (sub > NEIGHBOR_IOU).sum(axis=1)
+    return [float(c - 1) for c in counts]
+
+
+def oracle_decay_nms(proposals, iou_thresh=0.6, decay=10.0):
+    n = len(proposals)
+    if n == 0:
+        return []
+    arr = boxes_to_array([p.box for p in proposals])
+    scores = np.array([p.score for p in proposals], dtype=np.float64)
+    remaining = np.ones(n, dtype=bool)
+    out = []
+    for _ in range(n):
+        pick = int(np.argmax(np.where(remaining, scores, -np.inf)))
+        out.append(Proposal(proposals[pick].box, float(scores[pick])))
+        remaining[pick] = False
+        if remaining.any():
+            overlaps = iou_pairwise(arr[pick : pick + 1], arr)[0]
+            scores[remaining & (overlaps > iou_thresh)] /= decay
+    return out
+
+
+def oracle_generate_proposals(model, scene, grid_cfg, iterations, nms_iou, decay):
+    seeds = oracle_seed_grid(scene.width, scene.height, grid_cfg)
+    refined = refine(model, scene, seeds, iterations=iterations)[-1]
+    scores = oracle_score_proposals(refined)
+    ranked = oracle_decay_nms([Proposal(b, s) for b, s in zip(refined, scores)], nms_iou, decay)
+    return [Proposal(oracle_clip_box(p.box, scene.width, scene.height), p.score) for p in ranked]
+
+
+def bits(props):
+    """Every float of a proposal list, as exact hex strings."""
+    return [tuple(v.hex() for v in (p.box.x, p.box.y, p.box.w, p.box.h, float(p.score))) for p in props]
+
+
+DIFFERENTIAL = settings(
+    max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+SIDES = st.one_of(
+    st.floats(0.01, 1.0),                     # sub-pixel
+    st.floats(1.0, 60.0),
+    st.sampled_from([128.0, 600.0]),          # image-sized
+)
+
+
+@st.composite
+def box_sets(draw, thresholds=st.sampled_from([0.6, 0.7])):
+    """Boxes with exact duplicates, pairs at or just above the thresholds, and a common offset."""
+    coord = st.floats(-20.0, 150.0)
+    boxes = draw(st.lists(st.builds(Box, coord, coord, SIDES, SIDES), max_size=40))
+    if boxes:
+        boxes += draw(st.lists(st.sampled_from(boxes), max_size=8))
+    for target in draw(st.lists(thresholds, max_size=3)):
+        boxes += overlap_pair(target, draw(st.floats(0.5, 100.0)))
+        if target > 0:
+            rel = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]))
+            boxes += nested_pair(target, draw(st.floats(0.5, 100.0)), rel)
+    dx, dy = draw(st.sampled_from([(0.0, 0.0), (1e5, -3e3), (-1e7, 1e7)]))
+    return draw(st.permutations([Box(b.x + dx, b.y + dy, b.w, b.h) for b in boxes]))
+
+
+SCORES = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e3))
+DECAYS = st.one_of(st.sampled_from([1.5, 2.0, 10.0, 1e15]), st.floats(1.0001, 100.0))
+NMS_IOUS = st.one_of(st.sampled_from([0.0, 0.6, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestDenseOracle:
+    @DIFFERENTIAL
+    @given(st.data(), st.one_of(st.sampled_from([0.0, 0.6, 0.7, 1.0]), st.floats(0.0, 1.0)))
+    def test_neighbor_graph_is_dense_above_t(self, data, t):
+        arr = boxes_to_array(data.draw(box_sets(st.just(t))))
+        indptr, cols, ious = _neighbor_graph(arr, t)
+        with np.errstate(invalid="ignore"):  # 0/0 for boxes below one ulp of their offset
+            dense = iou_pairwise(arr, arr)
+        assert len(indptr) == len(arr) + 1
+        for i in range(len(arr)):
+            row = slice(indptr[i], indptr[i + 1])
+            got = sorted((int(j), q.hex()) for j, q in zip(cols[row], ious[row]))
+            want = [(int(j), dense[i, j].hex()) for j in np.flatnonzero(dense[i] > t)]
+            assert got == want
+
+    @DIFFERENTIAL
+    @given(box_sets())
+    def test_score_proposals_matches_dense(self, boxes):
+        got = score_proposals(boxes)
+        want = oracle_score_proposals(boxes)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @DIFFERENTIAL
+    @given(st.data(), box_sets(), NMS_IOUS, DECAYS)
+    def test_decay_nms_matches_dense(self, data, boxes, nms_iou, decay):
+        scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
+        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
+        assert bits(decay_nms(props, nms_iou, decay)) == bits(oracle_decay_nms(props, nms_iou, decay))
+
+    @DIFFERENTIAL
+    @given(box_sets(), NMS_IOUS, DECAYS)
+    def test_neighbor_scores_then_decay_match_dense(self, boxes, nms_iou, decay):
+        props = [Proposal(b, s) for b, s in zip(boxes, score_proposals(boxes))]
+        want = oracle_decay_nms([Proposal(b, s) for b, s in zip(boxes, oracle_score_proposals(boxes))], nms_iou, decay)
+        assert bits(decay_nms(props, nms_iou, decay)) == bits(want)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.6, 1.0]),
+        st.sampled_from([1.5, 10.0, 1e15]),
+        st.integers(1, 2),
+        st.sampled_from([0.02, 0.1, 0.3]),
+    )
+    def test_generate_proposals_matches_dense(self, seed, nms_iou, decay, iterations, init_std):
+        scene = synth_scenes(SynthConfig(seed=seed % 1000, max_objects=3), 1)[0]
+        model = init_model(3, 7, (16, 16), init_std=init_std, rng=np.random.default_rng(seed))
+        grid = SeedGridConfig(scales=(0.25, 0.5), aspect_ratios=(0.5, 1.0, 2.0), stride=0.125)
+        got = generate_proposals(model, scene, grid, iterations, nms_iou, decay)
+        want = oracle_generate_proposals(model, scene, grid, iterations, nms_iou, decay)
+        assert bits(got) == bits(want)
+        # The random head must actually move the seeds for this to test refinement.
+        seeds = oracle_seed_grid(scene.width, scene.height, grid)
+        assert refine(model, scene, seeds, iterations)[-1] != seeds
+
+    @DIFFERENTIAL
+    @given(st.builds(Box, st.floats(-50.0, 200.0), st.floats(-50.0, 200.0), SIDES, SIDES),
+           st.sampled_from([64, 128.0, 600]), st.sampled_from([64, 100.5]))
+    def test_clip_box_matches_scalar(self, b, image_w, image_h):
+        got, want = clip_box(b, image_w, image_h), oracle_clip_box(b, image_w, image_h)
+        assert bits([Proposal(got, 0.0)]) == bits([Proposal(want, 0.0)])
+
+    @pytest.mark.parametrize("shape", [(600, 600), (640, 427), (128, 128), (100.5, 333)])
+    def test_seed_grid_matches_scalar(self, shape):
+        for cfg in (SeedGridConfig(), SeedGridConfig(scales=(0.3,), aspect_ratios=(3.0,), stride=0.07)):
+            got, want = seed_grid(*shape, cfg), oracle_seed_grid(*shape, cfg)
+            assert bits([Proposal(b, 0.0) for b in got]) == bits([Proposal(b, 0.0) for b in want])
