@@ -14,20 +14,20 @@ import sys
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import boxes_from_array, boxes_to_array
 from .errors import DataFormatError
 from .ioutil import atomic_write
 from .losses import LossConfig
 from .metrics import (
+    EvalRecord,
     corloc,
-    make_record,
     mean_iou_trajectory,
     recall_curve,
     write_recall_curve_svg,
     write_table,
 )
-from .model import TrainConfig, TrainingDiverged, load_model, refine, save_model, train
-from .proposals import SeedGridConfig, generate_proposals, load_proposals, save_proposals
+from .model import TrainConfig, TrainingDiverged, load_model, refine_array, save_model, train
+from .proposals import SeedGridConfig, generate_proposals, read_corner_csv, save_proposals, write_corner_csv
 from .sampling import SamplerConfig
 from .scenes import SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
 
@@ -44,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
 
 
 def _float_list(text: str) -> list[float]:
@@ -94,7 +97,7 @@ def _build_scenes(args):
         scenes = load_annotations(args.annotations, short_side=short)
     else:
         scenes = load_scenes(args.scene_cache)
-    excluded = set(_int_list(args.exclude_categories))
+    excluded = set(_int_list(args.exclude_categories, "--exclude-categories"))
     if excluded:
         scenes = filter_categories(scenes, excluded)
     if args.save_scene_cache:
@@ -111,37 +114,6 @@ def _write_resolved_config(args, out_dir: str):
             f.write(f"{key} = {getattr(args, key)!r}\n")
 
 
-def _load_boxes_file(path: str) -> dict[str, list[Box]]:
-    out: dict[str, list[Box]] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise DataFormatError(f"{path}: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) not in (5, 6):
-            raise DataFormatError(f"{path}: line {lineno}: expected 5 or 6 fields, got {len(parts)}")
-        try:
-            xmin, ymin, xmax, ymax = (float(v) for v in parts[1:5])
-            box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
-        except ValueError as e:
-            raise DataFormatError(f"{path}: line {lineno}: {e}") from None
-        out.setdefault(parts[0], []).append(box)
-    return out
-
-
-def _write_boxes_file(path: str, by_image: dict[str, list[Box]]):
-    with atomic_write(path) as f:
-        for image_id, boxes in by_image.items():
-            for b in boxes:
-                xmin, ymin, xmax, ymax = b.x - 0.5 * b.w, b.y - 0.5 * b.h, b.x + 0.5 * b.w, b.y + 0.5 * b.h
-                f.write(f"{image_id},{xmin!r},{ymin!r},{xmax!r},{ymax!r}\n")
-
-
 class UsageError(Exception):
     pass
 
@@ -152,7 +124,7 @@ def cmd_train(args) -> int:
     if not scenes:
         raise DataFormatError("no scenes with ground truths to train on")
     sampler_cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, t=args.t, boxes_per_gt=args.boxes_per_gt)
-    hidden = _int_list(args.hidden)
+    hidden = _int_list(args.hidden, "--hidden")
     if len(hidden) != 2:
         raise UsageError("--hidden must name two widths, e.g. 256,256")
     train_cfg = TrainConfig(
@@ -185,7 +157,7 @@ def cmd_train(args) -> int:
 def cmd_refine(args) -> int:
     scenes = {s.id: s for s in _build_scenes(args)}
     model = load_model(args.model)
-    boxes_by_image = _load_boxes_file(args.boxes)
+    boxes_by_image = read_corner_csv(args.boxes, scored=False)
     unknown = sorted(set(boxes_by_image) - set(scenes))
     if unknown:
         raise DataFormatError(f"{args.boxes}: unknown image ids: {', '.join(unknown[:5])}")
@@ -193,11 +165,11 @@ def cmd_refine(args) -> int:
     _write_resolved_config(args, args.out_dir)
 
     trajectories = {
-        image_id: refine(model, scenes[image_id], boxes, iterations=args.iters)
+        image_id: refine_array(model, scenes[image_id], boxes, iterations=args.iters)
         for image_id, boxes in boxes_by_image.items()
     }
     for k in range(args.iters):
-        _write_boxes_file(
+        write_corner_csv(
             os.path.join(args.out_dir, f"refined.iter{k + 1}.csv"),
             {image_id: traj[k] for image_id, traj in trajectories.items()},
         )
@@ -209,7 +181,9 @@ def cmd_refine(args) -> int:
         count = 0
         for image_id in with_gts:
             means = mean_iou_trajectory(
-                boxes_by_image[image_id], trajectories[image_id], list(scenes[image_id].gts)
+                boxes_from_array(boxes_by_image[image_id]),
+                [boxes_from_array(a) for a in trajectories[image_id]],
+                list(scenes[image_id].gts),
             )
             n = len(boxes_by_image[image_id])
             pooled += np.array(means) * n
@@ -254,21 +228,30 @@ def cmd_propose(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scenes = _build_scenes(args)
-    by_image = load_proposals(args.proposals)
-    records = [make_record(s.id, by_image.get(s.id, []), s.gts) for s in scenes if s.gts]
+    ks = _int_list(args.ks, "--ks")
+    if not ks or min(ks) < 1:
+        raise UsageError(f"--ks must list at least one budget, each >= 1, got {args.ks!r}")
+    for flag, value in (("--iou", args.iou), ("--corloc-iou", args.corloc_iou)):
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"{flag} must be in [0, 1], got {value}")
+    gts = [(s.id, boxes_to_array(s.gts)) for s in _build_scenes(args) if s.gts]
+    no_rows = np.zeros((0, 5))
+
+    def load_records(path: str) -> list[EvalRecord]:
+        by_image = read_corner_csv(path)
+        return [EvalRecord(image_id, by_image.get(image_id, no_rows)[:, :4], g) for image_id, g in gts]
+
+    records = load_records(args.proposals)
     if not records:
         raise DataFormatError("no scenes with ground truths to evaluate")
+    base_records = load_records(args.baseline_proposals) if args.baseline_proposals else None
     os.makedirs(args.out_dir, exist_ok=True)
     _write_resolved_config(args, args.out_dir)
 
-    ks = _int_list(args.ks)
     curve = recall_curve(records, args.iou, ks)
     series = [("refined", curve)]
     rows = [(k, args.iou, r) for k, r in curve]
-    if args.baseline_proposals:
-        base_by_image = load_proposals(args.baseline_proposals)
-        base_records = [make_record(s.id, base_by_image.get(s.id, []), s.gts) for s in scenes if s.gts]
+    if base_records is not None:
         base_curve = recall_curve(base_records, args.iou, ks)
         series.append(("baseline", base_curve))
         rows += [(k, args.iou, r) for k, r in base_curve]
@@ -309,7 +292,10 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         if isinstance(action, argparse._StoreTrueAction):
             overrides[dest] = value.lower() in ("1", "true", "yes")
         elif action.type is not None:
-            overrides[dest] = action.type(value)
+            try:
+                overrides[dest] = action.type(value)
+            except ValueError:
+                raise UsageError(f"{known.config}: line {lineno}: bad value for {key!r}: {value!r}") from None
         else:
             overrides[dest] = value
     parser.set_defaults(**overrides)

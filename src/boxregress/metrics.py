@@ -15,15 +15,17 @@ from .proposals import Proposal
 DEFAULT_K_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalRecord:
+    """One image's ranked proposal boxes and ground truths, as center-form arrays."""
+
     image_id: str
-    proposals: tuple[Proposal, ...]  # ranked
-    gts: tuple[Box, ...]
+    boxes: np.ndarray  # (N, 4) center-form proposal boxes, ranked
+    gts: np.ndarray  # (G, 4) center-form ground truths
 
 
 def make_record(image_id: str, proposals: Sequence[Proposal], gts: Sequence[Box]) -> EvalRecord:
-    return EvalRecord(image_id, tuple(proposals), tuple(gts))
+    return EvalRecord(image_id, boxes_to_array([p.box for p in proposals]), boxes_to_array(gts))
 
 
 def recall_at(records: Sequence[EvalRecord], iou_thresh: float, k: int) -> float:
@@ -38,14 +40,9 @@ def recall_at(records: Sequence[EvalRecord], iou_thresh: float, k: int) -> float
     total = 0
     covered = 0
     for rec in records:
-        if not rec.gts:
-            continue
         total += len(rec.gts)
-        if not rec.proposals:
-            continue
-        top = boxes_to_array([p.box for p in rec.proposals[:k]])
-        gts = boxes_to_array(rec.gts)
-        covered += int((iou_pairwise(top, gts) > iou_thresh).any(axis=0).sum())
+        if len(rec.gts) and len(rec.boxes):
+            covered += int((iou_pairwise(rec.boxes[:k], rec.gts) > iou_thresh).any(axis=0).sum())
     if total == 0:
         raise ValueError("recall_at requires at least one ground truth")
     return covered / total
@@ -61,11 +58,7 @@ def corloc(records: Sequence[EvalRecord], iou_thresh: float = 0.5) -> float:
         raise ValueError("corloc requires at least one record")
     hits = 0
     for rec in records:
-        if not rec.proposals or not rec.gts:
-            continue
-        top = boxes_to_array([rec.proposals[0].box])
-        gts = boxes_to_array(rec.gts)
-        if float(iou_pairwise(top, gts).max()) > iou_thresh:
+        if len(rec.boxes) and len(rec.gts) and float(iou_pairwise(rec.boxes[:1], rec.gts).max()) > iou_thresh:
             hits += 1
     return 100.0 * hits / len(records)
 

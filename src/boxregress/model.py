@@ -386,7 +386,7 @@ def save_model(path: str, model: RegressorModel) -> None:
 
 
 def load_model(path: str) -> RegressorModel:
-    """Read a model container; dimensions and length are validated."""
+    """Read a model container; dimensions, length and finite weights are validated."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -407,6 +407,10 @@ def load_model(path: str) -> RegressorModel:
     body = np.frombuffer(blob[header_end:], dtype="<f8")
     if body.size != need:
         raise DataFormatError(f"{path}: expected {need} weights, found {body.size}")
+    # min and max propagate NaN and expose +-inf without a temporary array.
+    if not (np.isfinite(body.min()) and np.isfinite(body.max())):
+        first = int(np.flatnonzero(~np.isfinite(body))[0])
+        raise DataFormatError(f"{path}: weight {first} is not finite ({body[first]})")
     arrays = []
     pos = 0
     for s in shapes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -289,48 +290,144 @@ def generate_proposals(
     return [Proposal(Box(*row), s) for row, s in zip(clipped.tolist(), emitted.tolist())]
 
 
+# Bytes of text per block of read_corner_csv: each block gets one float64
+# conversion and one validation pass, and memory beyond the result is
+# bounded by the block, not the file.
+_READ_BYTES = 1 << 20
+
+
+def _check_row(parts: list[str], scored: bool) -> None:
+    """Build one row's Box (and Proposal) by the scalar rules.
+
+    Raises ValueError with the message the row is rejected with.
+    """
+    try:
+        xmin, ymin, xmax, ymax, *score = map(float, parts[1:6] if scored else parts[1:5])
+    except ValueError as e:
+        raise ValueError("non-numeric field" if scored else str(e)) from None
+    box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
+    if scored:
+        Proposal(box, score[0])
+
+
+def _row_error(path: str, lines: list[str], linenos: Sequence[int], scored: bool) -> DataFormatError:
+    """The error of the first of `lines` that breaks the scalar rules."""
+    for line, lineno in zip(lines, linenos):
+        try:
+            _check_row(line.split(","), scored)
+        except ValueError as e:
+            return DataFormatError(f"{path}: line {lineno}: {e}")
+    raise RuntimeError(f"{path}: lines {linenos[0]}-{linenos[-1]}: array checks and scalar rules disagree")
+
+
+def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int) -> tuple[list[str], np.ndarray]:
+    """Image ids and (N, 4) center rows, plus a score column if width is 6, of one block of lines.
+
+    Every line holds exactly `width` comma-separated fields.
+    """
+    fields = ",".join(lines).split(",")
+    ids = fields[::width]
+    del fields[::width]
+    scored = width == 6
+    try:
+        corners = np.array(fields, dtype=np.float64).reshape(-1, width - 1)
+    except ValueError:
+        raise _row_error(path, lines, linenos, scored) from None
+    xmin, ymin, xmax, ymax = corners[:, :4].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.column_stack([0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin, corners[:, 4:]])
+    ok = np.isfinite(rows).all(axis=1) & (rows[:, 2] > 0.0) & (rows[:, 3] > 0.0)
+    if scored:
+        ok &= rows[:, 4] >= 0.0
+    if not ok.all():
+        first = int(np.argmin(ok))
+        raise _row_error(path, lines[first:], linenos[first:], scored)
+    return ids, rows
+
+
+def read_corner_csv(path: str, scored: bool = True) -> dict[str, np.ndarray]:
+    """Read a corner-form CSV into per-image arrays, in file order.
+
+    Each non-blank line is `image_id,xmin,ymin,xmax,ymax,score` when
+    scored; otherwise it has 5 fields, or 6 with the last one ignored.
+    Returns {image_id: rows} with images in order of first appearance
+    and rows (x, y, w, h[, score]) in center form: (N, 5) when scored,
+    (N, 4) otherwise. A field is accepted exactly when float() accepts
+    it; every box must be finite with positive sides, and every score
+    finite and >= 0. The first bad line in file order raises a
+    DataFormatError naming it. Lines are streamed in fixed-size blocks,
+    so memory beyond the result does not grow with the file.
+    """
+    width, counts = (6, (6,)) if scored else (5, (5, 6))
+    expected = "6 fields" if scored else "5 or 6 fields"
+    index: dict[str, int] = {}  # image id -> code, by first appearance
+    codes: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    done = 0  # lines in earlier blocks
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            while raw := f.readlines(_READ_BYTES):
+                lines = list(map(str.strip, raw))
+                nonblank = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
+                lines = list(compress(lines, nonblank))
+                linenos = done + 1 + np.flatnonzero(nonblank)
+                n = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=len(lines)) + 1
+                wrong = np.flatnonzero(~np.isin(n, counts))
+                cut = int(wrong[0]) if wrong.size else len(lines)
+                for i in np.flatnonzero(n[:cut] > width).tolist():
+                    lines[i] = lines[i][: lines[i].rindex(",")]
+                if cut:
+                    ids, rows = _block_rows(path, lines[:cut], linenos[:cut], width)
+                    for image_id in dict.fromkeys(ids):
+                        index.setdefault(image_id, len(index))
+                    codes.append(np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids)))
+                    blocks.append(rows)
+                if wrong.size:
+                    raise DataFormatError(f"{path}: line {linenos[cut]}: expected {expected}, got {n[cut]}")
+                done += len(raw)
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not valid UTF-8 after line {done}: {e.reason}") from None
+    except OSError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+    if not blocks:
+        return {}
+    code = np.concatenate(codes)
+    rows = np.concatenate(blocks)[np.argsort(code, kind="stable")]
+    return dict(zip(index, np.split(rows, np.cumsum(np.bincount(code))[:-1])))
+
+
+def write_corner_csv(path: str, by_image: dict[str, np.ndarray]) -> None:
+    """Write center-form rows as corner-form CSV lines, the inverse of read_corner_csv.
+
+    Rows are (x, y, w, h) or (x, y, w, h, score); each line is the image
+    id, xmin, ymin, xmax, ymax and the score if present. Floats keep full
+    double precision.
+    """
+    with atomic_write(path) as f:
+        for image_id, rows in by_image.items():
+            x, y, w, h = rows[:, :4].T
+            corners = np.column_stack([x - 0.5 * w, y - 0.5 * h, x + 0.5 * w, y + 0.5 * h, rows[:, 4:]])
+            f.write("".join(f"{image_id},{','.join(map(repr, r))}\n" for r in corners.tolist()))
+
+
 def save_proposals(path: str, by_image: dict[str, list[Proposal]]) -> None:
     """Write proposals as comma-separated lines.
 
     Each line is: image id, xmin, ymin, xmax, ymax, score. Floats keep
     full double precision.
     """
-    with atomic_write(path) as f:
-        for image_id, props in by_image.items():
-            for p in props:
-                xmin, ymin, xmax, ymax = (
-                    p.box.x - 0.5 * p.box.w,
-                    p.box.y - 0.5 * p.box.h,
-                    p.box.x + 0.5 * p.box.w,
-                    p.box.y + 0.5 * p.box.h,
-                )
-                f.write(f"{image_id},{xmin!r},{ymin!r},{xmax!r},{ymax!r},{p.score!r}\n")
+    write_corner_csv(path, {
+        image_id: np.array([(p.box.x, p.box.y, p.box.w, p.box.h, p.score) for p in props], dtype=np.float64).reshape(-1, 5)
+        for image_id, props in by_image.items()
+    })
 
 
 def load_proposals(path: str) -> dict[str, list[Proposal]]:
-    """Read a proposals file; per-image order is preserved."""
-    out: dict[str, list[Proposal]] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise DataFormatError(f"{path}: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise DataFormatError(f"{path}: line {lineno}: expected 6 fields, got {len(parts)}")
-        image_id = parts[0]
-        try:
-            xmin, ymin, xmax, ymax, score = (float(v) for v in parts[1:])
-        except ValueError:
-            raise DataFormatError(f"{path}: line {lineno}: non-numeric field") from None
-        try:
-            box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
-            prop = Proposal(box, score)
-        except ValueError as e:
-            raise DataFormatError(f"{path}: line {lineno}: {e}") from None
-        out.setdefault(image_id, []).append(prop)
-    return out
+    """Read a proposals file; per-image order is preserved.
+
+    A `Proposal` view of read_corner_csv, with the same checks and errors.
+    """
+    return {
+        image_id: [Proposal(Box(x, y, w, h), s) for x, y, w, h, s in rows.tolist()]
+        for image_id, rows in read_corner_csv(path).items()
+    }

@@ -44,8 +44,8 @@ class Scene:
     _fm: FeatureMap | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"scene {self.id}: image dims must be positive")
+        if not (math.isfinite(self.width) and math.isfinite(self.height) and self.width > 0 and self.height > 0):
+            raise ValueError(f"scene {self.id}: image dims must be finite and positive, got {self.width} x {self.height}")
         for g in self.gts:
             if not _within_slack(g, self.width, self.height):
                 raise ValueError(f"scene {self.id}: ground truth {g} too far outside image bounds")
@@ -355,13 +355,21 @@ def load_scenes(path: str) -> list[Scene]:
     (count,) = struct.unpack("<I", take(4))
     scenes = []
     for _ in range(count):
+        start = pos
         (id_len,) = struct.unpack("<H", take(2))
-        ident = bytes(take(id_len)).decode("utf-8")
+        try:
+            ident = bytes(take(id_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: byte {start + 2}: scene id is not valid UTF-8") from None
         width, height, n_gts = struct.unpack("<ddI", take(20))
         gts = []
         for _ in range(n_gts):
+            at = pos
             x, y, w, h = struct.unpack("<dddd", take(32))
-            gts.append(Box(x, y, w, h))
+            try:
+                gts.append(Box(x, y, w, h))
+            except ValueError as e:
+                raise DataFormatError(f"{path}: byte {at}: scene {ident}: {e}") from None
         (has_labels,) = struct.unpack("<B", take(1))
         labels = None
         if has_labels:
@@ -370,10 +378,17 @@ def load_scenes(path: str) -> list[Scene]:
         (has_fm,) = struct.unpack("<B", take(1))
         fm = None
         if has_fm:
+            at = pos
             c, h, w = struct.unpack("<III", take(12))
             data = np.frombuffer(take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()
-            fm = FeatureMap(data)
-        scenes.append(Scene(id=ident, width=width, height=height, gts=gts, labels=labels, _fm=fm))
+            try:
+                fm = FeatureMap(data)
+            except ValueError as e:
+                raise DataFormatError(f"{path}: byte {at}: scene {ident}: {e}") from None
+        try:
+            scenes.append(Scene(id=ident, width=width, height=height, gts=gts, labels=labels, _fm=fm))
+        except ValueError as e:
+            raise DataFormatError(f"{path}: byte {start}: {e}") from None
     if pos != len(view):
         raise DataFormatError(f"{path}: {len(view) - pos} trailing bytes")
     return scenes

@@ -260,13 +260,13 @@ def brute_force_corloc(records, thresh=0.5):
     hits = 0
     for rec in records:
         hit = False
-        if rec.proposals:
-            p = rec.proposals[0].box
-            for g in rec.gts:
-                px_lo, px_hi = p.x - p.w / 2, p.x + p.w / 2
-                py_lo, py_hi = p.y - p.h / 2, p.y + p.h / 2
-                gx_lo, gx_hi = g.x - g.w / 2, g.x + g.w / 2
-                gy_lo, gy_hi = g.y - g.h / 2, g.y + g.h / 2
+        if len(rec.boxes):
+            px, py, pw, ph = rec.boxes[0].tolist()
+            for gx, gy, gw, gh in rec.gts.tolist():
+                px_lo, px_hi = px - pw / 2, px + pw / 2
+                py_lo, py_hi = py - ph / 2, py + ph / 2
+                gx_lo, gx_hi = gx - gw / 2, gx + gw / 2
+                gy_lo, gy_hi = gy - gh / 2, gy + gh / 2
                 iw = min(px_hi, gx_hi) - max(px_lo, gx_lo)
                 ih = min(py_hi, gy_hi) - max(py_lo, gy_lo)
                 inter = max(iw, 0.0) * max(ih, 0.0)

@@ -1,11 +1,13 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from boxregress import cli
 from boxregress.boxes import Box
-from boxregress.scenes import SynthConfig, synth_scenes
+from boxregress.model import init_model, save_model
+from boxregress.scenes import SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
 
 
 def run_cli(args):
@@ -13,6 +15,12 @@ def run_cli(args):
         return cli.main(args)
     except SystemExit as e:
         return e.code
+
+
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
 
 
 TINY_TRAIN = [
@@ -64,6 +72,21 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+    @pytest.mark.parametrize("flag", [
+        ["--ks", "0"], ["--ks", "1,0"], ["--ks", "-3"], ["--ks", "a,b"], ["--ks", "1.5"], ["--ks", ""], ["--ks", ","],
+        ["--iou", "nan"], ["--iou", "1.5"], ["--corloc-iou", "-0.1"], ["--corloc-iou", "nan"],
+    ], ids="=".join)
+    def test_bad_eval_flag(self, tmp_path, capsys, flag):
+        # The proposals file does not exist: a check after loading would exit 2.
+        code = run_cli([
+            "eval", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1",
+            "--proposals", str(tmp_path / "missing.csv"),
+        ] + flag)
+        assert code == 1
+        assert flag[0] in one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestDataErrors:
     def test_bad_annotations(self, tmp_path):
         ann = tmp_path / "broken.json"
@@ -87,6 +110,54 @@ class TestDataErrors:
         assert code == 2
 
 
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    def test_csv_not_utf8(self, tmp_path, capsys, trained_dir, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"img\xff,1,2,3,4,5\n")
+        flag = ["--proposals", str(bad)] if command == "eval" else [
+            "--boxes", str(bad), "--model", os.path.join(trained_dir, "model.ubbr")]
+        code = run_cli([command, "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1"] + flag)
+        assert code == 2
+        assert "not valid UTF-8" in one_line_error(capsys, "data error: ")
+
+    # Byte offsets in a one-scene cache with id "synth-0000" and ground truths.
+    ID_AT, WIDTH_AT, GT_AT = 14, 24, 44
+
+    @pytest.mark.parametrize("offset,patch,where", [
+        (WIDTH_AT, struct.pack("<d", -10.0), "byte 12: scene synth-0000: image dims"),
+        (WIDTH_AT, struct.pack("<d", float("nan")), "byte 12: scene synth-0000: image dims"),
+        (GT_AT, struct.pack("<d", float("inf")), "byte 44: scene synth-0000: box fields must be finite"),
+        (ID_AT, b"\xff", "byte 14: scene id is not valid UTF-8"),
+        (-8, struct.pack("<d", float("nan")), "scene synth-0000: feature data contains non-finite entries"),
+    ], ids=["negative-width", "nan-width", "inf-gt", "id-not-utf8", "nan-feature"])
+    def test_corrupt_scene_cache(self, tmp_path, capsys, offset, patch, where):
+        cache = tmp_path / "scenes.bin"
+        scenes = synth_scenes(SynthConfig(seed=3), 1)
+        assert scenes[0].id == "synth-0000" and scenes[0].gts
+        save_scenes(str(cache), scenes)
+        blob = bytearray(cache.read_bytes())
+        assert blob[: len(SCENE_CACHE_MAGIC)] == SCENE_CACHE_MAGIC
+        offset %= len(blob)  # a negative offset counts from the end: the last feature value
+        blob[offset : offset + len(patch)] = patch
+        cache.write_bytes(bytes(blob))
+        proposals = tmp_path / "p.csv"
+        proposals.write_text("synth-0000,1,1,5,5,1\n")
+        code = run_cli(["eval", "--out-dir", str(tmp_path / "o"), "--scene-cache", str(cache), "--proposals", str(proposals)])
+        assert code == 2
+        assert where in one_line_error(capsys, "data error: ")
+
+    def test_nonfinite_model_weights(self, tmp_path, capsys):
+        model = init_model(3, 7, (8, 8), rng=np.random.default_rng(0))
+        model.w2[1, 2] = np.nan
+        path = str(tmp_path / "nan.ubbr")
+        save_model(path, model)
+        code = run_cli([
+            "propose", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1", "--model", path,
+        ])
+        assert code == 2
+        assert "not finite" in one_line_error(capsys, "data error: ")
+
+
 class TestNumericErrors:
     def test_divergence_exit_code(self, tmp_path):
         code = run_cli([
@@ -107,6 +178,17 @@ class TestConfigFile:
         text = open(os.path.join(out, "config.txt")).read()
         assert "seed = 12" in text          # flag wins
         assert "synth_count = 4" in text    # config applied
+
+    def test_bad_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\nnms_iou = abc\n")
+        code = run_cli([
+            "propose", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg),
+            "--model", str(tmp_path / "missing.ubbr"),
+        ])
+        assert code == 1
+        msg = one_line_error(capsys, "error: ")
+        assert str(cfg) in msg and "line 2" in msg and "nms_iou" in msg
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

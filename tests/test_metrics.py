@@ -2,8 +2,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxregress.boxes import Box
+from boxregress.boxes import Box, boxes_to_array, iou_pairwise
 from boxregress.metrics import (
     EvalRecord,
     corloc,
@@ -171,3 +173,63 @@ class TestWriters:
         assert root.tag.endswith("svg")
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2
+
+
+# Reference metrics: recall_at and corloc as they were on records holding
+# Proposal and Box tuples, converting the top k boxes on every call.
+
+
+def oracle_recall_at(records, iou_thresh, k):
+    total = 0
+    covered = 0
+    for image_id, props, gts in records:
+        if not gts:
+            continue
+        total += len(gts)
+        if not props:
+            continue
+        top = boxes_to_array([p.box for p in props[:k]])
+        covered += int((iou_pairwise(top, boxes_to_array(gts)) > iou_thresh).any(axis=0).sum())
+    return covered / total
+
+
+def oracle_corloc(records, iou_thresh):
+    hits = 0
+    for image_id, props, gts in records:
+        if not props or not gts:
+            continue
+        if float(iou_pairwise(boxes_to_array([props[0].box]), boxes_to_array(gts)).max()) > iou_thresh:
+            hits += 1
+    return 100.0 * hits / len(records)
+
+
+COORD = st.integers(0, 40).map(float)
+SIDE = st.integers(1, 20).map(float)
+BOXES = st.builds(Box, COORD, COORD, SIDE, SIDE)
+
+
+class TestArrayRecords:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(st.lists(BOXES, max_size=12), st.lists(BOXES, min_size=1, max_size=4)), min_size=1, max_size=6),
+        st.sampled_from([0.0, 0.3, 0.5, 0.7]),
+        st.lists(st.integers(1, 15), min_size=1, max_size=4),
+    )
+    def test_array_records_match_proposal_lists(self, images, thresh, ks):
+        # Integer boxes make exact-threshold IoUs common.
+        lists = [(str(i), [Proposal(b, 1.0) for b in boxes], gts) for i, (boxes, gts) in enumerate(images)]
+        from_lists = [make_record(i, props, gts) for i, props, gts in lists]
+        from_arrays = [
+            EvalRecord(i, np.array([[b.x, b.y, b.w, b.h] for b in boxes]).reshape(-1, 4), boxes_to_array(gts))
+            for i, (boxes, gts) in zip(map(str, range(len(images))), images)
+        ]
+        for k in ks:
+            want = oracle_recall_at(lists, thresh, k)
+            assert recall_at(from_lists, thresh, k) == want == recall_at(from_arrays, thresh, k)
+        assert corloc(from_lists, thresh) == oracle_corloc(lists, thresh) == corloc(from_arrays, thresh)
+
+    def test_record_holds_arrays(self):
+        rec = make_record("a", [Proposal(Box(1, 2, 3, 4), 0.5), Proposal(Box(5, 6, 7, 8), 0.25)], [Box(0, 0, 1, 1)])
+        assert rec.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        assert rec.gts.tolist() == [[0, 0, 1, 1]]
+        assert make_record("b", [], []).boxes.shape == (0, 4)

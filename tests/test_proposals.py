@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from boxregress.boxes import Box, boxes_to_array, iou, iou_pairwise
 from boxregress.errors import DataFormatError
+from boxregress import proposals
 from boxregress.model import init_model, refine
 from boxregress.proposals import (
     NEIGHBOR_IOU,
@@ -17,9 +19,11 @@ from boxregress.proposals import (
     decay_nms,
     generate_proposals,
     load_proposals,
+    read_corner_csv,
     save_proposals,
     score_proposals,
     seed_grid,
+    write_corner_csv,
 )
 from boxregress.scenes import Scene, SynthConfig, synth_scenes
 
@@ -432,3 +436,288 @@ class TestDenseOracle:
         for cfg in (SeedGridConfig(), SeedGridConfig(scales=(0.3,), aspect_ratios=(3.0,), stride=0.07)):
             got, want = seed_grid(*shape, cfg), oracle_seed_grid(*shape, cfg)
             assert bits([Proposal(b, 0.0) for b in got]) == bits([Proposal(b, 0.0) for b in want])
+
+
+# Reference readers: the corner-CSV loaders as they were before the
+# streaming reader, one float() per field and one Box per line.
+# read_corner_csv must agree with them bit for bit, errors included.
+
+
+def oracle_load_proposals(path):
+    out = {}
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise DataFormatError(f"{path}: line {lineno}: expected 6 fields, got {len(parts)}")
+        image_id = parts[0]
+        try:
+            xmin, ymin, xmax, ymax, score = (float(v) for v in parts[1:])
+        except ValueError:
+            raise DataFormatError(f"{path}: line {lineno}: non-numeric field") from None
+        try:
+            box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
+            prop = Proposal(box, score)
+        except ValueError as e:
+            raise DataFormatError(f"{path}: line {lineno}: {e}") from None
+        out.setdefault(image_id, []).append(prop)
+    return out
+
+
+def oracle_load_boxes(path):
+    out = {}
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) not in (5, 6):
+            raise DataFormatError(f"{path}: line {lineno}: expected 5 or 6 fields, got {len(parts)}")
+        try:
+            xmin, ymin, xmax, ymax = (float(v) for v in parts[1:5])
+            box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
+        except ValueError as e:
+            raise DataFormatError(f"{path}: line {lineno}: {e}") from None
+        out.setdefault(parts[0], []).append(box)
+    return out
+
+
+def outcome(read, path):
+    """A reader's result as exact hex strings per image, or its error message."""
+    try:
+        result = read(path)
+    except DataFormatError as e:
+        return "error", str(e)
+    return "ok", [(image_id, [tuple(map(float.hex, row)) for row in rows]) for image_id, rows in result.items()]
+
+
+def oracle_outcome(path, scored):
+    if scored:
+        return outcome(lambda p: {
+            i: [(q.box.x, q.box.y, q.box.w, q.box.h, q.score) for q in props]
+            for i, props in oracle_load_proposals(p).items()
+        }, path)
+    return outcome(lambda p: {i: [(b.x, b.y, b.w, b.h) for b in boxes] for i, boxes in oracle_load_boxes(p).items()}, path)
+
+
+def reader_outcome(path, scored):
+    return outcome(lambda p: {i: rows.tolist() for i, rows in read_corner_csv(p, scored).items()}, path)
+
+
+IDS = st.sampled_from(["img-1", "a", "synth-0003", "x y", "\u00e9t\u00e9", "7"])
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+# Block sizes in bytes: one line per block, a few lines, many, and the default.
+READ_BYTES = st.sampled_from([1, 40, 130, 700, proposals._READ_BYTES])
+
+
+@st.composite
+def number_text(draw, value):
+    """A spelling of value that float() reads."""
+    fmt = draw(st.sampled_from(["repr", "fixed", "exp", "spaced", "signed"]))
+    if fmt == "fixed":
+        return f"{value:.{draw(st.integers(4, 20))}f}"
+    if fmt == "exp":
+        return f"{value:.{draw(st.integers(6, 17))}e}"
+    if fmt == "spaced":
+        return f" {value!r}\t"
+    if fmt == "signed":
+        return f"{value:+}"
+    return repr(value)
+
+
+@st.composite
+def corner_rows(draw, scored):
+    """Fields of one valid row: sides exceed what any spelling rounds away."""
+    xmin = draw(st.floats(-1e3, 1e3))
+    ymin = draw(st.floats(-1e3, 1e3))
+    xmax = xmin + draw(st.floats(1e-2, 700.0))
+    ymax = ymin + draw(st.floats(1e-2, 700.0))
+    fields = [draw(IDS)] + [draw(number_text(v)) for v in (xmin, ymin, xmax, ymax)]
+    if scored:
+        fields.append(draw(number_text(draw(st.floats(0.0, 1e4)))))
+    elif draw(st.booleans()):
+        fields.append(draw(st.sampled_from(["0.5", "junk", ""])))
+    return fields
+
+
+@st.composite
+def csv_lines(draw, scored, min_rows=0):
+    """Row field lists interleaved with blank and whitespace-only lines (as strings)."""
+    lines = draw(st.lists(corner_rows(scored), min_size=min_rows, max_size=30))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t \t"])))
+    return lines
+
+
+def corrupt(draw, fields, scored):
+    """Break one row in one of the ways the readers must reject."""
+    kind = draw(st.sampled_from(["fields", "text", "nonfinite", "zero", "negative", "score"]))
+    fields = list(fields)
+    col = draw(st.integers(1, 4))
+    if kind == "fields":
+        return fields + ["1", "2"] if draw(st.booleans()) else fields[:3]
+    if kind == "text":
+        fields[col] = draw(st.sampled_from(["abc", "0x10", "", "1e", "1__0", "--1"]))
+    elif kind == "nonfinite":
+        fields[col] = draw(st.sampled_from(["nan", "inf", "-Infinity", "1e400"]))
+    elif kind == "zero":
+        fields[3] = fields[1]
+    elif kind == "negative":
+        fields[2], fields[4] = fields[4], fields[2]
+    elif scored:
+        fields[5] = draw(st.sampled_from(["-1.5", "-1e-300", "nan", "inf"]))
+    else:
+        fields[1] = "-inf"
+    return fields
+
+
+def write_lines(path, lines, newline, final_newline=True):
+    text = newline.join(line if isinstance(line, str) else ",".join(line) for line in lines)
+    path.write_bytes((text + (newline if final_newline and lines else "")).encode("utf-8"))
+
+
+IO_PROPERTY = settings(
+    max_examples=200, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+class TestCornerCsvOracle:
+    @IO_PROPERTY
+    @given(st.data(), st.booleans(), NEWLINES, st.booleans(), READ_BYTES)
+    def test_valid_files_match_oracle(self, tmp_path, data, scored, newline, final_newline, read_bytes):
+        lines = data.draw(csv_lines(scored))
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, newline, final_newline)
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            got = reader_outcome(str(path), scored)
+        assert got == oracle_outcome(str(path), scored)
+        assert got[0] == "ok"
+
+    @IO_PROPERTY
+    @given(st.data(), st.booleans(), NEWLINES, READ_BYTES)
+    def test_corrupt_files_match_oracle(self, tmp_path, data, scored, newline, read_bytes):
+        lines = data.draw(csv_lines(scored, min_rows=1))
+        rows = [i for i, line in enumerate(lines) if not isinstance(line, str)]
+        for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2, unique=True)):
+            lines[i] = corrupt(data.draw, lines[i], scored)
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, newline)
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            got = reader_outcome(str(path), scored)
+        want = oracle_outcome(str(path), scored)
+        assert got == want
+        assert want[0] == "error" or not scored
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11\uff12", "\u0661\u0662", "+.5", "5.", " 7 ", "1e-400", "-0"])
+    def test_float_spellings_match_oracle(self, tmp_path, token):
+        path = tmp_path / "rows.csv"
+        write_lines(path, [["a", token, token, "100", "100", "1"], ["a", "0", "0", "1", "1", token]], "\n")
+        got = reader_outcome(str(path), True)
+        assert got == oracle_outcome(str(path), True)
+        assert got[0] == "ok"
+
+    @pytest.mark.parametrize("read_bytes", [1, 60, 150])
+    def test_first_bad_line_wins_across_blocks(self, tmp_path, read_bytes):
+        # Line 3 has a negative side and line 5 the wrong field count: with
+        # one, two or several lines per block, line 3 is reported.
+        good = ["a", "0", "0", "1", "1", "1"]
+        lines = [good, good, ["a", "5", "0", "1", "1", "1"], good, ["a", "1"], good]
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, "\n")
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            got = reader_outcome(str(path), True)
+        assert got == oracle_outcome(str(path), True)
+        assert got[1].endswith("line 3: box sides must be positive, got w=-4.0, h=1.0")
+
+    def test_field_count_error_after_numeric_error_in_block(self, tmp_path):
+        lines = [["a", "x", "0", "1", "1", "1"], ["a", "0", "0", "1", "1"]]
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, "\n")
+        got = reader_outcome(str(path), True)
+        assert got == oracle_outcome(str(path), True)
+        assert got[1].endswith("line 1: non-numeric field")
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"a,0,0,1,1,1\nimg\xff,1,2,3,4,5\n")
+        with pytest.raises(DataFormatError, match="not valid UTF-8 after line 0"):
+            read_corner_csv(str(path))
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataFormatError, match="No such file"):
+            read_corner_csv(str(tmp_path / "missing.csv"))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("\n  \n")
+        assert read_corner_csv(str(path)) == {} == load_proposals(str(path))
+
+    def test_load_proposals_wraps_reader(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_lines(path, [["b", "0", "0", "2", "4", "3"], ["a", "1", "1", "2", "2", "0"], ["b", "1", "1", "3", "3", "2"]], "\n")
+        assert load_proposals(str(path)) == oracle_load_proposals(str(path)) == {
+            "b": [Proposal(Box(1, 2, 2, 4), 3.0), Proposal(Box(2, 2, 2, 2), 2.0)],
+            "a": [Proposal(Box(1.5, 1.5, 1, 1), 0.0)],
+        }
+
+
+def oracle_save_proposals(path, by_image):
+    with open(path, "w", encoding="utf-8") as f:
+        for image_id, props in by_image.items():
+            for p in props:
+                xmin, ymin, xmax, ymax = (
+                    p.box.x - 0.5 * p.box.w,
+                    p.box.y - 0.5 * p.box.h,
+                    p.box.x + 0.5 * p.box.w,
+                    p.box.y + 0.5 * p.box.h,
+                )
+                f.write(f"{image_id},{xmin!r},{ymin!r},{xmax!r},{ymax!r},{p.score!r}\n")
+
+
+DYADIC = st.integers(-8000, 8000).map(lambda k: k / 8)
+DYADIC_SIDE = st.integers(1, 4000).map(lambda k: k / 4)
+FLOAT_PROPOSALS = st.builds(
+    Proposal, st.builds(Box, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES, SIDES), st.floats(0.0, 1e4)
+)
+
+
+class TestCornerCsvRoundTrip:
+    @IO_PROPERTY
+    @given(st.dictionaries(IDS, st.lists(st.builds(Proposal, st.builds(Box, DYADIC, DYADIC, DYADIC_SIDE, DYADIC_SIDE),
+                                                    st.floats(0.0, 1e4)), max_size=20)))
+    def test_save_load_round_trip_exact(self, tmp_path, by_image):
+        # Corner and center arithmetic is exact on this grid, so nothing may change.
+        path = str(tmp_path / "props.csv")
+        save_proposals(path, by_image)
+        loaded = load_proposals(path)
+        assert {i: bits(p) for i, p in loaded.items()} == {i: bits(p) for i, p in by_image.items() if p}
+
+    @IO_PROPERTY
+    @given(st.dictionaries(IDS, st.lists(FLOAT_PROPOSALS, max_size=20)))
+    def test_save_matches_oracle_bytes(self, tmp_path, by_image):
+        save_proposals(str(tmp_path / "new.csv"), by_image)
+        oracle_save_proposals(str(tmp_path / "old.csv"), by_image)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert outcome(read_corner_csv, str(tmp_path / "new.csv")) == oracle_outcome(str(tmp_path / "new.csv"), True)
+
+    def test_write_boxes_without_scores(self, tmp_path):
+        path = str(tmp_path / "boxes.csv")
+        write_corner_csv(path, {"a": np.array([[1.0, 2.0, 2.0, 4.0], [0.1, 0.2, 0.3, 0.7]])})
+        assert open(path).read().splitlines() == [
+            "a,0.0,0.0,2.0,4.0",
+            f"a,{0.1 - 0.15!r},{0.2 - 0.35!r},{0.1 + 0.15!r},{0.2 + 0.35!r}",
+        ]
+        assert outcome(lambda p: read_corner_csv(p, scored=False), path) == oracle_outcome(path, False)
