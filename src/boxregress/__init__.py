@@ -1,24 +1,14 @@
 """Class-agnostic, anchor-free bounding-box regression at desk scale."""
 
-from .boxes import (
-    Box,
-    Offsets,
-    apply_offsets,
-    center_from_corner,
-    corner_from_center,
-    encode_offsets,
-    iou,
-    match_nearest_gt,
-)
+from .boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from .errors import DataFormatError
-from .features import FEATURE_STRIDE, FeatureMap, roi_align
-from .losses import LossConfig, batch_iou_loss, iou_loss, iou_loss_grad, smooth_l1_grad, smooth_l1_loss
+from .features import FEATURE_STRIDE, FeatureMap, roi_align_many
+from .losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from .model import (
     EpochStats,
     RegressorModel,
     TrainConfig,
     TrainingDiverged,
-    forward,
     init_model,
     load_model,
     refine,
@@ -36,7 +26,7 @@ from .proposals import (
     score_proposals,
     seed_grid,
 )
-from .sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes, sample_offsets
+from .sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes
 from .scenes import Scene, SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Axis-aligned box algebra in center parameterization.
 
-A box is (x, y, w, h) with (x, y) the center, in raster units. Corner
-form (xmin, ymin, xmax, ymax) exists only at file-format boundaries.
-All operations are pure functions on immutable values.
+A box is (x, y, w, h) with (x, y) the center, in raster units. Batches
+of boxes are float64 arrays whose last axis holds those four fields;
+the `Box` value exists for ground truths and the public API edges.
+Corner form (xmin, ymin, xmax, ymax) exists only at file-format
+boundaries.
 """
 
 from __future__ import annotations
@@ -34,102 +36,8 @@ class Box:
         return self.w * self.h
 
 
-@dataclass(frozen=True, slots=True)
-class Offsets:
-    """Box transform: center shifts per side length, log-scale size factors."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.tx, self.ty, self.tw, self.th))):
-            raise ValueError(f"offsets must be finite, got {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tx, self.ty, self.tw, self.th], dtype=np.float64)
-
-
-def iou(u: Box, v: Box) -> float:
-    """Intersection over union of two boxes.
-
-    Returns a value in [0, 1]; 0 for disjoint or edge-touching boxes,
-    exactly 1 iff the boxes coincide. Areas are computed from corner
-    extents so the bounds hold exactly in floating point.
-    """
-    ux_lo, ux_hi = u.x - 0.5 * u.w, u.x + 0.5 * u.w
-    uy_lo, uy_hi = u.y - 0.5 * u.h, u.y + 0.5 * u.h
-    vx_lo, vx_hi = v.x - 0.5 * v.w, v.x + 0.5 * v.w
-    vy_lo, vy_hi = v.y - 0.5 * v.h, v.y + 0.5 * v.h
-    iw = min(ux_hi, vx_hi) - max(ux_lo, vx_lo)
-    ih = min(uy_hi, vy_hi) - max(uy_lo, vy_lo)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ux_hi - ux_lo) * (uy_hi - uy_lo) + (vx_hi - vx_lo) * (vy_hi - vy_lo) - inter
-    return inter / union
-
-
-def apply_offsets(b: Box, d: Offsets) -> Box:
-    """Transform b by d: centers shift by t * side, sides scale by exp(t).
-
-    Raises OverflowError if the result is not finite.
-    """
-    try:
-        w = b.w * math.exp(d.tw)
-        h = b.h * math.exp(d.th)
-    except OverflowError:
-        raise OverflowError(f"box scale overflow: tw={d.tw}, th={d.th}") from None
-    x = b.x + d.tx * b.w
-    y = b.y + d.ty * b.h
-    if not all(map(math.isfinite, (x, y, w, h))) or w <= 0.0 or h <= 0.0:
-        raise OverflowError(f"transformed box out of numeric range: ({x}, {y}, {w}, {h})")
-    return Box(x, y, w, h)
-
-
-def encode_offsets(b: Box, g: Box) -> Offsets:
-    """Offsets that map b onto g; algebraic inverse of apply_offsets."""
-    return Offsets(
-        (g.x - b.x) / b.w,
-        (g.y - b.y) / b.h,
-        math.log(g.w / b.w),
-        math.log(g.h / b.h),
-    )
-
-
-def match_nearest_gt(b: Box, gts: Sequence[Box]) -> int:
-    """Index of the ground truth with maximal IoU against b.
-
-    Ties (including the all-zero-IoU case) break to the lowest index.
-    """
-    if len(gts) == 0:
-        raise ValueError("match_nearest_gt requires a nonempty ground-truth list")
-    best, best_iou = 0, -1.0
-    for i, g in enumerate(gts):
-        v = iou(b, g)
-        if v > best_iou:
-            best, best_iou = i, v
-    return best
-
-
-def corner_from_center(b: Box) -> tuple[float, float, float, float]:
-    """(xmin, ymin, xmax, ymax) corners of a center-form box."""
-    return (b.x - 0.5 * b.w, b.y - 0.5 * b.h, b.x + 0.5 * b.w, b.y + 0.5 * b.h)
-
-
-def center_from_corner(corner: Sequence[float]) -> Box:
-    """Box from (xmin, ymin, xmax, ymax); degenerate extents are rejected."""
-    xmin, ymin, xmax, ymax = corner
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError(f"degenerate corner box: {tuple(corner)}")
-    return Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
-
-
-# Array helpers for the batched paths. Boxes are (N, 4) float64 rows in
-# center form; formulas mirror the scalar operations exactly.
-
 def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
+    """(N, 4) center-form rows of a sequence of boxes."""
     out = np.empty((len(boxes), 4), dtype=np.float64)
     for i, b in enumerate(boxes):
         out[i, 0] = b.x
@@ -139,15 +47,35 @@ def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
     return out
 
 
-def boxes_from_array(arr: np.ndarray) -> list[Box]:
-    return [Box(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in arr]
+def _extents(a: np.ndarray):
+    x, y, half_w, half_h = a[..., 0], a[..., 1], 0.5 * a[..., 2], 0.5 * a[..., 3]
+    x_lo, x_hi, y_lo, y_hi = x - half_w, x + half_w, y - half_h, y + half_h
+    return x_lo, x_hi, y_lo, y_hi, (x_hi - x_lo) * (y_hi - y_lo)
+
+
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of center-form boxes, broadcast over the leading axes.
+
+    a and b are (..., 4) arrays; iou(a, b) pairs matched rows and
+    iou(a[:, None], b[None]) is the (N, M) matrix. Values lie in [0, 1]:
+    0 for disjoint or edge-touching boxes, exactly 1 for identical ones,
+    and iou(a, b) == iou(b, a) bitwise. Corner extents and areas are
+    computed once per input row, before broadcasting, so the bounds
+    hold exactly in floating point.
+    """
+    ax_lo, ax_hi, ay_lo, ay_hi, area_a = _extents(a)
+    bx_lo, bx_hi, by_lo, by_hi, area_b = _extents(b)
+    iw = np.minimum(ax_hi, bx_hi) - np.maximum(ax_lo, bx_lo)
+    ih = np.minimum(ay_hi, by_hi) - np.maximum(ay_lo, by_lo)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    return inter / (area_a + area_b - inter)
 
 
 def apply_offsets_array(boxes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Vectorized apply_offsets over (N, 4) boxes and (N, 4) offsets.
+    """Transform (N, 4) boxes by (N, 4) offsets (tx, ty, tw, th).
 
-    Overflow produces non-finite rows rather than raising; callers that
-    need the scalar contract check the result.
+    Centers shift by t * side, sides scale by exp(t). Overflow produces
+    non-finite rows rather than raising; callers check the result.
     """
     out = np.empty_like(boxes)
     with np.errstate(over="ignore"):
@@ -159,43 +87,10 @@ def apply_offsets_array(boxes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def encode_offsets_array(boxes: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """Vectorized encode_offsets over matched (N, 4) box/ground-truth rows."""
+    """(N, 4) offsets that map matched boxes onto gts; the inverse of apply_offsets_array."""
     out = np.empty_like(boxes)
     out[:, 0] = (gts[:, 0] - boxes[:, 0]) / boxes[:, 2]
     out[:, 1] = (gts[:, 1] - boxes[:, 1]) / boxes[:, 3]
     out[:, 2] = np.log(gts[:, 2] / boxes[:, 2])
     out[:, 3] = np.log(gts[:, 3] / boxes[:, 3])
     return out
-
-
-def iou_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N,) IoU between matched rows of two center-form box arrays."""
-    ax_lo, ax_hi = a[:, 0] - 0.5 * a[:, 2], a[:, 0] + 0.5 * a[:, 2]
-    ay_lo, ay_hi = a[:, 1] - 0.5 * a[:, 3], a[:, 1] + 0.5 * a[:, 3]
-    bx_lo, bx_hi = b[:, 0] - 0.5 * b[:, 2], b[:, 0] + 0.5 * b[:, 2]
-    by_lo, by_hi = b[:, 1] - 0.5 * b[:, 3], b[:, 1] + 0.5 * b[:, 3]
-    iw = np.minimum(ax_hi, bx_hi) - np.maximum(ax_lo, bx_lo)
-    ih = np.minimum(ay_hi, by_hi) - np.maximum(ay_lo, by_lo)
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = (ax_hi - ax_lo) * (ay_hi - ay_lo) + (bx_hi - bx_lo) * (by_hi - by_lo) - inter
-    return inter / union
-
-
-def iou_pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU matrix between two center-form box arrays."""
-    ax_lo = a[:, 0] - 0.5 * a[:, 2]
-    ax_hi = a[:, 0] + 0.5 * a[:, 2]
-    ay_lo = a[:, 1] - 0.5 * a[:, 3]
-    ay_hi = a[:, 1] + 0.5 * a[:, 3]
-    bx_lo = b[:, 0] - 0.5 * b[:, 2]
-    bx_hi = b[:, 0] + 0.5 * b[:, 2]
-    by_lo = b[:, 1] - 0.5 * b[:, 3]
-    by_hi = b[:, 1] + 0.5 * b[:, 3]
-
-    iw = np.minimum(ax_hi[:, None], bx_hi[None, :]) - np.maximum(ax_lo[:, None], bx_lo[None, :])
-    ih = np.minimum(ay_hi[:, None], by_hi[None, :]) - np.maximum(ay_lo[:, None], by_lo[None, :])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (ax_hi - ax_lo) * (ay_hi - ay_lo)
-    area_b = (bx_hi - bx_lo) * (by_hi - by_lo)
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter / union

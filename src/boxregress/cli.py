@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .boxes import boxes_from_array, boxes_to_array
+from .boxes import boxes_to_array
 from .errors import DataFormatError
 from .ioutil import atomic_write
 from .losses import LossConfig
@@ -26,7 +26,7 @@ from .metrics import (
     write_recall_curve_svg,
     write_table,
 )
-from .model import TrainConfig, TrainingDiverged, load_model, refine_array, save_model, train
+from .model import TrainConfig, TrainingDiverged, load_model, refine, save_model, train
 from .proposals import SeedGridConfig, generate_proposals, read_corner_csv, save_proposals, write_corner_csv
 from .sampling import SamplerConfig
 from .scenes import SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
@@ -119,28 +119,31 @@ class UsageError(Exception):
 
 
 def cmd_train(args) -> int:
-    scenes = _build_scenes(args)
-    scenes = [s for s in scenes if s.gts]
-    if not scenes:
-        raise DataFormatError("no scenes with ground truths to train on")
-    sampler_cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, t=args.t, boxes_per_gt=args.boxes_per_gt)
     hidden = _int_list(args.hidden, "--hidden")
     if len(hidden) != 2:
         raise UsageError("--hidden must name two widths, e.g. 256,256")
-    train_cfg = TrainConfig(
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        initial_lr=args.lr,
-        plateau_patience=args.patience,
-        stop_lr=args.stop_lr,
-        minibatch_size=args.minibatch,
-        init_std=args.init_std,
-        seed=args.seed,
-        hidden=(hidden[0], hidden[1]),
-        pool_size=args.pool_size,
-        max_epochs=args.max_epochs,
-    )
-    model, log = train(scenes, train_cfg, sampler_cfg, LossConfig(epsilon=args.epsilon), loss=args.loss)
+    try:
+        sampler_cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, t=args.t, boxes_per_gt=args.boxes_per_gt)
+        train_cfg = TrainConfig(
+            momentum=args.momentum,
+            weight_decay=args.weight_decay,
+            initial_lr=args.lr,
+            plateau_patience=args.patience,
+            stop_lr=args.stop_lr,
+            minibatch_size=args.minibatch,
+            init_std=args.init_std,
+            seed=args.seed,
+            hidden=(hidden[0], hidden[1]),
+            pool_size=args.pool_size,
+            max_epochs=args.max_epochs,
+        )
+        loss_cfg = LossConfig(epsilon=args.epsilon)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    scenes = [s for s in _build_scenes(args) if s.gts]
+    if not scenes:
+        raise DataFormatError("no scenes with ground truths to train on")
+    model, log = train(scenes, train_cfg, sampler_cfg, loss_cfg, loss=args.loss)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_resolved_config(args, args.out_dir)
     model_path = os.path.join(args.out_dir, "model.ubbr")
@@ -155,6 +158,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    if args.iters < 1:
+        raise UsageError(f"--iters must be >= 1, got {args.iters}")
     scenes = {s.id: s for s in _build_scenes(args)}
     model = load_model(args.model)
     boxes_by_image = read_corner_csv(args.boxes, scored=False)
@@ -165,7 +170,7 @@ def cmd_refine(args) -> int:
     _write_resolved_config(args, args.out_dir)
 
     trajectories = {
-        image_id: refine_array(model, scenes[image_id], boxes, iterations=args.iters)
+        image_id: refine(model, scenes[image_id], boxes, iterations=args.iters)
         for image_id, boxes in boxes_by_image.items()
     }
     for k in range(args.iters):
@@ -181,9 +186,7 @@ def cmd_refine(args) -> int:
         count = 0
         for image_id in with_gts:
             means = mean_iou_trajectory(
-                boxes_from_array(boxes_by_image[image_id]),
-                [boxes_from_array(a) for a in trajectories[image_id]],
-                list(scenes[image_id].gts),
+                boxes_by_image[image_id], trajectories[image_id], boxes_to_array(scenes[image_id].gts)
             )
             n = len(boxes_by_image[image_id])
             pooled += np.array(means) * n

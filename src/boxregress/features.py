@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box
-
 # Raster units covered by one feature-map cell.
 FEATURE_STRIDE = 4.0
 
@@ -45,27 +43,12 @@ class FeatureMap:
         return self.data.shape[2]
 
 
-def box_to_feature_coords(b: Box) -> Box:
-    """Rescale a raster-unit box into feature-map coordinates."""
-    s = FEATURE_STRIDE
-    return Box(b.x / s, b.y / s, b.w / s, b.h / s)
-
-
-def roi_align(fm: FeatureMap, b: Box, pool_size: int = 7) -> np.ndarray:
-    """Pooled feature vector for one box given in feature-map coordinates.
-
-    The box is divided into a pool_size x pool_size grid and each cell is
-    sampled once at its center. Output is flattened channel-major with
-    length channels * pool_size**2.
-    """
-    arr = np.array([[b.x, b.y, b.w, b.h]], dtype=np.float64)
-    return roi_align_many(fm, arr, pool_size)[0]
-
-
 def roi_align_many(fm: FeatureMap, boxes: np.ndarray, pool_size: int = 7) -> np.ndarray:
-    """Vectorized roi_align over (N, 4) center-form boxes.
+    """Pooled feature vectors for (N, 4) center-form boxes in feature-map coordinates.
 
-    Returns (N, channels * pool_size**2).
+    Each box is divided into a pool_size x pool_size grid and each cell
+    is sampled once at its center. Returns (N, channels * pool_size**2),
+    each row flattened channel-major.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")

@@ -6,28 +6,15 @@ the box transform and the IoU computation by the chain rule. At points
 where the intersection extent switches between box edges the gradient
 uses the midpoint of the two one-sided derivatives, so exact symmetric
 optima (refined box equal to the target) get a zero gradient.
-
-The *_terms_batch functions are the single implementation; the scalar
-operations wrap them row-wise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boxes import (
-    Box,
-    Offsets,
-    apply_offsets,
-    apply_offsets_array,
-    encode_offsets_array,
-    iou,
-    match_nearest_gt,
-)
+from .boxes import apply_offsets_array, encode_offsets_array
 
 
 @dataclass(frozen=True)
@@ -45,16 +32,6 @@ class LossConfig:
             raise ValueError(f"fallback_weight must be >= 0, got {self.fallback_weight}")
 
 
-class LossGradient(NamedTuple):
-    grad: np.ndarray      # d loss / d (tx, ty, tw, th)
-    used_fallback: bool   # True when the boxes were disjoint
-
-
-def iou_loss(u: Box, v: Box, cfg: LossConfig = LossConfig()) -> float:
-    """-ln(IoU(u, v) + epsilon); strictly decreasing in IoU."""
-    return -math.log(iou(u, v) + cfg.epsilon)
-
-
 def smooth_l1_terms_batch(
     preds: np.ndarray, targets: np.ndarray, cfg: LossConfig = LossConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -65,18 +42,6 @@ def smooth_l1_terms_batch(
     loss = np.where(quad, 0.5 * d * d / delta, np.abs(d) - 0.5 * delta).sum(axis=1)
     grad = np.where(quad, d / delta, np.sign(d))
     return loss, grad
-
-
-def smooth_l1_loss(pred: Offsets, target: Offsets, cfg: LossConfig = LossConfig()) -> float:
-    """Componentwise smooth-L1 distance between offset vectors, summed."""
-    loss, _ = smooth_l1_terms_batch(pred.as_array()[None, :], target.as_array()[None, :], cfg)
-    return float(loss[0])
-
-
-def smooth_l1_grad(pred: Offsets, target: Offsets, cfg: LossConfig = LossConfig()) -> np.ndarray:
-    """Gradient of smooth_l1_loss with respect to pred."""
-    _, grad = smooth_l1_terms_batch(pred.as_array()[None, :], target.as_array()[None, :], cfg)
-    return grad[0]
 
 
 def _edge_weight(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,50 +118,3 @@ def iou_loss_terms_batch(
         _, fb_grad = smooth_l1_terms_batch(preds[fallback], targets, cfg)
         grad[fallback] = cfg.fallback_weight * fb_grad
     return loss, grad, fallback
-
-
-def iou_loss_value_and_grad(
-    pred: Offsets, input_box: Box, gt: Box, cfg: LossConfig = LossConfig()
-) -> tuple[float, np.ndarray, bool]:
-    """Loss value plus gradient with respect to pred, in one pass."""
-    loss, grad, fallback = iou_loss_terms_batch(
-        pred.as_array()[None, :],
-        np.array([[input_box.x, input_box.y, input_box.w, input_box.h]]),
-        np.array([[gt.x, gt.y, gt.w, gt.h]]),
-        cfg,
-    )
-    return float(loss[0]), grad[0], bool(fallback[0])
-
-
-def iou_loss_grad(
-    pred: Offsets, input_box: Box, gt: Box, cfg: LossConfig = LossConfig()
-) -> LossGradient:
-    """Gradient of iou_loss(apply_offsets(input_box, pred), gt) in pred.
-
-    When the refined box and gt are disjoint the IoU gradient vanishes
-    identically; the result is then the smooth-L1 gradient toward
-    encode_offsets(input_box, gt) scaled by cfg.fallback_weight, with
-    the fallback flag set.
-    """
-    _, grad, used_fallback = iou_loss_value_and_grad(pred, input_box, gt, cfg)
-    return LossGradient(grad, used_fallback)
-
-
-def batch_iou_loss(
-    inputs: Sequence[tuple[Box, Offsets]],
-    gts: Sequence[Box],
-    cfg: LossConfig = LossConfig(),
-) -> float:
-    """Mean IoU loss over (input box, predicted offsets) pairs.
-
-    Each refined box is scored against its best-overlapping ground truth.
-    """
-    if len(inputs) == 0:
-        raise ValueError("batch_iou_loss requires a nonempty input list")
-    if len(gts) == 0:
-        raise ValueError("batch_iou_loss requires a nonempty ground-truth list")
-    total = 0.0
-    for b, pred in inputs:
-        g = gts[match_nearest_gt(b, gts)]
-        total += iou_loss(apply_offsets(b, pred), g, cfg)
-    return total / len(inputs)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, boxes_to_array, iou_pairwise
+from .boxes import Box, boxes_to_array, iou
 from .ioutil import atomic_write
 from .proposals import Proposal
 
@@ -42,7 +42,7 @@ def recall_at(records: Sequence[EvalRecord], iou_thresh: float, k: int) -> float
     for rec in records:
         total += len(rec.gts)
         if len(rec.gts) and len(rec.boxes):
-            covered += int((iou_pairwise(rec.boxes[:k], rec.gts) > iou_thresh).any(axis=0).sum())
+            covered += int((iou(rec.boxes[:k, None], rec.gts[None]) > iou_thresh).any(axis=0).sum())
     if total == 0:
         raise ValueError("recall_at requires at least one ground truth")
     return covered / total
@@ -58,26 +58,19 @@ def corloc(records: Sequence[EvalRecord], iou_thresh: float = 0.5) -> float:
         raise ValueError("corloc requires at least one record")
     hits = 0
     for rec in records:
-        if len(rec.boxes) and len(rec.gts) and float(iou_pairwise(rec.boxes[:1], rec.gts).max()) > iou_thresh:
+        if len(rec.boxes) and len(rec.gts) and float(iou(rec.boxes[0], rec.gts).max()) > iou_thresh:
             hits += 1
     return 100.0 * hits / len(records)
 
 
-def mean_iou_trajectory(
-    before: Sequence[Box], trajectory: Sequence[Sequence[Box]], gts: Sequence[Box]
-) -> list[float]:
-    """Mean nearest-ground-truth IoU for the inputs and every iteration.
+def mean_iou_trajectory(before: np.ndarray, trajectory: Sequence[np.ndarray], gts: np.ndarray) -> list[float]:
+    """Mean nearest-ground-truth IoU of (N, 4) boxes for the inputs and every iteration.
 
     Returns len(trajectory) + 1 values, the first for the input boxes.
     """
     if not trajectory:
         raise ValueError("trajectory must have at least one iteration")
-    gts_arr = boxes_to_array(gts)
-
-    def mean_iou(boxes: Sequence[Box]) -> float:
-        return float(iou_pairwise(boxes_to_array(boxes), gts_arr).max(axis=1).mean())
-
-    return [mean_iou(before)] + [mean_iou(stage) for stage in trajectory]
+    return [float(iou(stage[:, None], gts[None]).max(axis=1).mean()) for stage in [before, *trajectory]]
 
 
 def recall_curve(

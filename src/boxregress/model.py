@@ -16,16 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boxes import (
-    Box,
-    Offsets,
-    apply_offsets_array,
-    boxes_from_array,
-    boxes_to_array,
-    encode_offsets_array,
-    iou_elementwise,
-    iou_pairwise,
-)
+from .boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, roi_align_many
 from .losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
@@ -151,15 +142,6 @@ def init_model(
     )
 
 
-def forward(model: RegressorModel, features: np.ndarray) -> Offsets:
-    """Run the head on one pooled feature vector."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (model.in_dim,):
-        raise ValueError(f"expected feature vector of length {model.in_dim}, got shape {features.shape}")
-    pred = _forward_batch(model, features[None, :])[0][0]
-    return Offsets(float(pred[0]), float(pred[1]), float(pred[2]), float(pred[3]))
-
-
 def _forward_batch(model: RegressorModel, x: np.ndarray):
     z1 = x @ model.w1.T + model.b1
     h1 = np.maximum(z1, 0.0)
@@ -219,16 +201,12 @@ def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator, po
     input_rows = []
     gt_rows = []
     for scene in scenes:
-        fm = scene.feature_map()
-        scene_boxes: list[Box] = []
-        for g in scene.gts:
-            scene_boxes.extend(generate_training_boxes(g, sampler_cfg, rng))
-        if not scene_boxes:
+        arr = np.concatenate([generate_training_boxes(g, sampler_cfg, rng) for g in scene.gts])
+        if not len(arr):
             continue
-        arr = boxes_to_array(scene_boxes)
         gts_arr = boxes_to_array(scene.gts)
-        matched = iou_pairwise(arr, gts_arr).argmax(axis=1)
-        feats.append(roi_align_many(fm, arr / FEATURE_STRIDE, pool_size))
+        matched = iou(arr[:, None], gts_arr[None]).argmax(axis=1)
+        feats.append(roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size))
         input_rows.append(arr)
         gt_rows.append(gts_arr[matched])
     if not feats:
@@ -244,7 +222,7 @@ def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
     else:
         losses, _ = smooth_l1_terms_batch(pred, encode_offsets_array(input_boxes, gt_boxes), loss_cfg)
     refined = apply_offsets_array(input_boxes, pred)
-    return float(losses.mean()), float(iou_elementwise(refined, gt_boxes).mean())
+    return float(losses.mean()), float(iou(refined, gt_boxes).mean())
 
 
 def train(
@@ -340,11 +318,13 @@ def train(
     return best_model, log
 
 
-def refine_array(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
-    """Array form of `refine`: (N, 4) center-form rows in, one (N, 4) array per iteration out.
+def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
+    """Iteratively refine (N, 4) center-form boxes against one scene.
 
-    Raises ValueError if a refined row is not a box (a non-finite field
-    or a non-positive side).
+    The scene's feature map is computed once and reused. Returns the
+    boxes after each iteration, one (N, 4) array each, so the result
+    has `iterations` entries. Raises OverflowError if a refined row is
+    not a box (a non-finite field or a non-positive side).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -358,18 +338,9 @@ def refine_array(model: RegressorModel, scene, boxes: np.ndarray, iterations: in
         pred, _ = _forward_batch(model, feats)
         arr = apply_offsets_array(arr, pred)
         if not (np.isfinite(arr).all() and (arr[:, 2:] > 0.0).all()):
-            raise ValueError("refined boxes left the numeric range")
+            raise OverflowError("refined boxes left the numeric range")
         out.append(arr)
     return out
-
-
-def refine(model: RegressorModel, scene, boxes: list[Box], iterations: int = 1) -> list[list[Box]]:
-    """Iteratively refine boxes against one scene.
-
-    The scene's feature map is computed once and reused. Returns the
-    boxes after each iteration, so the result has `iterations` entries.
-    """
-    return [boxes_from_array(a) for a in refine_array(model, scene, boxes_to_array(boxes), iterations)]
 
 
 def save_model(path: str, model: RegressorModel) -> None:

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, boxes_from_array, boxes_to_array, iou_pairwise
+from .boxes import Box, boxes_to_array, iou
 from .errors import DataFormatError
 from .ioutil import atomic_write
-from .model import RegressorModel, refine_array
+from .model import RegressorModel, refine
 
 # A refined box counts toward a seed's score above this overlap.
 NEIGHBOR_IOU = 0.7
@@ -81,12 +81,13 @@ def _clip_array(arr: np.ndarray, image_w: float, image_h: float, min_side: float
     return np.stack([cx, cy, w, h], axis=1)
 
 
-def clip_box(b: Box, image_w: float, image_h: float, min_side: float = 1.0) -> Box:
-    """Clip a box to image bounds, keeping at least min_side per axis."""
-    return boxes_from_array(_clip_array(boxes_to_array([b]), image_w, image_h, min_side))[0]
+def seed_grid(image_w: float, image_h: float, cfg: SeedGridConfig = SeedGridConfig()) -> np.ndarray:
+    """(N, 4) center-form seeds: one per (scale, aspect ratio, lattice position), clipped.
 
-
-def _seed_grid_array(image_w: float, image_h: float, cfg: SeedGridConfig) -> np.ndarray:
+    Lattice centers start at half a stride from the image border and
+    cover the whole image; enumeration order is scales, then ratios,
+    then rows, then columns.
+    """
     if image_w <= 0 or image_h <= 0:
         raise ValueError(f"image dims must be positive, got {image_w} x {image_h}")
     short = min(image_w, image_h)
@@ -103,22 +104,12 @@ def _seed_grid_array(image_w: float, image_h: float, cfg: SeedGridConfig) -> np.
     return _clip_array(np.concatenate(blocks), image_w, image_h)
 
 
-def seed_grid(image_w: float, image_h: float, cfg: SeedGridConfig = SeedGridConfig()) -> list[Box]:
-    """One box per (scale, aspect ratio, lattice position), clipped.
-
-    Lattice centers start at half a stride from the image border and
-    cover the whole image; enumeration order is scales, then ratios,
-    then rows, then columns.
-    """
-    return boxes_from_array(_seed_grid_array(image_w, image_h, cfg))
-
-
 # The pruning bounds in _neighbor_graph hold in exact arithmetic. Widening
-# them by this relative slack keeps every pair whose IoU, as iou_pairwise
+# them by this relative slack keeps every pair whose IoU, as `iou`
 # computes it with a relative error of a few ulps, exceeds the threshold.
 _SLACK = 1e-9
 
-# Upper bound on rows x columns per iou_pairwise block.
+# Upper bound on rows x columns per IoU block.
 _BLOCK = 1 << 15
 
 
@@ -127,9 +118,9 @@ def _neighbor_graph(arr: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, 
 
     Returns (indptr, cols, ious): box i's neighbors are
     cols[indptr[i]:indptr[i + 1]], in no particular order, and ious
-    holds their IoU with i as `iou_pairwise` computes it. That kernel is bitwise symmetric, so the
-    graph is exactly the entries above t of the dense IoU matrix, for
-    any t in [0, 1].
+    holds their IoU with i as `iou` computes it. That kernel is bitwise
+    symmetric, so the graph is exactly the entries above t of the dense
+    IoU matrix, for any t in [0, 1].
 
     IoU is computed only on candidate blocks. 2-D IoU is at most the
     1-D IoU on either axis, since A + B - iw*ih >= ih*(wa + wb - iw).
@@ -144,7 +135,7 @@ def _neighbor_graph(arr: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, 
     n = len(arr)
     if t >= 1.0 or n == 0:
         return np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    # Corner extents as iou_pairwise computes them: the bounds apply to these.
+    # Corner extents as `iou` computes them: the bounds apply to these.
     lo = arr[:, 0] - 0.5 * arr[:, 2]
     wid = (arr[:, 0] + 0.5 * arr[:, 2]) - lo
     hgt = (arr[:, 1] + 0.5 * arr[:, 3]) - (arr[:, 1] - 0.5 * arr[:, 3])
@@ -185,7 +176,7 @@ def _neighbor_graph(arr: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, 
                 c1 = np.searchsorted(cols_lo, rows_lo[r0 + len(chunk) - 1] + window, side="right")
                 if c0 >= c1:
                     continue
-                block = iou_pairwise(arr[chunk], arr[cols[c0:c1]])
+                block = iou(arr[chunk, None], arr[None, cols[c0:c1]])
                 r, c = np.nonzero(block > t)
                 i, j, q = chunk[r], cols[c0 + c], block[r, c]
                 mirror = c0 + c >= r0 + len(chunk) if same else slice(None)
@@ -282,8 +273,8 @@ def generate_proposals(
     score_proposals scores, with each box then clipped.
     """
     _check_nms_args(nms_iou, decay)
-    seeds = _seed_grid_array(scene.width, scene.height, grid_cfg)
-    refined = refine_array(model, scene, seeds, iterations=iterations)[-1]
+    seeds = seed_grid(scene.width, scene.height, grid_cfg)
+    refined = refine(model, scene, seeds, iterations=iterations)[-1]
     graph = _neighbor_graph(refined, min(nms_iou, NEIGHBOR_IOU))
     order, emitted = _decay_ranking(_above(graph, nms_iou), _neighbor_scores(graph), decay)
     clipped = _clip_array(refined[order], scene.width, scene.height)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, Offsets, apply_offsets_array, iou_pairwise
+from .boxes import Box, apply_offsets_array, iou
 
 
 class SampleBudgetWarning(RuntimeWarning):
@@ -56,49 +56,42 @@ class SamplerConfig:
         )
 
 
-def sample_offsets(cfg: SamplerConfig, rng: np.random.Generator) -> Offsets:
-    """Draw one offset 4-tuple; the four components are independent."""
-    low, high = cfg._bounds()
-    tx, ty, tw, th = rng.uniform(low, high)
-    return Offsets(float(tx), float(ty), float(tw), float(th))
-
-
-def generate_training_boxes(g: Box, cfg: SamplerConfig, rng: np.random.Generator) -> list[Box]:
-    """Perturbed copies of g, each overlapping g with IoU >= cfg.t.
+def generate_training_boxes(g: Box, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    """(N, 4) center-form perturbed copies of g, each overlapping g with IoU >= cfg.t.
 
     Candidates are drawn in buffered blocks but consumed one attempt at a
     time, so each output slot gets at most max_attempts_per_box draws.
-    Returns cfg.boxes_per_gt boxes when the rejection rate allows;
+    Returns cfg.boxes_per_gt rows when the rejection rate allows;
     otherwise stops early with a SampleBudgetWarning. Accepted boxes are
     returned unmodified, in acceptance order.
     """
     low, high = cfg._bounds()
-    g_row = np.array([[g.x, g.y, g.w, g.h]])
-    out: list[Box] = []
+    g_row = np.array([[g.x, g.y, g.w, g.h]], dtype=np.float64)
+    out = np.empty((cfg.boxes_per_gt, 4))
+    n = 0
     attempts = 0  # draws spent on the current slot
-    buf_boxes = np.empty((0, 4))
     buf_ok = np.empty(0, dtype=bool)
     pos = 0
-    while len(out) < cfg.boxes_per_gt:
+    while n < cfg.boxes_per_gt:
         if pos >= len(buf_ok):
             chunk = 4 * cfg.boxes_per_gt
             offs = rng.uniform(low, high, size=(chunk, 4))
             buf_boxes = apply_offsets_array(np.broadcast_to(g_row, (chunk, 4)), offs)
-            buf_ok = iou_pairwise(buf_boxes, g_row)[:, 0] >= cfg.t
+            buf_ok = iou(buf_boxes, g_row) >= cfg.t
             pos = 0
         if buf_ok[pos]:
-            b = buf_boxes[pos]
-            out.append(Box(float(b[0]), float(b[1]), float(b[2]), float(b[3])))
+            out[n] = buf_boxes[pos]
+            n += 1
             attempts = 0
         else:
             attempts += 1
             if attempts >= cfg.max_attempts_per_box:
                 warnings.warn(
                     f"gave up after {cfg.max_attempts_per_box} attempts per box: "
-                    f"kept {len(out)} of {cfg.boxes_per_gt} (t={cfg.t})",
+                    f"kept {n} of {cfg.boxes_per_gt} (t={cfg.t})",
                     SampleBudgetWarning,
                     stacklevel=2,
                 )
                 break
         pos += 1
-    return out
+    return out[:n]

@@ -17,11 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box
+from .boxes import Box, boxes_to_array, iou
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, FeatureMap
 
 SCENE_CACHE_MAGIC = b"UBBRSCN1"
+
+# The scene cache stores labels as int32 and a missing label as this value.
+NO_LABEL = -1
 
 # Ground-truth boxes may stick out of the image by at most this fraction
 # of the image side.
@@ -152,8 +155,13 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
         try:
             image_id = ann["image_id"]
             x, y, w, h = (float(v) for v in ann["bbox"])
+            label = ann.get("category_id")
         except (KeyError, TypeError, ValueError) as e:
             raise DataFormatError(f"{path}: annotations[{i}]: {e}") from None
+        if label is not None and type(label) is not int:
+            raise DataFormatError(
+                f"{path}: annotations[{i}]: category_id must be an integer or null, got {label!r}"
+            )
         scene = scenes.get(image_id)
         if scene is None:
             warnings.warn(f"{path}: annotations[{i}] references unknown image {image_id!r}; skipped", stacklevel=2)
@@ -166,7 +174,7 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
             warnings.warn(f"{path}: annotations[{i}] lies too far outside its image; skipped", stacklevel=2)
             continue
         scene.gts.append(g)
-        scene.labels.append(ann.get("category_id"))
+        scene.labels.append(label)
 
     out = list(scenes.values())
     if short_side is not None:
@@ -265,8 +273,6 @@ def _synth_scene(cfg: SynthConfig, index: int) -> Scene:
 
 
 def _place_objects(cfg: SynthConfig, rng: np.random.Generator, n_target: int) -> list[Box] | None:
-    from .boxes import iou as box_iou
-
     size = float(cfg.image_size)
     placed: list[Box] = []
     for _ in range(n_target):
@@ -275,7 +281,7 @@ def _place_objects(cfg: SynthConfig, rng: np.random.Generator, n_target: int) ->
             w = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
             h = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
             cand = Box(rng.uniform(0.5 * w, size - 0.5 * w), rng.uniform(0.5 * h, size - 0.5 * h), w, h)
-            if all(box_iou(cand, p) < cfg.max_gt_iou for p in placed):
+            if not placed or (iou(boxes_to_array([cand]), boxes_to_array(placed)) < cfg.max_gt_iou).all():
                 ok = cand
                 break
         if ok is None:
@@ -302,8 +308,16 @@ def _place_adjacent_pair(cfg: SynthConfig, rng: np.random.Generator) -> list[Box
     return None
 
 
+def _cacheable(label) -> bool:
+    return label is None or (type(label) is int and label != NO_LABEL and -(2**31) <= label < 2**31)
+
+
 def save_scenes(path: str, scenes: list[Scene]) -> None:
-    """Write scenes to the versioned binary cache format."""
+    """Write scenes to the versioned binary cache format.
+
+    Raises DataFormatError for a label the cache cannot read back: one
+    that is not an int32, or that equals NO_LABEL.
+    """
     from .ioutil import atomic_write
 
     with atomic_write(path, "wb") as f:
@@ -319,9 +333,15 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
             if s.labels is None:
                 f.write(struct.pack("<B", 0))
             else:
+                bad = [lbl for lbl in s.labels if not _cacheable(lbl)]
+                if bad:
+                    raise DataFormatError(
+                        f"{path}: scene {s.id}: label {bad[0]!r} cannot be cached: "
+                        f"labels are int32 and {NO_LABEL} stands for none"
+                    )
                 f.write(struct.pack("<B", 1))
                 for lbl in s.labels:
-                    f.write(struct.pack("<i", -1 if lbl is None else lbl))
+                    f.write(struct.pack("<i", NO_LABEL if lbl is None else lbl))
             if s._fm is None:
                 f.write(struct.pack("<B", 0))
             else:
@@ -374,7 +394,7 @@ def load_scenes(path: str) -> list[Scene]:
         labels = None
         if has_labels:
             raw = struct.unpack(f"<{n_gts}i", take(4 * n_gts))
-            labels = [None if v == -1 else v for v in raw]
+            labels = [None if v == NO_LABEL else v for v in raw]
         (has_fm,) = struct.unpack("<B", take(1))
         fm = None
         if has_fm:

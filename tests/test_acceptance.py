@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from boxregress import cli
-from boxregress.boxes import Box, Offsets, boxes_to_array, iou, iou_pairwise
+from boxregress.boxes import Box, boxes_to_array, iou
 from boxregress.losses import LossConfig
-from boxregress.metrics import corloc, make_record, recall_at, recall_curve
+from boxregress.metrics import EvalRecord, corloc, make_record, recall_at, recall_curve
 from boxregress.model import TrainConfig, refine, train
 from boxregress.proposals import Proposal, decay_nms, generate_proposals, seed_grid
-from boxregress.sampling import SamplerConfig, generate_training_boxes, sample_offsets
+from boxregress.sampling import SamplerConfig, generate_training_boxes
 from boxregress.scenes import SynthConfig, synth_scenes
 
-from test_boxes import raster_iou
+from test_boxes import raster_iou, row
 from test_model import gradcheck_sample
 
 # Benchmark setup: 200 training scenes, 50 held-out scenes, the paper's
@@ -53,16 +53,11 @@ def bench():
     held_scenes = synth_scenes(SYNTH_HELD, N_HELD)
 
     rng = np.random.default_rng(EVAL_SEED)
-    held_inputs = []
-    for s in held_scenes:
-        boxes = []
-        for g in s.gts:
-            boxes.extend(generate_training_boxes(g, SAMPLER, rng))
-        held_inputs.append(boxes)
+    held_inputs = [np.concatenate([generate_training_boxes(g, SAMPLER, rng) for g in s.gts]) for s in held_scenes]
 
     # Input quality is recorded before any training happens.
     per_scene_base = [
-        iou_pairwise(boxes_to_array(b), boxes_to_array(s.gts)).max(axis=1)
+        iou(b[:, None], boxes_to_array(s.gts)[None]).max(axis=1)
         for s, b in zip(held_scenes, held_inputs)
     ]
     baseline_mean_iou = float(np.mean(np.concatenate(per_scene_base)))
@@ -83,9 +78,7 @@ def bench():
         for s, boxes in zip(held_scenes, held_inputs):
             gts = boxes_to_array(s.gts)
             traj = refine(model, s, boxes, iterations=iterations)
-            per_scene.append(
-                [iou_pairwise(boxes_to_array(stage), gts).max(axis=1) for stage in traj]
-            )
+            per_scene.append([iou(stage[:, None], gts[None]).max(axis=1) for stage in traj])
         return per_scene
 
     return SimpleNamespace(
@@ -128,7 +121,7 @@ def test_criterion_2_iou_raster_oracle():
     for _ in range(1000):
         u = Box(rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.5, 5), rng.uniform(0.5, 5))
         v = Box(rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.5, 5), rng.uniform(0.5, 5))
-        worst = max(worst, abs(iou(u, v) - raster_iou(u, v, cells=1000)))
+        worst = max(worst, abs(iou(row(u), row(v)) - raster_iou(u, v, cells=1000)))
     elapsed = time.time() - t0
     report(
         2,
@@ -142,13 +135,14 @@ def test_criterion_3_sampler_contract():
     g = Box(50, 50, 24, 36)
     rng = np.random.default_rng(30)
     boxes = []
-    while len(boxes) < 10_000:
-        boxes.extend(generate_training_boxes(g, SAMPLER, rng))
-    boxes = boxes[:10_000]
-    min_iou = min(iou(b, g) for b in boxes)
+    while sum(map(len, boxes)) < 10_000:
+        boxes.append(generate_training_boxes(g, SAMPLER, rng))
+    boxes = np.concatenate(boxes)[:10_000]
+    min_iou = float(iou(boxes, row(g)).min())
 
+    # The sampler's offset draws: (tx, ty, tw, th) rows from SamplerConfig's bounds.
     rng2 = np.random.default_rng(31)
-    mean_tx = float(np.mean([sample_offsets(SAMPLER, rng2).tx for _ in range(100_000)]))
+    mean_tx = float(np.mean(rng2.uniform(*SAMPLER._bounds(), size=(100_000, 4))[:, 0]))
     report(
         3,
         "10^4 sampled boxes all reach IoU >= t; mean t_x within 0.01 of 0 over 10^5 draws",
@@ -220,8 +214,7 @@ def test_criterion_7_proposal_recall(bench):
     for s in scenes:
         props = generate_proposals(bench.model_t03, s)
         refined_records.append(make_record(s.id, props, s.gts))
-        raw = [Proposal(b, 0.0) for b in seed_grid(s.width, s.height)]
-        raw_records.append(make_record(s.id, raw, s.gts))
+        raw_records.append(EvalRecord(s.id, seed_grid(s.width, s.height), boxes_to_array(s.gts)))
 
     beats = []
     for k in (1, 10, 100):
@@ -251,7 +244,7 @@ def test_example_single_object_top1(bench):
     assert singles
     for s in singles:
         top = generate_proposals(bench.model_t03, s)[0]
-        overlap = iou(top.box, s.gts[0])
+        overlap = iou(row(top.box), row(s.gts[0]))
         assert overlap >= 0.7, f"{s.id}: top-1 IoU {overlap:.3f}"
 
 
@@ -303,7 +296,7 @@ def test_criterion_8_corloc_oracle():
 
     g = Box(0, 0, 2, 2)
     boundary = [make_record("b", [Proposal(Box(0, 0, 1, 2), 1.0)], [g])]
-    boundary_ok = corloc(boundary) == 0.0 and iou(Box(0, 0, 1, 2), g) == 0.5
+    boundary_ok = corloc(boundary) == 0.0 and iou(row(Box(0, 0, 1, 2)), row(g)) == 0.5
 
     report(
         8,

@@ -72,6 +72,31 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
 
 
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_bad_refine_iters(self, tmp_path, capsys, iters):
+        # Neither the model nor the boxes file exists: a check after loading would exit 2.
+        code = run_cli([
+            "refine", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1",
+            "--model", str(tmp_path / "missing.ubbr"), "--boxes", str(tmp_path / "missing.csv"), "--iters", iters,
+        ])
+        assert code == 1
+        assert "--iters" in one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,field", [
+        (["--t", "1.5"], "t must be"),                # SamplerConfig
+        (["--lr", "-1"], "TrainConfig"),              # TrainConfig
+        (["--epsilon", "0"], "epsilon must be"),      # LossConfig
+    ], ids=lambda v: "=".join(v) if isinstance(v, list) else None)
+    def test_bad_train_flag(self, tmp_path, capsys, flag, field):
+        # The annotation file does not exist: a check after building the scenes would exit 2.
+        code = run_cli([
+            "train", "--out-dir", str(tmp_path / "o"), "--annotations", str(tmp_path / "missing.json"),
+        ] + flag)
+        assert code == 1
+        assert field in one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag", [
         ["--ks", "0"], ["--ks", "1,0"], ["--ks", "-3"], ["--ks", "a,b"], ["--ks", "1.5"], ["--ks", ""], ["--ks", ","],
         ["--iou", "nan"], ["--iou", "1.5"], ["--corloc-iou", "-0.1"], ["--corloc-iou", "nan"],
@@ -166,6 +191,22 @@ class TestNumericErrors:
             "--boxes-per-gt", "8",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["refine", "propose"])
+    def test_refine_overflow_exit_code(self, tmp_path, capsys, command):
+        # Finite weights whose width offset overflows exp on every box.
+        model = init_model(3, 7, (8, 8), rng=np.random.default_rng(0))
+        model.b3[2] = 800.0
+        path = str(tmp_path / "big.ubbr")
+        save_model(path, model)
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text("synth-0000,10,10,30,30\n")
+        extra = ["--boxes", str(boxes)] if command == "refine" else []
+        code = run_cli([
+            command, "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1", "--model", path,
+        ] + extra)
+        assert code == 3
+        assert "numeric range" in one_line_error(capsys, "numeric failure: ")
 
 
 class TestConfigFile:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from boxregress.boxes import Box
-from boxregress.features import FeatureMap, box_to_feature_coords, roi_align, roi_align_many
+from boxregress.features import FEATURE_STRIDE, FeatureMap, roi_align_many
+
+
+def roi_align(fm, b, pool_size=7):
+    """Pooled feature vector of one box given in feature-map coordinates."""
+    return roi_align_many(fm, np.array([[b.x, b.y, b.w, b.h]]), pool_size)[0]
 
 
 class TestFeatureMap:
@@ -88,5 +93,6 @@ class TestRoiAlign:
             roi_align(fm, Box(1, 1, 1, 1), pool_size=0)
 
     def test_feature_coords_scaling(self):
-        b = box_to_feature_coords(Box(8, 12, 4, 20))
-        assert (b.x, b.y, b.w, b.h) == (2, 3, 1, 5)
+        # Raster boxes are pooled at raster coordinates / FEATURE_STRIDE.
+        b = np.array([[8.0, 12, 4, 20]]) / FEATURE_STRIDE
+        assert b.tolist() == [[2, 3, 1, 5]]

@@ -3,109 +3,124 @@ import math
 import numpy as np
 import pytest
 
-from boxregress.boxes import Box, Offsets, apply_offsets, encode_offsets, iou
-from boxregress.losses import (
-    LossConfig,
-    batch_iou_loss,
-    iou_loss,
-    iou_loss_grad,
-    iou_loss_terms_batch,
-    iou_loss_value_and_grad,
-    smooth_l1_grad,
-    smooth_l1_loss,
-)
+from boxregress.boxes import apply_offsets_array, encode_offsets_array, iou
+from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
+from boxregress.model import _build_pool
+from boxregress.sampling import SamplerConfig
 
 CFG = LossConfig()
 
 
+def rows(*boxes):
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def iou_loss(u, v, cfg=CFG):
+    """(N,) IoU losses of boxes u against v, through the batch loss with zero offsets."""
+    u, v = rows(u), rows(v)
+    return iou_loss_terms_batch(np.zeros_like(u), u, v, cfg)[0]
+
+
+def terms(pred, input_box, gt, cfg=CFG):
+    """Loss, gradient and fallback flag of one row."""
+    loss, grad, fallback = iou_loss_terms_batch(rows(pred), rows(input_box), rows(gt), cfg)
+    return loss[0], grad[0], bool(fallback[0])
+
+
 def central_diff(pred, input_box, gt, cfg, h=1e-5):
     grad = np.zeros(4)
-    base = pred.as_array()
     for i in range(4):
-        plus, minus = base.copy(), base.copy()
+        plus, minus = np.array(pred, dtype=np.float64), np.array(pred, dtype=np.float64)
         plus[i] += h
         minus[i] -= h
-        lp = iou_loss(apply_offsets(input_box, Offsets(*plus)), gt, cfg)
-        lm = iou_loss(apply_offsets(input_box, Offsets(*minus)), gt, cfg)
-        grad[i] = (lp - lm) / (2 * h)
+        grad[i] = (terms(plus, input_box, gt, cfg)[0] - terms(minus, input_box, gt, cfg)[0]) / (2 * h)
     return grad
 
 
 def smooth_sample(rng, cfg):
-    """Random (pred, input_box, gt) away from the loss's kinks."""
+    """Random (pred, input_box, gt) rows away from the loss's kinks."""
     while True:
-        b = Box(rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(1, 5), rng.uniform(1, 5))
-        g = Box(
-            b.x + rng.uniform(-0.4, 0.4) * b.w,
-            b.y + rng.uniform(-0.4, 0.4) * b.h,
-            b.w * math.exp(rng.uniform(-0.4, 0.4)),
-            b.h * math.exp(rng.uniform(-0.4, 0.4)),
-        )
-        pred = Offsets(*(encode_offsets(b, g).as_array() + rng.uniform(-0.2, 0.2, 4)))
-        r = apply_offsets(b, pred)
-        iw = min(r.x + r.w / 2, g.x + g.w / 2) - max(r.x - r.w / 2, g.x - g.w / 2)
-        ih = min(r.y + r.h / 2, g.y + g.h / 2) - max(r.y - r.h / 2, g.y - g.h / 2)
+        b = np.array([rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(1, 5), rng.uniform(1, 5)])
+        g = np.array([
+            b[0] + rng.uniform(-0.4, 0.4) * b[2],
+            b[1] + rng.uniform(-0.4, 0.4) * b[3],
+            b[2] * math.exp(rng.uniform(-0.4, 0.4)),
+            b[3] * math.exp(rng.uniform(-0.4, 0.4)),
+        ])
+        pred = encode_offsets_array(b[None], g[None])[0] + rng.uniform(-0.2, 0.2, 4)
+        rx, ry, rw, rh = apply_offsets_array(b[None], pred[None])[0]
+        gx, gy, gw, gh = g
+        iw = min(rx + rw / 2, gx + gw / 2) - max(rx - rw / 2, gx - gw / 2)
+        ih = min(ry + rh / 2, gy + gh / 2) - max(ry - rh / 2, gy - gh / 2)
         edge_margin = min(
-            abs((r.x + r.w / 2) - (g.x + g.w / 2)),
-            abs((r.x - r.w / 2) - (g.x - g.w / 2)),
-            abs((r.y + r.h / 2) - (g.y + g.h / 2)),
-            abs((r.y - r.h / 2) - (g.y - g.h / 2)),
+            abs((rx + rw / 2) - (gx + gw / 2)),
+            abs((rx - rw / 2) - (gx - gw / 2)),
+            abs((ry + rh / 2) - (gy + gh / 2)),
+            abs((ry - rh / 2) - (gy - gh / 2)),
         )
         if iw > 1e-2 and ih > 1e-2 and edge_margin > 1e-3:
             return pred, b, g
 
 
+def smooth_l1(pred, target, cfg=CFG):
+    loss, grad = smooth_l1_terms_batch(rows(pred), rows(target), cfg)
+    return loss[0], grad[0]
+
+
 class TestIouLoss:
     def test_perfect_overlap(self):
-        b = Box(0, 0, 2, 2)
-        assert abs(iou_loss(b, b, CFG) - -math.log1p(1e-6)) < 1e-15
+        b = (0, 0, 2, 2)
+        assert abs(iou_loss(b, b)[0] - -math.log1p(1e-6)) < 1e-15
 
     def test_zero_overlap_floor(self):
-        val = iou_loss(Box(0, 0, 2, 2), Box(10, 10, 2, 2), CFG)
+        val = iou_loss((0, 0, 2, 2), (10, 10, 2, 2))[0]
         assert abs(val - -math.log(1e-6)) < 1e-12
         assert abs(val - 13.815510557964274) < 1e-9
 
     def test_one_seventh_pair(self):
         # epsilon -> 0 limit of the hand-computed IoU example
-        val = iou_loss(Box(0, 0, 2, 2), Box(1, 1, 2, 2), LossConfig(epsilon=1e-300))
+        val = iou_loss((0, 0, 2, 2), (1, 1, 2, 2), LossConfig(epsilon=1e-300))[0]
         assert abs(val - math.log(7)) < 1e-12
 
     def test_floor_and_equality_condition(self):
         rng = np.random.default_rng(0)
         floor = -math.log1p(CFG.epsilon)
-        for _ in range(200):
-            u = Box(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
-            v = Box(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0.5, 3), rng.uniform(0.5, 3))
-            assert iou_loss(u, v, CFG) >= floor - 1e-15
-            assert (iou_loss(u, v, CFG) == floor) == (iou(u, v) == 1.0)
+        pairs = [
+            [[rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0.5, 3), rng.uniform(0.5, 3)] for _ in range(2)]
+            for _ in range(200)
+        ]
+        u, v = rows([p[0] for p in pairs]), rows([p[1] for p in pairs])
+        losses = iou_loss(u, v)
+        assert (losses >= floor - 1e-15).all()
+        assert np.array_equal(losses == floor, iou(u, v) == 1.0)
 
 
 class TestSmoothL1:
     def test_zero_at_target(self):
-        d = Offsets(0.3, -0.2, 0.1, 0)
-        assert smooth_l1_loss(d, d, CFG) == 0.0
+        d = (0.3, -0.2, 0.1, 0)
+        assert smooth_l1(d, d)[0] == 0.0
 
     def test_linear_branch(self):
-        assert abs(smooth_l1_loss(Offsets(2, 0, 0, 0), Offsets(0, 0, 0, 0), CFG) - 1.5) < 1e-15
+        assert abs(smooth_l1((2, 0, 0, 0), (0, 0, 0, 0))[0] - 1.5) < 1e-15
 
     def test_quadratic_branch(self):
-        assert abs(smooth_l1_loss(Offsets(0.5, 0, 0, 0), Offsets(0, 0, 0, 0), CFG) - 0.125) < 1e-15
+        assert abs(smooth_l1((0.5, 0, 0, 0), (0, 0, 0, 0))[0] - 0.125) < 1e-15
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         h = 1e-6
         for _ in range(100):
-            pred = Offsets(*rng.uniform(-2, 2, 4))
-            target = Offsets(*rng.uniform(-2, 2, 4))
-            diffs = pred.as_array() - target.as_array()
+            pred = rng.uniform(-2, 2, 4)
+            target = rng.uniform(-2, 2, 4)
+            diffs = pred - target
             if np.any(np.abs(np.abs(diffs) - CFG.smooth_l1_delta) < 1e-4):
                 continue
-            grad = smooth_l1_grad(pred, target, CFG)
+            grad = smooth_l1(pred, target)[1]
             for i in range(4):
-                plus, minus = pred.as_array(), pred.as_array()
+                plus, minus = pred.copy(), pred.copy()
                 plus[i] += h
                 minus[i] -= h
-                fd = (smooth_l1_loss(Offsets(*plus), target, CFG) - smooth_l1_loss(Offsets(*minus), target, CFG)) / (2 * h)
+                fd = (smooth_l1(plus, target)[0] - smooth_l1(minus, target)[0]) / (2 * h)
                 assert abs(grad[i] - fd) < 1e-6
 
 
@@ -113,14 +128,14 @@ class TestIouLossGrad:
     def test_perfect_prediction_gradient_vanishes(self):
         # Exactly representable roundtrips: equal sizes, dyadic shifts.
         cases = [
-            (Box(0, 0, 2, 2), Box(1, -1, 2, 2)),
-            (Box(2, 4, 8, 4), Box(4, 3, 8, 4)),
-            (Box(0, 0, 4, 4), Box(0, 0, 4, 4)),
+            ((0, 0, 2, 2), (1, -1, 2, 2)),
+            ((2, 4, 8, 4), (4, 3, 8, 4)),
+            ((0, 0, 4, 4), (0, 0, 4, 4)),
         ]
         for b, g in cases:
-            pred = encode_offsets(b, g)
-            assert apply_offsets(b, pred) == g  # exact roundtrip by construction
-            grad, fb = iou_loss_grad(pred, b, g, CFG)
+            pred = encode_offsets_array(rows(b), rows(g))[0]
+            assert np.array_equal(apply_offsets_array(rows(b), pred[None]), rows(g))  # exact roundtrip by construction
+            _, grad, fb = terms(pred, b, g)
             assert not fb
             assert np.max(np.abs(grad)) < 1e-9
             fd = central_diff(pred, b, g, CFG)
@@ -130,7 +145,7 @@ class TestIouLossGrad:
         rng = np.random.default_rng(2)
         for _ in range(100):
             pred, b, g = smooth_sample(rng, CFG)
-            grad, fb = iou_loss_grad(pred, b, g, CFG)
+            _, grad, fb = terms(pred, b, g)
             assert not fb
             fd = central_diff(pred, b, g, CFG)
             for an, num in zip(grad, fd):
@@ -141,30 +156,31 @@ class TestIouLossGrad:
                     assert abs(an - num) / scale < 1e-3
 
     def test_disjoint_falls_back_to_smooth_l1(self):
-        b = Box(0, 0, 2, 2)
-        g = Box(50, 50, 2, 2)
-        pred = Offsets(0, 0, 0, 0)  # refined box = b, disjoint from g
-        grad, fb = iou_loss_grad(pred, b, g, CFG)
+        b = (0, 0, 2, 2)
+        g = (50, 50, 2, 2)
+        pred = np.zeros(4)  # refined box = b, disjoint from g
+        _, grad, fb = terms(pred, b, g)
         assert fb
-        expected = CFG.fallback_weight * smooth_l1_grad(pred, encode_offsets(b, g), CFG)
+        expected = CFG.fallback_weight * smooth_l1(pred, encode_offsets_array(rows(b), rows(g))[0])[1]
         assert np.array_equal(grad, expected)
 
     def test_fallback_weight_scales(self):
         cfg = LossConfig(fallback_weight=0.25)
-        b, g = Box(0, 0, 2, 2), Box(50, 50, 2, 2)
-        grad, fb = iou_loss_grad(Offsets(0, 0, 0, 0), b, g, cfg)
+        b, g = (0, 0, 2, 2), (50, 50, 2, 2)
+        _, grad, fb = terms(np.zeros(4), b, g, cfg)
         assert fb
-        base, _ = iou_loss_grad(Offsets(0, 0, 0, 0), b, g, LossConfig(fallback_weight=1.0))
+        _, base, _ = terms(np.zeros(4), b, g, LossConfig(fallback_weight=1.0))
         assert np.allclose(grad, 0.25 * base)
 
     def test_batch_matches_scalar(self):
+        # Rows are independent: a batch equals its rows run one at a time.
         rng = np.random.default_rng(3)
         preds, bs, gs = [], [], []
         for _ in range(40):
             pred, b, g = smooth_sample(rng, CFG)
-            preds.append(pred.as_array())
-            bs.append([b.x, b.y, b.w, b.h])
-            gs.append([g.x, g.y, g.w, g.h])
+            preds.append(pred)
+            bs.append(b)
+            gs.append(g)
         # include a disjoint row
         preds.append(np.zeros(4))
         bs.append([0, 0, 2, 2])
@@ -173,62 +189,70 @@ class TestIouLossGrad:
             np.array(preds), np.array(bs), np.array(gs), CFG
         )
         for i in range(len(preds)):
-            l, g_, fb = iou_loss_value_and_grad(
-                Offsets(*preds[i]), Box(*bs[i]), Box(*gs[i]), CFG
-            )
+            l, g_, fb = terms(preds[i], bs[i], gs[i])
             assert losses[i] == l
             assert np.array_equal(grads[i], g_)
             assert fallback[i] == fb
 
     def test_monotone_along_each_coordinate(self):
         # Loss never increases as one coordinate moves toward the optimum.
-        b = Box(1, 2, 4, 3)
-        g = Box(2, 1.5, 5, 4)
-        target = encode_offsets(b, g).as_array()
+        b = rows((1, 2, 4, 3))
+        g = rows((2, 1.5, 5, 4))
+        target = encode_offsets_array(b, g)[0]
         for i in range(4):
             for sign in (-1, 1):
                 ts = np.linspace(0.5, 0.0, 60)
-                vals = []
-                for t in ts:
-                    pred = target.copy()
-                    pred[i] += sign * t
-                    vals.append(iou_loss(apply_offsets(b, Offsets(*pred)), g, CFG))
+                preds = np.tile(target, (len(ts), 1))
+                preds[:, i] += sign * ts
+                vals, _, _ = iou_loss_terms_batch(preds, np.repeat(b, len(ts), 0), np.repeat(g, len(ts), 0), CFG)
                 diffs = np.diff(vals)
                 assert (diffs <= 1e-12).all()
 
 
+def matched_mean_loss(inputs, gts, cfg=CFG):
+    """Training's objective at fixed offsets: each input box is matched to
+    its best-overlapping ground truth, as the training pool matches them,
+    and the IoU losses of the refined boxes are averaged."""
+    boxes = rows([b for b, _ in inputs])
+    preds = rows([p for _, p in inputs])
+    gts = rows(gts)
+    matched = gts[iou(boxes[:, None], gts[None]).argmax(axis=1)]
+    return float(iou_loss_terms_batch(preds, boxes, matched, cfg)[0].mean())
+
+
 class TestBatchIouLoss:
     def test_single_reduces_to_matched_pair(self):
-        b = Box(0, 0, 2, 2)
-        gts = [Box(10, 10, 2, 2), Box(0.5, 0, 2, 2)]
-        pred = Offsets(0.05, 0, 0, 0)
-        expected = iou_loss(apply_offsets(b, pred), gts[1], CFG)
-        assert batch_iou_loss([(b, pred)], gts, CFG) == expected
+        b = (0, 0, 2, 2)
+        gts = [(10, 10, 2, 2), (0.5, 0, 2, 2)]
+        pred = (0.05, 0, 0, 0)
+        expected = iou_loss(apply_offsets_array(rows(b), rows(pred)), gts[1])[0]
+        assert matched_mean_loss([(b, pred)], gts) == expected
 
     def test_mean_of_two(self):
-        b1, b2 = Box(0, 0, 2, 2), Box(5, 5, 3, 3)
-        g = [Box(0.5, 0, 2, 2)]
-        p = Offsets(0, 0, 0, 0)
-        l1 = iou_loss(b1, g[0], CFG)
-        l2 = iou_loss(b2, g[0], CFG)
-        assert abs(batch_iou_loss([(b1, p), (b2, p)], g, CFG) - (l1 + l2) / 2) < 1e-15
+        b1, b2 = (0, 0, 2, 2), (5, 5, 3, 3)
+        g = [(0.5, 0, 2, 2)]
+        p = (0, 0, 0, 0)
+        l1 = iou_loss(b1, g[0])[0]
+        l2 = iou_loss(b2, g[0])[0]
+        assert abs(matched_mean_loss([(b1, p), (b2, p)], g) - (l1 + l2) / 2) < 1e-15
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         inputs = []
         for _ in range(10):
-            b = Box(rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(1, 3), rng.uniform(1, 3))
-            inputs.append((b, Offsets(*rng.uniform(-0.2, 0.2, 4))))
-        gts = [Box(1, 1, 2, 2), Box(4, 4, 2, 2)]
-        v1 = batch_iou_loss(inputs, gts, CFG)
-        v2 = batch_iou_loss(list(reversed(inputs)), gts, CFG)
+            b = (rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(1, 3), rng.uniform(1, 3))
+            inputs.append((b, rng.uniform(-0.2, 0.2, 4)))
+        gts = [(1, 1, 2, 2), (4, 4, 2, 2)]
+        v1 = matched_mean_loss(inputs, gts)
+        v2 = matched_mean_loss(list(reversed(inputs)), gts)
         assert abs(v1 - v2) < 1e-12
 
     def test_empty_rejected(self):
+        # No training boxes, or no ground truth to match them to.
         with pytest.raises(ValueError):
-            batch_iou_loss([], [Box(0, 0, 1, 1)], CFG)
+            _build_pool([], SamplerConfig(), np.random.default_rng(0), 7)
         with pytest.raises(ValueError):
-            batch_iou_loss([(Box(0, 0, 1, 1), Offsets(0, 0, 0, 0))], [], CFG)
+            matched_mean_loss([((0, 0, 1, 1), (0, 0, 0, 0))], [])
 
 
 class TestConfigValidation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, boxes_to_array, iou_pairwise
+from boxregress.boxes import Box, boxes_to_array
 from boxregress.metrics import (
     EvalRecord,
     corloc,
@@ -17,6 +17,8 @@ from boxregress.metrics import (
     write_table,
 )
 from boxregress.proposals import Proposal
+
+from test_boxes import oracle_iou_pairwise
 
 
 def props(*boxes):
@@ -105,8 +107,8 @@ class TestCorloc:
 
 class TestMeanIouTrajectory:
     def test_identity_trajectory(self):
-        gts = [Box(10, 10, 8, 8)]
-        boxes = [Box(11, 10, 8, 8), Box(10, 12, 8, 8)]
+        gts = boxes_to_array([Box(10, 10, 8, 8)])
+        boxes = boxes_to_array([Box(11, 10, 8, 8), Box(10, 12, 8, 8)])
         means = mean_iou_trajectory(boxes, [boxes, boxes], gts)
         assert len(means) == 3
         assert means[0] == means[1] == means[2]
@@ -115,12 +117,14 @@ class TestMeanIouTrajectory:
         g = Box(0, 0, 10, 10)
         b04 = Box(0, 0, 4, 10)  # IoU 0.4
         b06 = Box(0, 0, 6, 10)  # IoU 0.6
-        means = mean_iou_trajectory([b04, b06], [[b04, b06]], [g])
+        boxes = boxes_to_array([b04, b06])
+        means = mean_iou_trajectory(boxes, [boxes], boxes_to_array([g]))
         assert abs(means[0] - 0.5) < 1e-12
 
     def test_empty_trajectory_rejected(self):
+        one = boxes_to_array([Box(0, 0, 1, 1)])
         with pytest.raises(ValueError):
-            mean_iou_trajectory([Box(0, 0, 1, 1)], [], [Box(0, 0, 1, 1)])
+            mean_iou_trajectory(one, [], one)
 
 
 class TestRecallCurve:
@@ -189,7 +193,7 @@ def oracle_recall_at(records, iou_thresh, k):
         if not props:
             continue
         top = boxes_to_array([p.box for p in props[:k]])
-        covered += int((iou_pairwise(top, boxes_to_array(gts)) > iou_thresh).any(axis=0).sum())
+        covered += int((oracle_iou_pairwise(top, boxes_to_array(gts)) > iou_thresh).any(axis=0).sum())
     return covered / total
 
 
@@ -198,7 +202,7 @@ def oracle_corloc(records, iou_thresh):
     for image_id, props, gts in records:
         if not props or not gts:
             continue
-        if float(iou_pairwise(boxes_to_array([props[0].box]), boxes_to_array(gts)).max()) > iou_thresh:
+        if float(oracle_iou_pairwise(boxes_to_array([props[0].box]), boxes_to_array(gts)).max()) > iou_thresh:
             hits += 1
     return 100.0 * hits / len(records)
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from boxregress.boxes import Box, Offsets, encode_offsets
+from boxregress.boxes import boxes_to_array
 from boxregress.losses import LossConfig
 from boxregress.model import (
     RegressorModel,
     TrainConfig,
     TrainingDiverged,
-    forward,
+    _forward_batch,
     init_model,
     load_model,
     loss_and_weight_grads,
@@ -34,11 +34,15 @@ def zero_model(channels=3, pool_size=7, hidden=(8, 8)):
     )
 
 
+def forward(model, features):
+    """The head's (tx, ty, tw, th) for one pooled feature vector."""
+    return tuple(_forward_batch(model, np.asarray(features, dtype=np.float64)[None])[0][0].tolist())
+
+
 class TestForward:
     def test_zero_weights_identity_offsets(self):
         m = zero_model()
-        out = forward(m, np.ones(m.in_dim))
-        assert (out.tx, out.ty, out.tw, out.th) == (0, 0, 0, 0)
+        assert forward(m, np.ones(m.in_dim)) == (0, 0, 0, 0)
 
     def test_hand_computed_toy(self):
         m = RegressorModel(
@@ -48,8 +52,7 @@ class TestForward:
             np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [-1.0, 0.0]]), np.array([0.0, 0.0, 0.1, 0.0]),
         )
         # features [2]: z1 = (2.5, -2) -> h1 = (2.5, 0) -> z2 = (2.5, 0) -> pred
-        out = forward(m, np.array([2.0]))
-        assert (out.tx, out.ty, out.tw, out.th) == (2.5, 0.0, 1.35, -2.5)
+        assert forward(m, np.array([2.0])) == (2.5, 0.0, 1.35, -2.5)
 
     def test_dimension_mismatch_rejected(self):
         m = zero_model()
@@ -63,8 +66,7 @@ class TestForward:
             m = init_model(3, 7, (256, 256), init_std=0.001, rng=rng)
             features = rng.normal(size=m.in_dim)
             features /= np.linalg.norm(features)
-            out = forward(m, features)
-            worst = max(worst, abs(out.tx), abs(out.ty), abs(out.tw), abs(out.th))
+            worst = max(worst, *map(abs, forward(m, features)))
         assert worst < 0.1
 
 
@@ -207,29 +209,38 @@ class TestRefine:
     def test_zero_weight_model_is_identity(self):
         scenes = synth_scenes(SynthConfig(seed=0), 1)
         m = zero_model()
-        boxes = [Box(30, 40, 20, 10), Box(60, 60, 30, 30)]
+        boxes = np.array([[30.0, 40, 20, 10], [60, 60, 30, 30]])
         traj = refine(m, scenes[0], boxes, iterations=3)
         assert len(traj) == 3
         for stage in traj:
-            assert stage == boxes
+            assert np.array_equal(stage, boxes)
 
     def test_single_iteration_equals_one_pass(self):
         scenes = synth_scenes(SynthConfig(seed=1), 1)
         m = init_model(3, 7, (16, 16), init_std=0.05, rng=np.random.default_rng(3))
-        boxes = list(scenes[0].gts)
+        boxes = boxes_to_array(scenes[0].gts)
         one = refine(m, scenes[0], boxes, iterations=1)
         three = refine(m, scenes[0], boxes, iterations=3)
-        assert one[0] == three[0]
+        assert np.array_equal(one[0], three[0])
 
     def test_iterations_validated(self):
         scenes = synth_scenes(SynthConfig(seed=2), 1)
         with pytest.raises(ValueError):
-            refine(zero_model(), scenes[0], list(scenes[0].gts), iterations=0)
+            refine(zero_model(), scenes[0], boxes_to_array(scenes[0].gts), iterations=0)
 
     def test_channel_mismatch_rejected(self):
         scenes = synth_scenes(SynthConfig(seed=3), 1)
         with pytest.raises(ValueError):
-            refine(zero_model(channels=5), scenes[0], list(scenes[0].gts), iterations=1)
+            refine(zero_model(channels=5), scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
+
+    @pytest.mark.parametrize("tw", [800.0, -800.0])
+    def test_leaving_numeric_range_is_overflow(self, tw):
+        # A finite model whose width offset overflows exp (or underflows it to a zero side).
+        scenes = synth_scenes(SynthConfig(seed=4), 1)
+        m = zero_model()
+        m.b3[2] = tw
+        with pytest.raises(OverflowError):
+            refine(m, scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
 
 
 class TestTrain:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, boxes_to_array, iou, iou_pairwise
+from boxregress.boxes import Box, boxes_to_array, iou
 from boxregress.errors import DataFormatError
 from boxregress import proposals
 from boxregress.model import init_model, refine
@@ -14,8 +14,8 @@ from boxregress.proposals import (
     NEIGHBOR_IOU,
     Proposal,
     SeedGridConfig,
+    _clip_array,
     _neighbor_graph,
-    clip_box,
     decay_nms,
     generate_proposals,
     load_proposals,
@@ -26,6 +26,12 @@ from boxregress.proposals import (
     write_corner_csv,
 )
 from boxregress.scenes import Scene, SynthConfig, synth_scenes
+
+from test_boxes import oracle_iou_pairwise
+
+
+def box_iou(u, v):
+    return float(iou(boxes_to_array([u]), boxes_to_array([v]))[0])
 
 
 def overlap_pair(target_iou, w=10.0):
@@ -48,10 +54,7 @@ class TestSeedGrid:
     def test_single_box_at_center(self):
         cfg = SeedGridConfig(scales=(0.5,), aspect_ratios=(1.0,), stride=1.0)
         boxes = seed_grid(200, 200, cfg)
-        assert len(boxes) == 1
-        b = boxes[0]
-        assert (b.x, b.y) == (100, 100)
-        assert (b.w, b.h) == (100, 100)
+        assert boxes.tolist() == [[100, 100, 100, 100]]
 
     def test_default_count_by_enumeration(self):
         cfg = SeedGridConfig()
@@ -62,13 +65,13 @@ class TestSeedGrid:
 
     def test_aspect_ratio_shape(self):
         cfg = SeedGridConfig(scales=(0.25,), aspect_ratios=(2.0,), stride=1.0)
-        b = seed_grid(400, 400, cfg)[0]
-        assert abs(b.w / b.h - 2.0) < 1e-12
+        x, y, w, h = seed_grid(400, 400, cfg)[0]
+        assert abs(w / h - 2.0) < 1e-12
 
     def test_boxes_clipped_to_image(self):
-        for b in seed_grid(300, 200, SeedGridConfig()):
-            assert b.x - b.w / 2 >= -1e-9 and b.x + b.w / 2 <= 300 + 1e-9
-            assert b.y - b.h / 2 >= -1e-9 and b.y + b.h / 2 <= 200 + 1e-9
+        for x, y, w, h in seed_grid(300, 200, SeedGridConfig()):
+            assert x - w / 2 >= -1e-9 and x + w / 2 <= 300 + 1e-9
+            assert y - h / 2 >= -1e-9 and y + h / 2 <= 200 + 1e-9
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -85,17 +88,17 @@ class TestSeedGrid:
 
 class TestClipBox:
     def test_inside_unchanged(self):
-        b = Box(50, 50, 20, 20)
-        assert clip_box(b, 100, 100) == b
+        b = np.array([[50.0, 50, 20, 20]])
+        assert np.array_equal(_clip_array(b, 100, 100), b)
 
     def test_border_clip(self):
-        out = clip_box(Box(0, 50, 20, 20), 100, 100)
-        assert out.x - out.w / 2 == 0.0
-        assert out.w == 10.0
+        x, y, w, h = _clip_array(np.array([[0.0, 50, 20, 20]]), 100, 100)[0]
+        assert x - w / 2 == 0.0
+        assert w == 10.0
 
     def test_min_side(self):
-        out = clip_box(Box(0.2, 50, 0.1, 20), 100, 100, min_side=1.0)
-        assert out.w >= 1.0
+        x, y, w, h = _clip_array(np.array([[0.2, 50, 0.1, 20]]), 100, 100, min_side=1.0)[0]
+        assert w >= 1.0
 
 
 class TestScoreProposals:
@@ -109,12 +112,12 @@ class TestScoreProposals:
     def test_hand_triple(self):
         a, b = overlap_pair(0.8)
         c = Box(100, 0, 10, 10)
-        assert iou(a, b) == pytest.approx(0.8)
+        assert box_iou(a, b) == pytest.approx(0.8)
         assert score_proposals([a, b, c]) == [1.0, 1.0, 0.0]
 
     def test_exact_threshold_not_counted(self):
         a, b = overlap_pair(0.7)
-        assert iou(a, b) == pytest.approx(0.7, abs=1e-12)
+        assert box_iou(a, b) == pytest.approx(0.7, abs=1e-12)
         scores = score_proposals([a, b])
         assert scores == [0.0, 0.0]
 
@@ -185,7 +188,7 @@ class TestDecayNms:
             order = sorted(range(len(plist)), key=lambda i: (-plist[i].score, i))
             kept = []
             for i in order:
-                if all(iou(plist[i].box, plist[j].box) <= thresh for j in kept):
+                if all(box_iou(plist[i].box, plist[j].box) <= thresh for j in kept):
                     kept.append(i)
             return [plist[i] for i in kept]
 
@@ -301,7 +304,7 @@ def oracle_score_proposals(boxes):
     counts = np.zeros(n, dtype=np.int64)
     block = 512
     for start in range(0, n, block):
-        sub = iou_pairwise(arr[start : start + block], arr)
+        sub = oracle_iou_pairwise(arr[start : start + block], arr)
         counts[start : start + block] = (sub > NEIGHBOR_IOU).sum(axis=1)
     return [float(c - 1) for c in counts]
 
@@ -319,14 +322,14 @@ def oracle_decay_nms(proposals, iou_thresh=0.6, decay=10.0):
         out.append(Proposal(proposals[pick].box, float(scores[pick])))
         remaining[pick] = False
         if remaining.any():
-            overlaps = iou_pairwise(arr[pick : pick + 1], arr)[0]
+            overlaps = oracle_iou_pairwise(arr[pick : pick + 1], arr)[0]
             scores[remaining & (overlaps > iou_thresh)] /= decay
     return out
 
 
 def oracle_generate_proposals(model, scene, grid_cfg, iterations, nms_iou, decay):
     seeds = oracle_seed_grid(scene.width, scene.height, grid_cfg)
-    refined = refine(model, scene, seeds, iterations=iterations)[-1]
+    refined = [Box(*r) for r in refine(model, scene, boxes_to_array(seeds), iterations=iterations)[-1].tolist()]
     scores = oracle_score_proposals(refined)
     ranked = oracle_decay_nms([Proposal(b, s) for b, s in zip(refined, scores)], nms_iou, decay)
     return [Proposal(oracle_clip_box(p.box, scene.width, scene.height), p.score) for p in ranked]
@@ -376,7 +379,7 @@ class TestDenseOracle:
         arr = boxes_to_array(data.draw(box_sets(st.just(t))))
         indptr, cols, ious = _neighbor_graph(arr, t)
         with np.errstate(invalid="ignore"):  # 0/0 for boxes below one ulp of their offset
-            dense = iou_pairwise(arr, arr)
+            dense = oracle_iou_pairwise(arr, arr)
         assert len(indptr) == len(arr) + 1
         for i in range(len(arr)):
             row = slice(indptr[i], indptr[i + 1])
@@ -421,21 +424,22 @@ class TestDenseOracle:
         want = oracle_generate_proposals(model, scene, grid, iterations, nms_iou, decay)
         assert bits(got) == bits(want)
         # The random head must actually move the seeds for this to test refinement.
-        seeds = oracle_seed_grid(scene.width, scene.height, grid)
-        assert refine(model, scene, seeds, iterations)[-1] != seeds
+        seeds = boxes_to_array(oracle_seed_grid(scene.width, scene.height, grid))
+        assert not np.array_equal(refine(model, scene, seeds, iterations)[-1], seeds)
 
     @DIFFERENTIAL
     @given(st.builds(Box, st.floats(-50.0, 200.0), st.floats(-50.0, 200.0), SIDES, SIDES),
            st.sampled_from([64, 128.0, 600]), st.sampled_from([64, 100.5]))
     def test_clip_box_matches_scalar(self, b, image_w, image_h):
-        got, want = clip_box(b, image_w, image_h), oracle_clip_box(b, image_w, image_h)
+        got = Box(*_clip_array(boxes_to_array([b]), image_w, image_h)[0].tolist())
+        want = oracle_clip_box(b, image_w, image_h)
         assert bits([Proposal(got, 0.0)]) == bits([Proposal(want, 0.0)])
 
     @pytest.mark.parametrize("shape", [(600, 600), (640, 427), (128, 128), (100.5, 333)])
     def test_seed_grid_matches_scalar(self, shape):
         for cfg in (SeedGridConfig(), SeedGridConfig(scales=(0.3,), aspect_ratios=(3.0,), stride=0.07)):
             got, want = seed_grid(*shape, cfg), oracle_seed_grid(*shape, cfg)
-            assert bits([Proposal(b, 0.0) for b in got]) == bits([Proposal(b, 0.0) for b in want])
+            assert bits([Proposal(Box(*r), 0.0) for r in got.tolist()]) == bits([Proposal(b, 0.0) for b in want])
 
 
 # Reference readers: the corner-CSV loaders as they were before the

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from boxregress.boxes import Box
+from boxregress import cli
+from boxregress.boxes import Box, boxes_to_array, iou
 from boxregress.errors import DataFormatError
 from boxregress.scenes import (
     Scene,
@@ -85,6 +86,24 @@ class TestLoadAnnotations:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_annotations(str(tmp_path / "does-not-exist.json"))
+
+    @pytest.mark.parametrize("label", [1.5, "7", True, [1]], ids=repr)
+    def test_non_integer_category_rejected(self, tmp_path, capsys, label):
+        # The scene cache stores labels as int32: a label that is not an
+        # integer is refused at load time, before any annotation is skipped.
+        doc = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [
+                {"image_id": 1, "bbox": [1, 1, 5, 5], "category_id": 3},
+                {"image_id": 99, "bbox": [1, 1, 5, 5], "category_id": label},
+            ],
+        }
+        path = write_json(tmp_path, doc)
+        with pytest.raises(DataFormatError, match=r"annotations\[1\]: category_id"):
+            load_annotations(path)
+        code = cli.main(["train", "--out-dir", str(tmp_path / "o"), "--annotations", path])
+        assert code == 2
+        assert "annotations[1]" in capsys.readouterr().err
 
     def test_short_side_rescaling(self, tmp_path):
         scenes = load_annotations(write_json(tmp_path, MINIMAL), short_side=600)
@@ -184,14 +203,12 @@ class TestSynthScenes:
         assert [s.gts for s in a] == [s.gts for s in b[:3]]
 
     def test_object_counts_and_separation(self):
-        from boxregress.boxes import iou
-
         cfg = SynthConfig(seed=5, min_objects=2, max_objects=4)
         for s in synth_scenes(cfg, 30):
             assert 2 <= len(s.gts) <= 4
             for i in range(len(s.gts)):
                 for j in range(i + 1, len(s.gts)):
-                    assert iou(s.gts[i], s.gts[j]) < cfg.max_gt_iou
+                    assert iou(*boxes_to_array([s.gts[i], s.gts[j]])) < cfg.max_gt_iou
 
     def test_objects_inside_image(self):
         cfg = SynthConfig(seed=6)
@@ -283,6 +300,33 @@ class TestSceneCache:
                 assert b._fm is None
             else:
                 assert np.array_equal(a._fm.data, b._fm.data)
+
+    @pytest.mark.parametrize("label", [-1, 2**31, -(2**31) - 1], ids=str)
+    def test_unstorable_label_rejected(self, tmp_path, capsys, label):
+        # -1 is the cache's "no label" value and labels are int32: either
+        # would not read back as written, so the scene is refused.
+        scenes = [
+            Scene(id="ok", width=64, height=64, gts=[Box(20, 20, 10, 10)], labels=[2**31 - 1]),
+            Scene(id="bad", width=64, height=64, gts=[Box(20, 20, 10, 10), Box(40, 40, 8, 8)], labels=[None, label]),
+        ]
+        path = tmp_path / "scenes.bin"
+        with pytest.raises(DataFormatError, match=f"scene bad: label {label}"):
+            save_scenes(str(path), scenes)
+        assert not path.exists()
+        save_scenes(str(path), scenes[:1])
+        assert load_scenes(str(path))[0].labels == [2**31 - 1]
+
+        doc = {
+            "images": [{"id": "bad", "width": 64, "height": 64}],
+            "annotations": [{"image_id": "bad", "bbox": [1, 1, 5, 5], "category_id": label}],
+        }
+        code = cli.main([
+            "train", "--out-dir", str(tmp_path / "o"), "--annotations", write_json(tmp_path, doc),
+            "--save-scene-cache", str(tmp_path / "cli.bin"),
+        ])
+        assert code == 2
+        assert "scene bad: label" in capsys.readouterr().err
+        assert not (tmp_path / "cli.bin").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
