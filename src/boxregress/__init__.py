@@ -26,7 +26,7 @@ from .proposals import (
     score_proposals,
     seed_grid,
 )
-from .sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes
+from .sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes, generate_training_boxes_many
 from .scenes import Scene, SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
 
 __version__ = "0.1.0"

@@ -72,17 +72,17 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def apply_offsets_array(boxes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Transform (N, 4) boxes by (N, 4) offsets (tx, ty, tw, th).
+    """Transform (..., 4) boxes by offsets (tx, ty, tw, th) of the same shape.
 
     Centers shift by t * side, sides scale by exp(t). Overflow produces
     non-finite rows rather than raising; callers check the result.
     """
     out = np.empty_like(boxes)
     with np.errstate(over="ignore"):
-        out[:, 0] = boxes[:, 0] + offsets[:, 0] * boxes[:, 2]
-        out[:, 1] = boxes[:, 1] + offsets[:, 1] * boxes[:, 3]
-        out[:, 2] = boxes[:, 2] * np.exp(offsets[:, 2])
-        out[:, 3] = boxes[:, 3] * np.exp(offsets[:, 3])
+        out[..., 0] = boxes[..., 0] + offsets[..., 0] * boxes[..., 2]
+        out[..., 1] = boxes[..., 1] + offsets[..., 1] * boxes[..., 3]
+        out[..., 2] = boxes[..., 2] * np.exp(offsets[..., 2])
+        out[..., 3] = boxes[..., 3] * np.exp(offsets[..., 3])
     return out
 
 

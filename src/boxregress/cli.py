@@ -118,6 +118,16 @@ class UsageError(Exception):
     pass
 
 
+def _check_channels(model, model_path: str, scenes) -> None:
+    """Refuse a model whose input channels differ from a scene's feature map."""
+    for s in scenes:
+        channels = s.feature_map().channels
+        if channels != model.channels:
+            raise DataFormatError(
+                f"{model_path}: model expects {model.channels} feature channels, scene {s.id} provides {channels}"
+            )
+
+
 def cmd_train(args) -> int:
     hidden = _int_list(args.hidden, "--hidden")
     if len(hidden) != 2:
@@ -166,6 +176,7 @@ def cmd_refine(args) -> int:
     unknown = sorted(set(boxes_by_image) - set(scenes))
     if unknown:
         raise DataFormatError(f"{args.boxes}: unknown image ids: {', '.join(unknown[:5])}")
+    _check_channels(model, args.model, (scenes[i] for i in boxes_by_image))
     os.makedirs(args.out_dir, exist_ok=True)
     _write_resolved_config(args, args.out_dir)
 
@@ -217,6 +228,7 @@ def cmd_propose(args) -> int:
         raise UsageError(str(e)) from None
     scenes = _build_scenes(args)
     model = load_model(args.model)
+    _check_channels(model, args.model, scenes)
     by_image = {
         s.id: generate_proposals(model, s, grid, iterations=args.iters, nms_iou=args.nms_iou, decay=args.decay)
         for s in scenes

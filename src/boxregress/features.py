@@ -49,6 +49,10 @@ def roi_align_many(fm: FeatureMap, boxes: np.ndarray, pool_size: int = 7) -> np.
     Each box is divided into a pool_size x pool_size grid and each cell
     is sampled once at its center. Returns (N, channels * pool_size**2),
     each row flattened channel-major.
+
+    The four corner cells of each sample are read from a copy of each
+    channel with one ring of zeros around it, with the cell indices
+    clipped into that ring, so a corner outside the map reads zero.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
@@ -58,31 +62,34 @@ def roi_align_many(fm: FeatureMap, boxes: np.ndarray, pool_size: int = 7) -> np.
         return np.zeros((0, c * pool_size * pool_size), dtype=np.float64)
 
     frac = (np.arange(pool_size, dtype=np.float64) + 0.5) / pool_size
-    # Sample-point grids, shape (N, P) per axis.
+    # Sample-point grids, shape (N, P) per axis: x varies along a row of
+    # the pooled grid, y down its columns.
     sx = (boxes[:, 0] - 0.5 * boxes[:, 2])[:, None] + frac[None, :] * boxes[:, 2][:, None]
     sy = (boxes[:, 1] - 0.5 * boxes[:, 3])[:, None] + frac[None, :] * boxes[:, 3][:, None]
 
-    # (N, P, P): rows vary with y, columns with x.
-    u = np.broadcast_to(sx[:, None, :], (n, pool_size, pool_size))
-    v = np.broadcast_to(sy[:, :, None], (n, pool_size, pool_size))
-
-    fu = u - 0.5
-    fv = v - 0.5
+    fu = sx - 0.5
+    fv = sy - 0.5
     j0 = np.floor(fu).astype(np.int64)
     i0 = np.floor(fv).astype(np.int64)
-    aj = fu - j0
-    ai = fv - i0
+    aj = (fu - j0)[:, None, :]
+    ai = (fv - i0)[:, :, None]
 
+    # Row and column of each corner in the zero-bordered (h + 2, w + 2) planes.
+    rows = [(i0 + di + 1).clip(0, h + 1)[:, :, None] * (w + 2) for di in (0, 1)]
+    cols = [(j0 + dj + 1).clip(0, w + 1)[:, None, :] for dj in (0, 1)]
+    corners = [
+        (rows[0] + cols[0], (1 - ai) * (1 - aj)),
+        (rows[0] + cols[1], (1 - ai) * aj),
+        (rows[1] + cols[0], ai * (1 - aj)),
+        (rows[1] + cols[1], ai * aj),
+    ]  # (N, P, P) flat indices and weights
+
+    padded = np.zeros((c, h + 2, w + 2), dtype=np.float64)
+    padded[:, 1:-1, 1:-1] = fm.data
     out = np.zeros((n, c, pool_size, pool_size), dtype=np.float64)
-    for di, dj, wt in (
-        (0, 0, (1 - ai) * (1 - aj)),
-        (0, 1, (1 - ai) * aj),
-        (1, 0, ai * (1 - aj)),
-        (1, 1, ai * aj),
-    ):
-        ii = i0 + di
-        jj = j0 + dj
-        valid = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-        vals = fm.data[:, ii.clip(0, h - 1), jj.clip(0, w - 1)]  # (C, N, P, P)
-        out += np.transpose(vals * (wt * valid), (1, 0, 2, 3))
+    for ch in range(c):
+        plane = padded[ch].ravel()
+        acc = out[:, ch]
+        for idx, wt in corners:
+            acc += plane.take(idx) * wt
     return out.reshape(n, c * pool_size * pool_size)

@@ -20,7 +20,7 @@ from .boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, io
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, roi_align_many
 from .losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
-from .sampling import SamplerConfig, generate_training_boxes
+from .sampling import SamplerConfig, generate_training_boxes_many
 
 MODEL_MAGIC = b"UBBR1"
 
@@ -194,24 +194,30 @@ def loss_and_weight_grads(
 def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator, pool_size: int):
     """Sample training boxes for every ground truth and pool their features.
 
-    Returns (features, input boxes, matched ground truths) with the box
-    data as (N, 4) center-form arrays.
+    The ground truths of all scenes are sampled in one call, scene after
+    scene, so they share one offset stream; each scene's features are
+    written into one preallocated array. Returns (features, input boxes,
+    matched ground truths) with the box data as (N, 4) center-form
+    arrays.
     """
-    feats = []
-    input_rows = []
-    gt_rows = []
-    for scene in scenes:
-        arr = np.concatenate([generate_training_boxes(g, sampler_cfg, rng) for g in scene.gts])
-        if not len(arr):
-            continue
-        gts_arr = boxes_to_array(scene.gts)
-        matched = iou(arr[:, None], gts_arr[None]).argmax(axis=1)
-        feats.append(roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size))
-        input_rows.append(arr)
-        gt_rows.append(gts_arr[matched])
-    if not feats:
+    gts = [boxes_to_array(scene.gts) for scene in scenes]
+    rows, counts = generate_training_boxes_many(
+        np.concatenate(gts) if gts else np.empty((0, 4)), sampler_cfg, rng
+    )
+    if not len(rows):
         raise ValueError("no training boxes could be generated")
-    return np.concatenate(feats), np.concatenate(input_rows), np.concatenate(gt_rows)
+    # Each scene's rows end where its last ground truth's rows end.
+    row_ends = np.concatenate(([0], np.cumsum(counts)))[np.cumsum([len(g) for g in gts], dtype=np.int64)]
+    feats = np.empty((len(rows), scenes[0].feature_map().channels * pool_size * pool_size))
+    matched = np.empty_like(rows)
+    start = 0
+    for scene, gts_arr, end in zip(scenes, gts, row_ends):
+        if end > start:
+            arr = rows[start:end]
+            matched[start:end] = gts_arr[iou(arr[:, None], gts_arr[None]).argmax(axis=1)]
+            feats[start:end] = roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size)
+        start = end
+    return feats, rows, matched
 
 
 def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
@@ -288,6 +294,7 @@ def train(
                     velocity[name] = cfg.momentum * velocity[name] + g
                     p -= lr * velocity[name]
             train_loss = running / len(perm)
+            del x, in_boxes, gt_boxes  # free this epoch's pool before the next one is built
             val_loss, val_miou = _evaluate(model, val_x, val_boxes, val_gts, loss_cfg, loss)
         except (OverflowError, ValueError) as e:
             raise TrainingDiverged(f"epoch {epoch}: {e}", model=checkpoint, log=log) from None

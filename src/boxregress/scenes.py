@@ -71,6 +71,11 @@ def _within_slack(g: Box, width: float, height: float) -> bool:
     )
 
 
+def _feature_grid_shape(width: float, height: float) -> tuple[int, int]:
+    """(rows, columns) of the feature map of a width x height image."""
+    return max(1, math.ceil(height / FEATURE_STRIDE)), max(1, math.ceil(width / FEATURE_STRIDE))
+
+
 def build_feature_map(
     width: float,
     height: float,
@@ -84,8 +89,7 @@ def build_feature_map(
     are zero. Gaussian noise of the given standard deviation is added to
     every channel when noise > 0.
     """
-    cells_w = max(1, math.ceil(width / FEATURE_STRIDE))
-    cells_h = max(1, math.ceil(height / FEATURE_STRIDE))
+    cells_h, cells_w = _feature_grid_shape(width, height)
     data = np.zeros((3, cells_h, cells_w), dtype=np.float64)
 
     if gts:
@@ -162,6 +166,8 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
             raise DataFormatError(
                 f"{path}: annotations[{i}]: category_id must be an integer or null, got {label!r}"
             )
+        if not all(map(math.isfinite, (x, y, w, h))):
+            raise DataFormatError(f"{path}: annotations[{i}]: bbox values must be finite, got {[x, y, w, h]}")
         scene = scenes.get(image_id)
         if scene is None:
             warnings.warn(f"{path}: annotations[{i}] references unknown image {image_id!r}; skipped", stacklevel=2)
@@ -405,6 +411,14 @@ def load_scenes(path: str) -> list[Scene]:
                 fm = FeatureMap(data)
             except ValueError as e:
                 raise DataFormatError(f"{path}: byte {at}: scene {ident}: {e}") from None
+            # A non-finite or non-positive extent is refused with the scene below.
+            if math.isfinite(width) and math.isfinite(height) and width > 0 and height > 0:
+                expect = _feature_grid_shape(width, height)
+                if (h, w) != expect:
+                    raise DataFormatError(
+                        f"{path}: byte {at}: scene {ident}: feature map is {h} x {w} cells, "
+                        f"a {width:g} x {height:g} image has {expect[0]} x {expect[1]}"
+                    )
         try:
             scenes.append(Scene(id=ident, width=width, height=height, gts=gts, labels=labels, _fm=fm))
         except ValueError as e:

@@ -154,14 +154,20 @@ class TestDataErrors:
         (GT_AT, struct.pack("<d", float("inf")), "byte 44: scene synth-0000: box fields must be finite"),
         (ID_AT, b"\xff", "byte 14: scene id is not valid UTF-8"),
         (-8, struct.pack("<d", float("nan")), "scene synth-0000: feature data contains non-finite entries"),
-    ], ids=["negative-width", "nan-width", "inf-gt", "id-not-utf8", "nan-feature"])
+        # (h, w) of the 3 x 32 x 32 map's header, which sits 12 + 3 * 32 * 32 * 8 bytes from the end;
+        # 16 x 64 keeps the data length, so only the shape check can refuse it.
+        (-(3 * 32 * 32 * 8 + 8), struct.pack("<II", 16, 64),
+         "byte {fm_at}: scene synth-0000: feature map is 16 x 64 cells, a 128 x 128 image has 32 x 32"),
+    ], ids=["negative-width", "nan-width", "inf-gt", "id-not-utf8", "nan-feature", "feature-shape"])
     def test_corrupt_scene_cache(self, tmp_path, capsys, offset, patch, where):
         cache = tmp_path / "scenes.bin"
         scenes = synth_scenes(SynthConfig(seed=3), 1)
         assert scenes[0].id == "synth-0000" and scenes[0].gts
+        assert scenes[0].feature_map().data.shape == (3, 32, 32)
         save_scenes(str(cache), scenes)
         blob = bytearray(cache.read_bytes())
         assert blob[: len(SCENE_CACHE_MAGIC)] == SCENE_CACHE_MAGIC
+        where = where.format(fm_at=len(blob) - 3 * 32 * 32 * 8 - 12)
         offset %= len(blob)  # a negative offset counts from the end: the last feature value
         blob[offset : offset + len(patch)] = patch
         cache.write_bytes(bytes(blob))
@@ -181,6 +187,23 @@ class TestDataErrors:
         ])
         assert code == 2
         assert "not finite" in one_line_error(capsys, "data error: ")
+
+
+    @pytest.mark.parametrize("command", ["refine", "propose"])
+    def test_model_channel_mismatch(self, tmp_path, capsys, command):
+        # Synthetic scenes have 3 feature channels; the model expects 5.
+        path = str(tmp_path / "five.ubbr")
+        save_model(path, init_model(5, 7, (8, 8), rng=np.random.default_rng(0)))
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text("synth-0000,10,10,30,30\n")
+        extra = ["--boxes", str(boxes)] if command == "refine" else []
+        code = run_cli([
+            command, "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1", "--model", path,
+        ] + extra)
+        assert code == 2
+        msg = one_line_error(capsys, "data error: ")
+        assert "model expects 5 feature channels, scene synth-0000 provides 3" in msg
+        assert not (tmp_path / "o").exists()
 
 
 class TestNumericErrors:

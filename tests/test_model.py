@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from boxregress.boxes import boxes_to_array
+from boxregress.boxes import boxes_to_array, iou
+from boxregress.features import FEATURE_STRIDE
 from boxregress.losses import LossConfig
 from boxregress.model import (
     RegressorModel,
     TrainConfig,
     TrainingDiverged,
+    _build_pool,
     _forward_batch,
     init_model,
     load_model,
@@ -17,8 +20,11 @@ from boxregress.model import (
     save_model,
     train,
 )
-from boxregress.sampling import SamplerConfig
+from boxregress.sampling import SampleBudgetWarning, SamplerConfig
 from boxregress.scenes import SynthConfig, synth_scenes
+
+from test_features import oracle_roi_align_many
+from test_sampling import oracle_generate_training_boxes
 
 LOSS_CFG = LossConfig()
 
@@ -300,3 +306,50 @@ class TestTrainConfigValidation:
     def test_positive_fields(self):
         with pytest.raises(ValueError):
             TrainConfig(momentum=0)
+
+
+# Reference pool: _build_pool as it was when it sampled one ground truth
+# at a time, on the reference sampler and the reference pooling.
+
+
+def oracle_generate_training_boxes_array(g, cfg, rng):
+    out = oracle_generate_training_boxes(g, cfg, rng)
+    return np.array([[b.x, b.y, b.w, b.h] for b in out], dtype=np.float64).reshape(-1, 4)
+
+
+def oracle_build_pool(scenes, sampler_cfg, rng, pool_size):
+    feats = []
+    input_rows = []
+    gt_rows = []
+    for scene in scenes:
+        arr = np.concatenate([oracle_generate_training_boxes_array(g, sampler_cfg, rng) for g in scene.gts])
+        if not len(arr):
+            continue
+        gts_arr = boxes_to_array(scene.gts)
+        matched = iou(arr[:, None], gts_arr[None]).argmax(axis=1)
+        feats.append(oracle_roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size))
+        input_rows.append(arr)
+        gt_rows.append(gts_arr[matched])
+    if not feats:
+        raise ValueError("no training boxes could be generated")
+    return np.concatenate(feats), np.concatenate(input_rows), np.concatenate(gt_rows)
+
+
+class TestBuildPoolOracle:
+    @pytest.mark.parametrize("synth_seed", [0, 5, 12])
+    @pytest.mark.parametrize("sampler_cfg,pool_size", [
+        (SamplerConfig(), 7),                                           # the training recipe
+        (SamplerConfig(boxes_per_gt=150), 7),                           # the held-out pool
+        (SamplerConfig(t=0.6, boxes_per_gt=12, max_attempts_per_box=15), 3),  # spills and give-ups
+    ], ids=["train", "val", "spill"])
+    def test_bitwise_equal(self, synth_seed, sampler_cfg, pool_size):
+        scenes = synth_scenes(SynthConfig(seed=synth_seed, noise=0.3), 24)
+        rng_new, rng_old = np.random.default_rng([synth_seed, 1, 3]), np.random.default_rng([synth_seed, 1, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleBudgetWarning)
+            got = _build_pool(scenes, sampler_cfg, rng_new, pool_size)
+            want = oracle_build_pool(scenes, sampler_cfg, rng_old, pool_size)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        assert rng_new.permutation(len(got[1])).tolist() == rng_old.permutation(len(want[1])).tolist()

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxregress.boxes import Box, apply_offsets_array, encode_offsets_array, iou
-from boxregress.sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes
+from boxregress.sampling import (
+    SampleBudgetWarning,
+    SamplerConfig,
+    generate_training_boxes,
+    generate_training_boxes_many,
+)
 
 from test_boxes import oracle_iou_pairwise
 
@@ -187,3 +192,72 @@ class TestOracle:
         assert run_sampler(generate_training_boxes, G, cfg, 0) == run_sampler(
             generate_training_boxes, Box(50.0, 50.0, 20.0, 30.0), cfg, 0
         )
+
+
+def run_many(gts, cfg, seed):
+    """generate_training_boxes_many over (G, 4) gts, recorded like run_sampler."""
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows, counts = generate_training_boxes_many(gts, cfg, rng)
+    messages = [(w.category, str(w.message)) for w in caught]
+    return [[v.hex() for v in r] for r in rows.tolist()], counts.tolist(), messages, rng.bit_generator.state
+
+
+def run_oracle_in_sequence(gts, cfg, seed):
+    """The reference sampler called once per ground truth on one generator."""
+    rng = np.random.default_rng(seed)
+    rows, counts = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for g in gts:
+            out = oracle_generate_training_boxes(Box(*g.tolist()), cfg, rng)
+            rows += [[v.hex() for v in (b.x, b.y, b.w, b.h)] for b in out]
+            counts.append(len(out))
+    messages = [(w.category, str(w.message)) for w in caught]
+    return rows, counts, messages, rng.bit_generator.state
+
+
+box_strategy = st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 40), st.floats(0.1, 40))
+
+
+class TestEpochStream:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.floats(0.0, 1.5),
+        st.floats(0.0, 0.95),
+        st.floats(0.0, 0.99),
+        st.integers(1, 30),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+        st.lists(box_strategy, min_size=0, max_size=12),
+    )
+    def test_matches_oracle_in_sequence(self, alpha, beta, t, boxes_per_gt, max_attempts, seed, gts):
+        # A chunk holds 4 * boxes_per_gt draws, so budgets range from below
+        # a chunk to several chunks; at high t a ground truth spills into
+        # the chunks of the ones after it, at any place in the sequence.
+        cfg = SamplerConfig(alpha=alpha, beta=beta, t=t, boxes_per_gt=boxes_per_gt, max_attempts_per_box=max_attempts)
+        gts = np.array(gts, dtype=np.float64).reshape(-1, 4)
+        assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+
+    @pytest.mark.parametrize("t,boxes_per_gt,max_attempts", [
+        (0.3, 50, 1000),   # the defaults: every ground truth settles in its own chunk
+        (0.75, 20, 1000),  # some ground truths spill into later chunks
+        (0.9, 5, 30),      # spills and give-ups inside and across chunks
+        (0.97, 1, 3),      # one box per ground truth, tiny chunks
+        (0.99, 10, 1000),  # every ground truth gives up after several chunks
+        (0.6, 1, 1),       # a single rejection gives up
+    ])
+    def test_matches_on_many_seeds(self, t, boxes_per_gt, max_attempts):
+        cfg = SamplerConfig(t=t, boxes_per_gt=boxes_per_gt, max_attempts_per_box=max_attempts)
+        rng = np.random.default_rng(99)
+        for seed in range(15):
+            gts = np.column_stack([rng.uniform(0, 100, (25, 2)), rng.uniform(1, 40, (25, 2))])
+            assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+
+    def test_no_ground_truths_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        rows, counts = generate_training_boxes_many(np.empty((0, 4)), SamplerConfig(), rng)
+        assert rows.shape == (0, 4) and counts.shape == (0,)
+        assert rng.bit_generator.state == state

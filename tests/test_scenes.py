@@ -105,6 +105,25 @@ class TestLoadAnnotations:
         assert code == 2
         assert "annotations[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bbox", [[float("nan"), 1, 5, 5], [1, 1, float("inf"), 5], [1, float("-inf"), 5, 5],
+                                      [1, 1, 5, float("nan")]])
+    def test_nonfinite_bbox_rejected(self, tmp_path, capsys, bbox):
+        # A NaN side passes a `w <= 0` test; it is refused, not skipped.
+        doc = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [
+                {"image_id": 1, "bbox": [1, 1, 5, 5]},
+                {"image_id": 1, "bbox": bbox},
+            ],
+        }
+        path = write_json(tmp_path, doc)
+        with pytest.raises(DataFormatError, match=r"annotations\[1\]: bbox values must be finite"):
+            load_annotations(path)
+        code = cli.main(["train", "--out-dir", str(tmp_path / "o"), "--annotations", path])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and "annotations[1]" in err[0]
+
     def test_short_side_rescaling(self, tmp_path):
         scenes = load_annotations(write_json(tmp_path, MINIMAL), short_side=600)
         s = scenes[0]
