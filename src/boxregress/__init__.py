@@ -22,7 +22,6 @@ from .proposals import (
     decay_nms,
     generate_proposals,
     load_proposals,
-    save_proposals,
     score_proposals,
     seed_grid,
 )

@@ -48,9 +48,26 @@ def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
 
 
 def _extents(a: np.ndarray):
+    """(x_lo, x_hi, y_lo, y_hi, area) of center-form boxes, as `iou` computes them."""
     x, y, half_w, half_h = a[..., 0], a[..., 1], 0.5 * a[..., 2], 0.5 * a[..., 3]
     x_lo, x_hi, y_lo, y_hi = x - half_w, x + half_w, y - half_h, y + half_h
     return x_lo, x_hi, y_lo, y_hi, (x_hi - x_lo) * (y_hi - y_lo)
+
+
+def _iou_of_extents(ea, eb):
+    """IoU of two `_extents` tuples, broadcast against each other."""
+    ax_lo, ax_hi, ay_lo, ay_hi, area_a = ea
+    bx_lo, bx_hi, by_lo, by_hi, area_b = eb
+    iw = np.minimum(ax_hi, bx_hi)
+    iw -= np.maximum(ax_lo, bx_lo)
+    ih = np.minimum(ay_hi, by_hi)
+    ih -= np.maximum(ay_lo, by_lo)
+    inter = np.maximum(iw, 0.0)
+    inter *= np.maximum(ih, 0.0)
+    union = area_a + area_b
+    union -= inter
+    inter /= union
+    return inter
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,12 +80,7 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     computed once per input row, before broadcasting, so the bounds
     hold exactly in floating point.
     """
-    ax_lo, ax_hi, ay_lo, ay_hi, area_a = _extents(a)
-    bx_lo, bx_hi, by_lo, by_hi, area_b = _extents(b)
-    iw = np.minimum(ax_hi, bx_hi) - np.maximum(ax_lo, bx_lo)
-    ih = np.minimum(ay_hi, by_hi) - np.maximum(ay_lo, by_lo)
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    return inter / (area_a + area_b - inter)
+    return _iou_of_extents(_extents(a), _extents(b))
 
 
 def apply_offsets_array(boxes: np.ndarray, offsets: np.ndarray) -> np.ndarray:

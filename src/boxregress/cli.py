@@ -27,7 +27,7 @@ from .metrics import (
     write_table,
 )
 from .model import TrainConfig, TrainingDiverged, load_model, refine, save_model, train
-from .proposals import SeedGridConfig, generate_proposals, read_corner_csv, save_proposals, write_corner_csv
+from .proposals import SeedGridConfig, generate_proposals, read_corner_csv, write_corner_csv
 from .sampling import SamplerConfig
 from .scenes import SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
 
@@ -153,6 +153,12 @@ def cmd_train(args) -> int:
     scenes = [s for s in _build_scenes(args) if s.gts]
     if not scenes:
         raise DataFormatError("no scenes with ground truths to train on")
+    channels = scenes[0].feature_map().channels
+    for s in scenes:
+        if s.feature_map().channels != channels:
+            raise DataFormatError(
+                f"scene {s.id} has {s.feature_map().channels} feature channels, scene {scenes[0].id} has {channels}"
+            )
     model, log = train(scenes, train_cfg, sampler_cfg, loss_cfg, loss=args.loss)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_resolved_config(args, args.out_dir)
@@ -236,7 +242,7 @@ def cmd_propose(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     _write_resolved_config(args, args.out_dir)
     out_path = os.path.join(args.out_dir, "proposals.csv")
-    save_proposals(out_path, by_image)
+    write_corner_csv(out_path, by_image)
     total = sum(len(v) for v in by_image.values())
     print(f"wrote {total} proposals for {len(by_image)} scenes to {out_path}")
     return EXIT_OK

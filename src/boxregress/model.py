@@ -151,6 +151,20 @@ def _forward_batch(model: RegressorModel, x: np.ndarray):
     return pred, (z1, h1, z2, h2)
 
 
+def _predict(model: RegressorModel, x: np.ndarray) -> np.ndarray:
+    """The head's offsets for features x, bitwise equal to _forward_batch's but keeping one activation."""
+    h = x @ model.w1.T
+    h += model.b1
+    np.maximum(h, 0.0, out=h)
+    h2 = h @ model.w2.T
+    del h
+    h2 += model.b2
+    np.maximum(h2, 0.0, out=h2)
+    pred = h2 @ model.w3.T
+    pred += model.b3
+    return pred
+
+
 def loss_and_weight_grads(
     model: RegressorModel,
     x: np.ndarray,
@@ -341,9 +355,7 @@ def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1)
     arr = boxes
     out: list[np.ndarray] = []
     for _ in range(iterations):
-        feats = roi_align_many(fm, arr / FEATURE_STRIDE, model.pool_size)
-        pred, _ = _forward_batch(model, feats)
-        arr = apply_offsets_array(arr, pred)
+        arr = apply_offsets_array(arr, _predict(model, roi_align_many(fm, arr / FEATURE_STRIDE, model.pool_size)))
         if not (np.isfinite(arr).all() and (arr[:, 2:] > 0.0).all()):
             raise OverflowError("refined boxes left the numeric range")
         out.append(arr)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, boxes_to_array, iou
+from .boxes import Box, _extents, _iou_of_extents, boxes_to_array
 from .errors import DataFormatError
 from .ioutil import atomic_write
 from .model import RegressorModel, refine
@@ -113,117 +113,152 @@ _SLACK = 1e-9
 _BLOCK = 1 << 15
 
 
-def _neighbor_graph(arr: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered pair (i, j), self included, with IoU(i, j) > t, in CSR form.
+def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbor lists at IoU > t and neighbor counts at IoU > count_t, self included.
 
-    Returns (indptr, cols, ious): box i's neighbors are
-    cols[indptr[i]:indptr[i + 1]], in no particular order, and ious
-    holds their IoU with i as `iou` computes it. That kernel is bitwise
-    symmetric, so the graph is exactly the entries above t of the dense
-    IoU matrix, for any t in [0, 1].
+    Returns (start, stop, cols, counts): box i's neighbors are
+    cols[start[i]:stop[i]], in no particular order: every box j with
+    IoU(i, j) > t as `iou` computes it. counts[i] is the number of boxes
+    j with IoU(i, j) > count_t. That kernel is bitwise symmetric, so
+    both are exactly the entries above their threshold of the dense IoU
+    matrix, for any thresholds in [0, 1]. No IoU value is kept.
 
-    IoU is computed only on candidate blocks. 2-D IoU is at most the
-    1-D IoU on either axis, since A + B - iw*ih >= ih*(wa + wb - iw).
-    So IoU > t implies that both side ratios lie in (t, 1/t), and that
-    |xmin_i - xmin_j| < min(w_i, w_j) * (1/t - 1). Boxes are bucketed by
-    log(width) and log(height) in steps of log(1/t); a box can only
-    overlap boxes in its own or an adjacent bucket on each axis, and
-    within those only boxes whose xmin lies in a window swept along a
-    sort by xmin. As t falls to 0 the buckets and windows widen until
-    every pair is a candidate.
+    IoU is computed only on candidate blocks, pruned at the lower
+    threshold t0. 2-D IoU is at most the 1-D IoU on either axis, since
+    A + B - iw*ih >= ih*(wa + wb - iw). So IoU > t0 implies that both
+    side ratios lie in (t0, 1/t0), and that |xmin_i - xmin_j| <
+    min(w_i, w_j) * (1/t0 - 1). Boxes are bucketed by log(width) and
+    log(height) in steps of log(1/t0); a box can only overlap boxes in
+    its own or an adjacent bucket on each axis, and within those only
+    boxes whose xmin lies in a window swept along a sort by xmin. As t0
+    falls to 0 the buckets and windows widen until every pair is a
+    candidate. Each block's entries above t0 are split by the higher
+    threshold there, so one pass gives both results.
     """
     n = len(arr)
-    if t >= 1.0 or n == 0:
-        return np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    # Corner extents as `iou` computes them: the bounds apply to these.
-    lo = arr[:, 0] - 0.5 * arr[:, 2]
-    wid = (arr[:, 0] + 0.5 * arr[:, 2]) - lo
-    hgt = (arr[:, 1] + 0.5 * arr[:, 3]) - (arr[:, 1] - 0.5 * arr[:, 3])
+    t0 = min(t, count_t)
+    if t0 >= 1.0 or n == 0:
+        return np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(0, np.intp), np.zeros(n, np.intp)
+    x_lo, x_hi, y_lo, y_hi, area = _extents(arr)
+    wid = x_hi - x_lo
+    hgt = y_hi - y_lo
     # A box with no finite positive corner extent has IoU 0 or NaN with everything.
     ok = np.flatnonzero(np.isfinite(wid) & np.isfinite(hgt) & (wid > 0.0) & (hgt > 0.0))
-    tp = t * (1.0 - _SLACK)
+    tp = t0 * (1.0 - _SLACK)
     bucket = -math.log(tp) + _SLACK if tp > 0.0 else math.inf
     reach = 1.0 / tp - 1.0 if tp > 0.0 else math.inf
-    pad = _SLACK * (float(np.abs(lo[ok]).max()) + float(wid[ok].max())) if ok.size else 0.0
 
-    logs = np.stack([np.log(wid[ok]), np.log(hgt[ok])], axis=1)
-    keys, inverse, counts = np.unique(
-        np.floor(logs / bucket).astype(np.int64), axis=0, return_inverse=True, return_counts=True
-    )
-    by_group = ok[np.lexsort((lo[ok], inverse.ravel()))]
-    groups = {}
-    for key, members in zip(map(tuple, keys.tolist()), np.split(by_group, np.cumsum(counts)[:-1])):
-        groups[key] = (members, lo[members], float(wid[members].max()))
+    # Sorted position p of each box: by width bucket, height bucket, xmin.
+    kw = np.floor(np.log(wid[ok]) / bucket)
+    kh = np.floor(np.log(hgt[ok]) / bucket)
+    perm = np.lexsort((x_lo[ok], kh, kw))
+    order = ok[perm]
+    kw, kh = kw[perm], kh[perm]
+    x0, x1, y0, y1, ar = (v[order] for v in (x_lo, x_hi, y_lo, y_hi, area))
+    w = wid[order]
+    m = len(order)
+    pad = _SLACK * (float(np.abs(x0).max()) + float(w.max())) if m else 0.0
+    edges = np.flatnonzero((np.diff(kw) != 0) | (np.diff(kh) != 0)) + 1
+    bounds = np.concatenate(([0], edges, [m])).tolist()
+    groups = {
+        (float(kw[a]), float(kh[a])): (a, b, float(w[a:b].max()))
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if a < b
+    }
 
     # Each unordered pair is computed once and entered in both directions:
     # a bucket meets the adjacent buckets on one side only, and itself from
-    # each row chunk onwards.
-    rows_out = [np.zeros(0, dtype=np.intp)]
-    cols_out = [np.zeros(0, dtype=np.intp)]
-    ious_out = [np.zeros(0)]
-    for (kw, kh), (rows, rows_lo, _) in groups.items():
+    # each row chunk onwards. Entries are gathered as sorted positions
+    # (int32), then sorted by row and mapped back to box indices.
+    rows_out = [np.zeros(0, np.int32)]
+    cols_out = [np.zeros(0, np.int32)]
+    counts_p = np.zeros(m, dtype=np.intp)
+    for (gw, gh), (a, b, wmax) in groups.items():
         for dw, dh in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
-            other = groups.get((kw + dw, kh + dh))
+            other = groups.get((gw + dw, gh + dh))
             if other is None:
                 continue
             same = dw == 0 and dh == 0
-            cols, cols_lo, cols_wmax = other
-            step = max(1, _BLOCK // len(cols))
-            for r0 in range(0, len(rows), step):
-                chunk = rows[r0 : r0 + step]
-                window = reach * min(float(wid[chunk].max()), cols_wmax) + pad
-                c0 = r0 if same else np.searchsorted(cols_lo, rows_lo[r0] - window, side="left")
-                c1 = np.searchsorted(cols_lo, rows_lo[r0 + len(chunk) - 1] + window, side="right")
+            ca, cb, cwmax = other
+            step = max(1, _BLOCK // (cb - ca))
+            for r0 in range(a, b, step):
+                r1 = min(r0 + step, b)
+                window = reach * min(float(w[r0:r1].max()), cwmax) + pad
+                c0 = r0 if same else ca + int(np.searchsorted(x0[ca:cb], x0[r0] - window, side="left"))
+                c1 = ca + int(np.searchsorted(x0[ca:cb], x0[r1 - 1] + window, side="right"))
                 if c0 >= c1:
                     continue
-                block = iou(arr[chunk, None], arr[None, cols[c0:c1]])
-                r, c = np.nonzero(block > t)
-                i, j, q = chunk[r], cols[c0 + c], block[r, c]
-                mirror = c0 + c >= r0 + len(chunk) if same else slice(None)
-                rows_out += [i, j[mirror]]
-                cols_out += [j, i[mirror]]
-                ious_out += [q, q[mirror]]
+                q = _iou_of_extents(
+                    (x0[r0:r1, None], x1[r0:r1, None], y0[r0:r1, None], y1[r0:r1, None], ar[r0:r1, None]),
+                    (x0[c0:c1], x1[c0:c1], y0[c0:c1], y1[c0:c1], ar[c0:c1]),
+                )
+                f = np.flatnonzero(q > t0)
+                r, c = (v.astype(np.int32) for v in np.divmod(f, c1 - c0))
+                # Block-local neighbor entries (nr, nc) and counted entries (cr, cc).
+                nr, nc = cr, cc = r, c
+                if t != count_t:
+                    hi = q.take(f) > max(t, count_t)
+                    if t > count_t:
+                        nr, nc = r[hi], c[hi]
+                    else:
+                        cr, cc = r[hi], c[hi]
+                i, j = nr + r0, nc + c0
+                if same:
+                    # Columns from r1 on are not rows of this chunk: enter them mirrored.
+                    back = j >= r1
+                    rows_out += [i, j[back]]
+                    cols_out += [j, i[back]]
+                    cc = cc[cc >= r1 - c0]
+                else:
+                    rows_out += [i, j]
+                    cols_out += [j, i]
+                counts_p[r0:r1] += np.bincount(cr, minlength=r1 - r0)
+                counts_p[c0:c1] += np.bincount(cc, minlength=c1 - c0)
     rows = np.concatenate(rows_out)
-    order = np.argsort(rows)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, np.concatenate(cols_out)[order], np.concatenate(ious_out)[order]
+    del rows_out
+    cols = np.concatenate(cols_out)
+    del cols_out
+    indptr = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    cols = order[cols[np.argsort(rows)]]
+    start = np.zeros(n, dtype=np.intp)
+    stop = np.zeros(n, dtype=np.intp)
+    counts = np.zeros(n, dtype=np.intp)
+    start[order] = indptr[:-1]
+    stop[order] = indptr[1:]
+    counts[order] = counts_p
+    return start, stop, cols, counts
 
 
-def _above(graph, thresh: float):
-    """The entries of a neighbor graph with IoU > thresh."""
-    indptr, cols, ious = graph
-    keep = ious > thresh
-    kept_before = np.zeros(len(keep) + 1, dtype=np.intp)
-    np.cumsum(keep, out=kept_before[1:])
-    return kept_before[indptr], cols[keep], ious[keep]
-
-
-def _neighbor_scores(graph) -> np.ndarray:
-    """Neighbors above NEIGHBOR_IOU per box, itself excluded, from a graph at t <= NEIGHBOR_IOU."""
-    indptr, _, _ = _above(graph, NEIGHBOR_IOU)
-    return (np.diff(indptr) - 1).astype(np.float64)
-
-
-def _decay_ranking(graph, scores: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
-    """Emission order and emitted scores of decay NMS over a neighbor graph.
+def _decay_ranking(start, stop, cols, scores: np.ndarray, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """Emission order and emitted scores of decay NMS over neighbor lists.
 
     Each step emits argmax(live), whose ties go to the lowest index, and
     sets it to -inf; then every neighbor of it is divided by decay. An
     emitted box stays at -inf, so each remaining box gets exactly the
-    divisions of the dense formulation, in the same order.
+    divisions of the dense formulation, in the same order. No live
+    score is negative and division keeps 0 at 0, so once the highest
+    live score is 0 every live score is 0: the rest are emitted in
+    ascending index order with their (zero) scores.
     """
-    indptr, cols, _ = graph
     live = np.array(scores, dtype=np.float64)
-    nbrs = np.split(cols, indptr[1:-1])
-    order = np.empty(len(live), dtype=np.intp)
-    emitted = np.empty(len(live), dtype=np.float64)
-    for k in range(len(live)):
-        i = int(live.argmax())
+    n = len(live)
+    order = np.empty(n, dtype=np.intp)
+    emitted = np.empty(n, dtype=np.float64)
+    start, stop = start.tolist(), stop.tolist()
+    argmax = live.argmax
+    for k in range(n):
+        i = int(argmax())
+        top = live[i]
+        if top == 0.0:
+            rest = np.flatnonzero(live == 0.0)
+            order[k:] = rest
+            emitted[k:] = live[rest]
+            break
         order[k] = i
-        emitted[k] = live[i]
+        emitted[k] = top
         live[i] = -np.inf
-        live[nbrs[i]] /= decay
+        live[cols[start[i] : stop[i]]] /= decay
     return order, emitted
 
 
@@ -235,7 +270,8 @@ def score_proposals(boxes: Sequence[Box]) -> list[float]:
     """
     if len(boxes) == 0:
         return []
-    return _neighbor_scores(_neighbor_graph(boxes_to_array(boxes), NEIGHBOR_IOU)).tolist()
+    counts = _neighbor_graph(boxes_to_array(boxes), NEIGHBOR_IOU, NEIGHBOR_IOU)[3]
+    return (counts - 1).astype(np.float64).tolist()
 
 
 def decay_nms(
@@ -253,8 +289,9 @@ def decay_nms(
     _check_nms_args(iou_thresh, decay)
     if len(proposals) == 0:
         return []
-    graph = _neighbor_graph(boxes_to_array([p.box for p in proposals]), iou_thresh)
-    order, emitted = _decay_ranking(graph, np.array([p.score for p in proposals], dtype=np.float64), decay)
+    start, stop, cols, _ = _neighbor_graph(boxes_to_array([p.box for p in proposals]), iou_thresh, iou_thresh)
+    scores = np.array([p.score for p in proposals], dtype=np.float64)
+    order, emitted = _decay_ranking(start, stop, cols, scores, decay)
     return [Proposal(proposals[i].box, s) for i, s in zip(order.tolist(), emitted.tolist())]
 
 
@@ -265,20 +302,28 @@ def generate_proposals(
     iterations: int = 1,
     nms_iou: float = 0.6,
     decay: float = 10.0,
-) -> list[Proposal]:
+) -> np.ndarray:
     """Full pipeline: seed, refine, score, rank; output boxes clipped.
 
-    One neighbor graph at IoU > min(nms_iou, 0.7) serves both steps; the
-    result equals decay_nms over the refined boxes and their
-    score_proposals scores, with each box then clipped.
+    Returns (N, 5) rows (x, y, w, h, score) in rank order, one per seed.
+    One pass over the refined boxes gives both the neighbor counts above
+    0.7 and the neighbor lists above nms_iou; the result equals
+    decay_nms over the refined boxes and their score_proposals scores,
+    with each box then clipped. Raises OverflowError if a refined box is
+    below floating-point resolution at its position (zero corner extent).
     """
     _check_nms_args(nms_iou, decay)
     seeds = seed_grid(scene.width, scene.height, grid_cfg)
     refined = refine(model, scene, seeds, iterations=iterations)[-1]
-    graph = _neighbor_graph(refined, min(nms_iou, NEIGHBOR_IOU))
-    order, emitted = _decay_ranking(_above(graph, nms_iou), _neighbor_scores(graph), decay)
-    clipped = _clip_array(refined[order], scene.width, scene.height)
-    return [Proposal(Box(*row), s) for row, s in zip(clipped.tolist(), emitted.tolist())]
+    start, stop, cols, counts = _neighbor_graph(refined, nms_iou, NEIGHBOR_IOU)
+    # A box always counts itself, unless its corner extents vanish.
+    if len(counts) and counts.min() < 1:
+        raise OverflowError("refined boxes fell below floating-point resolution")
+    order, emitted = _decay_ranking(start, stop, cols, (counts - 1).astype(np.float64), decay)
+    out = np.empty((len(order), 5))
+    out[:, :4] = _clip_array(refined[order], scene.width, scene.height)
+    out[:, 4] = emitted
+    return out
 
 
 # Bytes of text per block of read_corner_csv: each block gets one float64
@@ -399,18 +444,6 @@ def write_corner_csv(path: str, by_image: dict[str, np.ndarray]) -> None:
             x, y, w, h = rows[:, :4].T
             corners = np.column_stack([x - 0.5 * w, y - 0.5 * h, x + 0.5 * w, y + 0.5 * h, rows[:, 4:]])
             f.write("".join(f"{image_id},{','.join(map(repr, r))}\n" for r in corners.tolist()))
-
-
-def save_proposals(path: str, by_image: dict[str, list[Proposal]]) -> None:
-    """Write proposals as comma-separated lines.
-
-    Each line is: image id, xmin, ymin, xmax, ymax, score. Floats keep
-    full double precision.
-    """
-    write_corner_csv(path, {
-        image_id: np.array([(p.box.x, p.box.y, p.box.w, p.box.h, p.score) for p in props], dtype=np.float64).reshape(-1, 5)
-        for image_id, props in by_image.items()
-    })
 
 
 def load_proposals(path: str) -> dict[str, list[Proposal]]:

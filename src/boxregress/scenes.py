@@ -89,35 +89,44 @@ def build_feature_map(
     are zero. Gaussian noise of the given standard deviation is added to
     every channel when noise > 0.
     """
-    cells_h, cells_w = _feature_grid_shape(width, height)
-    data = np.zeros((3, cells_h, cells_w), dtype=np.float64)
-
     if gts:
-        cx = (np.arange(cells_w, dtype=np.float64) + 0.5) * FEATURE_STRIDE
-        cy = (np.arange(cells_h, dtype=np.float64) + 0.5) * FEATURE_STRIDE
-        px, py = np.meshgrid(cx, cy)  # (H, W) each
-
-        centers = np.array([[g.x, g.y] for g in gts])
-        sides = np.array([[g.w, g.h] for g in gts])
-        dx = px[None, :, :] - centers[:, 0, None, None]
-        dy = py[None, :, :] - centers[:, 1, None, None]
-
-        inside = (np.abs(dx) <= 0.5 * sides[:, 0, None, None]) & (
-            np.abs(dy) <= 0.5 * sides[:, 1, None, None]
-        )
-        data[0] = inside.any(axis=0).astype(np.float64)
-
-        nearest = np.argmin(dx * dx + dy * dy, axis=0)  # (H, W)
-        sel_dx = np.take_along_axis(dx, nearest[None], axis=0)[0]
-        sel_dy = np.take_along_axis(dy, nearest[None], axis=0)[0]
-        data[1] = np.clip(sel_dx / sides[nearest, 0], -2.0, 2.0)
-        data[2] = np.clip(sel_dy / sides[nearest, 1], -2.0, 2.0)
-
+        data = _feature_data(width, height, [boxes_to_array(gts)])[0]
+    else:
+        data = np.zeros((3, *_feature_grid_shape(width, height)), dtype=np.float64)
     if noise > 0.0:
         if rng is None:
             raise ValueError("noise > 0 requires an rng")
         data += rng.normal(0.0, noise, size=data.shape)
     return FeatureMap(data)
+
+
+def _feature_data(width: float, height: float, gts: list[np.ndarray]) -> np.ndarray:
+    """(S, 3, H, W) noise-free feature data of S scenes of one size, from their (G, 4) ground truths.
+
+    Every scene has at least one ground truth. Scenes with fewer than the
+    most are padded with boxes at infinity of zero size, which are never
+    nearest and never contain a cell.
+    """
+    cells_h, cells_w = _feature_grid_shape(width, height)
+    g = np.zeros((len(gts), max(map(len, gts)), 4))
+    g[:, :, :2] = np.inf
+    for k, rows in enumerate(gts):
+        g[k, : len(rows)] = rows
+    # Signed offsets from each center along each axis: (S, G, W) and (S, G, H).
+    # A cell's 2-D offset is one entry of each, so only the occupancy test
+    # and the squared distance are built per cell and object.
+    dx = ((np.arange(cells_w, dtype=np.float64) + 0.5) * FEATURE_STRIDE) - g[:, :, 0, None]
+    dy = ((np.arange(cells_h, dtype=np.float64) + 0.5) * FEATURE_STRIDE) - g[:, :, 1, None]
+    in_x = np.abs(dx) <= 0.5 * g[:, :, 2, None]
+    in_y = np.abs(dy) <= 0.5 * g[:, :, 3, None]
+    data = np.empty((len(gts), 3, cells_h, cells_w), dtype=np.float64)
+    data[:, 0] = (in_y[:, :, :, None] & in_x[:, :, None, :]).any(axis=1)
+
+    nearest = np.argmin((dy * dy)[:, :, :, None] + (dx * dx)[:, :, None, :], axis=1)  # (S, H, W)
+    scene = np.arange(len(gts))[:, None, None]
+    data[:, 1] = np.clip(dx[scene, nearest, np.arange(cells_w)] / g[scene, nearest, 2], -2.0, 2.0)
+    data[:, 2] = np.clip(dy[scene, nearest, np.arange(cells_h)[:, None]] / g[scene, nearest, 3], -2.0, 2.0)
+    return data
 
 
 def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
@@ -241,17 +250,31 @@ class SynthConfig:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
 
 
+# Scenes per feature-data batch in synth_scenes: bounds its temporaries.
+_SYNTH_BATCH = 256
+
+
 def synth_scenes(cfg: SynthConfig, count: int) -> list[Scene]:
     """Generate scenes with randomly placed rectangles, deterministically.
 
     Each scene draws from its own (seed, index) stream, so the result
-    does not depend on generation order or batching.
+    does not depend on generation order or batching. Feature maps are
+    computed for a batch of scenes at once.
     """
-    return [_synth_scene(cfg, i) for i in range(count)]
-
-
-def _synth_scene(cfg: SynthConfig, index: int) -> Scene:
     size = float(cfg.image_size)
+    scenes = []
+    for start in range(0, count, _SYNTH_BATCH):
+        placed = [_synth_gts(cfg, i) for i in range(start, min(start + _SYNTH_BATCH, count))]
+        maps = _feature_data(size, size, [boxes_to_array(gts) for gts, _ in placed])
+        for index, ((gts, rng), data) in enumerate(zip(placed, maps), start):
+            if cfg.noise > 0.0:
+                data += rng.normal(0.0, cfg.noise, size=data.shape)
+            scenes.append(Scene(id=f"synth-{index:04d}", width=size, height=size, gts=gts, _fm=FeatureMap(data)))
+    return scenes
+
+
+def _synth_gts(cfg: SynthConfig, index: int) -> tuple[list[Box], np.random.Generator]:
+    """A scene's ground truths and its stream, positioned for the feature-map noise."""
     rng = np.random.default_rng([cfg.seed, index, 0])
     if cfg.adjacent_pairs:
         n_initial = 2
@@ -273,27 +296,23 @@ def _synth_scene(cfg: SynthConfig, index: int) -> Scene:
                     SceneBudgetWarning,
                     stacklevel=3,
                 )
-            fm = build_feature_map(size, size, gts, cfg.noise, rng)
-            return Scene(id=f"synth-{index:04d}", width=size, height=size, gts=gts, _fm=fm)
+            return gts, rng
         retry += 1  # a single object always places, so this terminates
 
 
 def _place_objects(cfg: SynthConfig, rng: np.random.Generator, n_target: int) -> list[Box] | None:
     size = float(cfg.image_size)
-    placed: list[Box] = []
-    for _ in range(n_target):
-        ok = None
+    placed = np.empty((n_target, 4))
+    for k in range(n_target):
         for _ in range(40):
             w = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
             h = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
-            cand = Box(rng.uniform(0.5 * w, size - 0.5 * w), rng.uniform(0.5 * h, size - 0.5 * h), w, h)
-            if not placed or (iou(boxes_to_array([cand]), boxes_to_array(placed)) < cfg.max_gt_iou).all():
-                ok = cand
+            placed[k] = (rng.uniform(0.5 * w, size - 0.5 * w), rng.uniform(0.5 * h, size - 0.5 * h), w, h)
+            if not k or (iou(placed[k], placed[:k]) < cfg.max_gt_iou).all():
                 break
-        if ok is None:
+        else:
             return None
-        placed.append(ok)
-    return placed
+    return [Box(*b) for b in placed.tolist()]
 
 
 def _place_adjacent_pair(cfg: SynthConfig, rng: np.random.Generator) -> list[Box] | None:

@@ -212,8 +212,8 @@ def test_criterion_7_proposal_recall(bench):
     refined_records = []
     raw_records = []
     for s in scenes:
-        props = generate_proposals(bench.model_t03, s)
-        refined_records.append(make_record(s.id, props, s.gts))
+        ranked = generate_proposals(bench.model_t03, s)
+        refined_records.append(EvalRecord(s.id, ranked[:, :4], boxes_to_array(s.gts)))
         raw_records.append(EvalRecord(s.id, seed_grid(s.width, s.height), boxes_to_array(s.gts)))
 
     beats = []
@@ -244,7 +244,7 @@ def test_example_single_object_top1(bench):
     assert singles
     for s in singles:
         top = generate_proposals(bench.model_t03, s)[0]
-        overlap = iou(row(top.box), row(s.gts[0]))
+        overlap = iou(top[:4], row(s.gts[0]))
         assert overlap >= 0.7, f"{s.id}: top-1 IoU {overlap:.3f}"
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from boxregress import cli
 from boxregress.boxes import Box
+from boxregress.features import FeatureMap
 from boxregress.model import init_model, save_model
 from boxregress.scenes import SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
 
@@ -205,6 +206,19 @@ class TestDataErrors:
         assert "model expects 5 feature channels, scene synth-0000 provides 3" in msg
         assert not (tmp_path / "o").exists()
 
+    def test_train_mixed_channel_counts(self, tmp_path, capsys):
+        scenes = synth_scenes(SynthConfig(seed=3), 6)
+        odd = scenes[2]
+        odd._fm = FeatureMap(np.concatenate([odd.feature_map().data, odd.feature_map().data[:2]]))
+        cache = tmp_path / "mixed.scenes"
+        save_scenes(str(cache), scenes)
+        code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--scene-cache", str(cache),
+                        "--max-epochs", "2", "--hidden", "8,8", "--boxes-per-gt", "8"])
+        assert code == 2
+        msg = one_line_error(capsys, "data error: ")
+        assert "scene synth-0002 has 5 feature channels, scene synth-0000 has 3" in msg
+        assert not (tmp_path / "o").exists()
+
 
 class TestNumericErrors:
     def test_divergence_exit_code(self, tmp_path):
@@ -230,6 +244,17 @@ class TestNumericErrors:
         ] + extra)
         assert code == 3
         assert "numeric range" in one_line_error(capsys, "numeric failure: ")
+
+    def test_propose_collapsed_boxes_exit_code(self, tmp_path, capsys):
+        # A width offset of -60 keeps every side positive but below the
+        # resolution of its center, so no refined box overlaps itself.
+        model = init_model(3, 7, (8, 8), rng=np.random.default_rng(0))
+        model.b3[2] = -60.0
+        path = str(tmp_path / "tiny.ubbr")
+        save_model(path, model)
+        code = run_cli(["propose", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1", "--model", path])
+        assert code == 3
+        assert "floating-point resolution" in one_line_error(capsys, "numeric failure: ")
 
 
 class TestConfigFile:

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from boxregress.boxes import boxes_to_array, iou
-from boxregress.features import FEATURE_STRIDE
+from boxregress.boxes import apply_offsets_array, boxes_to_array, iou
+from boxregress.features import FEATURE_STRIDE, roi_align_many
 from boxregress.losses import LossConfig
 from boxregress.model import (
     RegressorModel,
@@ -20,6 +20,7 @@ from boxregress.model import (
     save_model,
     train,
 )
+from boxregress.proposals import seed_grid
 from boxregress.sampling import SampleBudgetWarning, SamplerConfig
 from boxregress.scenes import SynthConfig, synth_scenes
 
@@ -238,6 +239,20 @@ class TestRefine:
         scenes = synth_scenes(SynthConfig(seed=3), 1)
         with pytest.raises(ValueError):
             refine(zero_model(channels=5), scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_inference_forward_matches_training_forward(self, iterations):
+        # refine keeps one activation at a time; its offsets must be
+        # _forward_batch's pred bit for bit, at the default head width.
+        scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
+        m = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(iterations))
+        arr = seed_grid(scene.width, scene.height)
+        traj = refine(m, scene, arr, iterations=iterations)
+        for stage in traj:
+            pred, _ = _forward_batch(m, roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, m.pool_size))
+            arr = apply_offsets_array(arr, pred)
+            assert stage.tobytes() == arr.tobytes()
+        assert not np.array_equal(traj[-1], seed_grid(scene.width, scene.height))
 
     @pytest.mark.parametrize("tw", [800.0, -800.0])
     def test_leaving_numeric_range_is_overflow(self, tw):

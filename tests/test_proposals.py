@@ -20,7 +20,6 @@ from boxregress.proposals import (
     generate_proposals,
     load_proposals,
     read_corner_csv,
-    save_proposals,
     score_proposals,
     seed_grid,
     write_corner_csv,
@@ -45,9 +44,17 @@ def nested_pair(target_iou, w=10.0, rel=0.0):
     """A box and a narrower one right-aligned inside it, at IoU target_iou * (1 + rel).
 
     Near the target their xmin gap is the widest that IoU > target allows.
+    Returns no boxes when the narrow side underflows to 0 (subnormal target).
     """
     m = w * target_iou * (1 + rel)
+    if not m > 0.0:
+        return ()
     return Box(0, 0, w, w), Box(0.5 * (w - m), 0, m, w)
+
+
+def proposal_rows(props):
+    """(N, 5) rows (x, y, w, h, score) of a proposal list."""
+    return np.array([(p.box.x, p.box.y, p.box.w, p.box.h, p.score) for p in props], dtype=np.float64).reshape(-1, 5)
 
 
 class TestSeedGrid:
@@ -227,13 +234,22 @@ class TestGenerateProposals:
         scene = Scene(id="s", width=128, height=128, gts=[Box(60, 60, 30, 30)])
         a = generate_proposals(self.zero_model(), scene)
         b = generate_proposals(self.zero_model(), scene)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_output_clipped(self):
         scene = Scene(id="s", width=128, height=128, gts=[Box(60, 60, 30, 30)])
-        for p in generate_proposals(self.zero_model(), scene):
-            assert p.box.x - p.box.w / 2 >= -1e-9
-            assert p.box.x + p.box.w / 2 <= 128 + 1e-9
+        for x, y, w, h, _ in generate_proposals(self.zero_model(), scene).tolist():
+            assert x - w / 2 >= -1e-9
+            assert x + w / 2 <= 128 + 1e-9
+
+    def test_collapsed_boxes_are_a_numeric_failure(self):
+        # exp(-60) shrinks every seed below the resolution of its center, so
+        # its corner extent is 0 and it no longer overlaps even itself.
+        model = self.zero_model()
+        model.b3[2] = -60.0
+        scene = Scene(id="s", width=128, height=128, gts=[Box(60, 60, 30, 30)])
+        with pytest.raises(OverflowError, match="floating-point resolution"):
+            generate_proposals(model, scene)
 
 
 class TestProposalIo:
@@ -243,7 +259,7 @@ class TestProposalIo:
             "img-2": [Proposal(Box(1.25, 2.5, 0.5, 0.75), 0.0)],
         }
         path = str(tmp_path / "props.csv")
-        save_proposals(path, by_image)
+        write_corner_csv(path, {i: proposal_rows(p) for i, p in by_image.items()})
         loaded = load_proposals(path)
         assert loaded == by_image
 
@@ -340,6 +356,11 @@ def bits(props):
     return [tuple(v.hex() for v in (p.box.x, p.box.y, p.box.w, p.box.h, float(p.score))) for p in props]
 
 
+def row_bits(rows):
+    """Every float of (N, 5) proposal rows, in the form of `bits`."""
+    return [tuple(map(float.hex, r)) for r in rows.tolist()]
+
+
 DIFFERENTIAL = settings(
     max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -377,15 +398,27 @@ class TestDenseOracle:
     @given(st.data(), st.one_of(st.sampled_from([0.0, 0.6, 0.7, 1.0]), st.floats(0.0, 1.0)))
     def test_neighbor_graph_is_dense_above_t(self, data, t):
         arr = boxes_to_array(data.draw(box_sets(st.just(t))))
-        indptr, cols, ious = _neighbor_graph(arr, t)
+        start, stop, cols, counts = _neighbor_graph(arr, t, t)
         with np.errstate(invalid="ignore"):  # 0/0 for boxes below one ulp of their offset
             dense = oracle_iou_pairwise(arr, arr)
-        assert len(indptr) == len(arr) + 1
+        assert len(start) == len(stop) == len(counts) == len(arr)
         for i in range(len(arr)):
-            row = slice(indptr[i], indptr[i + 1])
-            got = sorted((int(j), q.hex()) for j, q in zip(cols[row], ious[row]))
-            want = [(int(j), dense[i, j].hex()) for j in np.flatnonzero(dense[i] > t)]
+            got = sorted(cols[start[i] : stop[i]].tolist())
+            want = np.flatnonzero(dense[i] > t).tolist()
             assert got == want
+            assert counts[i] == len(want)
+
+    @DIFFERENTIAL
+    @given(st.data(), st.sampled_from([0.0, 0.6, 0.7, 0.85, 1.0]))
+    def test_neighbor_graph_at_nms_iou_and_neighbor_iou(self, data, nms_iou):
+        # generate_proposals' call: lists above nms_iou, counts above 0.7.
+        arr = boxes_to_array(data.draw(box_sets(st.sampled_from([nms_iou, NEIGHBOR_IOU]))))
+        start, stop, cols, counts = _neighbor_graph(arr, nms_iou, NEIGHBOR_IOU)
+        with np.errstate(invalid="ignore"):
+            dense = oracle_iou_pairwise(arr, arr)
+        for i in range(len(arr)):
+            assert sorted(cols[start[i] : stop[i]].tolist()) == np.flatnonzero(dense[i] > nms_iou).tolist()
+            assert counts[i] == int((dense[i] > NEIGHBOR_IOU).sum())
 
     @DIFFERENTIAL
     @given(box_sets())
@@ -422,10 +455,50 @@ class TestDenseOracle:
         grid = SeedGridConfig(scales=(0.25, 0.5), aspect_ratios=(0.5, 1.0, 2.0), stride=0.125)
         got = generate_proposals(model, scene, grid, iterations, nms_iou, decay)
         want = oracle_generate_proposals(model, scene, grid, iterations, nms_iou, decay)
-        assert bits(got) == bits(want)
+        assert row_bits(got) == bits(want)
         # The random head must actually move the seeds for this to test refinement.
         seeds = boxes_to_array(oracle_seed_grid(scene.width, scene.height, grid))
         assert not np.array_equal(refine(model, scene, seeds, iterations)[-1], seeds)
+
+    @settings(max_examples=10, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.6, 0.7, 0.85, 1.0]), st.sampled_from([1.5, 10.0, 1e15]))
+    def test_proposals_file_matches_dense_bytes(self, tmp_path, seed, nms_iou, decay):
+        # What `propose` writes: the array pipeline through write_corner_csv,
+        # against the dense pipeline through the per-line writer.
+        scenes = synth_scenes(SynthConfig(seed=seed % 1000, max_objects=3), 2)
+        model = init_model(3, 7, (16, 16), init_std=0.1, rng=np.random.default_rng(seed))
+        grid = SeedGridConfig(scales=(0.25, 0.5), aspect_ratios=(0.5, 1.0, 2.0), stride=0.125)
+        write_corner_csv(str(tmp_path / "new.csv"), {
+            s.id: generate_proposals(model, s, grid, 1, nms_iou, decay) for s in scenes
+        })
+        oracle_save_proposals(str(tmp_path / "old.csv"), {
+            s.id: oracle_generate_proposals(model, s, grid, 1, nms_iou, decay) for s in scenes
+        })
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", ["all_zero", "underflow", "zero_ties"])
+    def test_decay_early_exit_matches_dense(self, case):
+        # Once every live score is 0 the ranking ends in index order; the
+        # dense loop keeps dividing zeros and must agree bit for bit.
+        rng = np.random.default_rng(7)
+        boxes = [Box(rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(2, 10), rng.uniform(2, 10)) for _ in range(40)]
+        decay = 10.0
+        if case == "all_zero":
+            scores = [0.0] * 40
+        elif case == "underflow":
+            # A cluster of copies: each emission divides the others by 1e15
+            # until they underflow to 0, ahead of the boxes that start at 0.
+            boxes = [Box(5.0, 5.0, 4.0, 4.0)] * 20 + boxes[20:]
+            scores = [float(v) for v in rng.uniform(1e-300, 1e-290, 20)] + [0.0] * 20
+            decay = 1e15
+        else:
+            scores = [float(v) for v in rng.integers(0, 3, 40)]
+            scores[::7] = [-0.0] * len(scores[::7])
+        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
+        got = decay_nms(props, 0.6, decay)
+        assert bits(got) == bits(oracle_decay_nms(props, 0.6, decay))
+        assert got[-1].score == 0.0
 
     @DIFFERENTIAL
     @given(st.builds(Box, st.floats(-50.0, 200.0), st.floats(-50.0, 200.0), SIDES, SIDES),
@@ -705,14 +778,14 @@ class TestCornerCsvRoundTrip:
     def test_save_load_round_trip_exact(self, tmp_path, by_image):
         # Corner and center arithmetic is exact on this grid, so nothing may change.
         path = str(tmp_path / "props.csv")
-        save_proposals(path, by_image)
+        write_corner_csv(path, {i: proposal_rows(p) for i, p in by_image.items()})
         loaded = load_proposals(path)
         assert {i: bits(p) for i, p in loaded.items()} == {i: bits(p) for i, p in by_image.items() if p}
 
     @IO_PROPERTY
     @given(st.dictionaries(IDS, st.lists(FLOAT_PROPOSALS, max_size=20)))
     def test_save_matches_oracle_bytes(self, tmp_path, by_image):
-        save_proposals(str(tmp_path / "new.csv"), by_image)
+        write_corner_csv(str(tmp_path / "new.csv"), {i: proposal_rows(p) for i, p in by_image.items()})
         oracle_save_proposals(str(tmp_path / "old.csv"), by_image)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert outcome(read_corner_csv, str(tmp_path / "new.csv")) == oracle_outcome(str(tmp_path / "new.csv"), True)

@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxregress import cli
 from boxregress.boxes import Box, boxes_to_array, iou
@@ -257,6 +260,112 @@ class TestSynthScenes:
         clean = synth_scenes(SynthConfig(seed=9), 1)[0]
         noisy = synth_scenes(SynthConfig(seed=9, noise=0.05), 1)[0]
         assert not np.array_equal(clean.feature_map().data, noisy.feature_map().data)
+
+
+# Reference synthesis: the per-scene generator as it was before feature
+# maps were built per axis and in batches. synth_scenes must match it bit
+# for bit, warnings included.
+
+
+def oracle_build_feature_map(width, height, gts, noise=0.0, rng=None):
+    cells_h, cells_w = max(1, int(np.ceil(height / 4.0))), max(1, int(np.ceil(width / 4.0)))
+    data = np.zeros((3, cells_h, cells_w), dtype=np.float64)
+    if gts:
+        cx = (np.arange(cells_w, dtype=np.float64) + 0.5) * 4.0
+        cy = (np.arange(cells_h, dtype=np.float64) + 0.5) * 4.0
+        px, py = np.meshgrid(cx, cy)
+        centers = np.array([[g.x, g.y] for g in gts])
+        sides = np.array([[g.w, g.h] for g in gts])
+        dx = px[None, :, :] - centers[:, 0, None, None]
+        dy = py[None, :, :] - centers[:, 1, None, None]
+        inside = (np.abs(dx) <= 0.5 * sides[:, 0, None, None]) & (np.abs(dy) <= 0.5 * sides[:, 1, None, None])
+        data[0] = inside.any(axis=0).astype(np.float64)
+        nearest = np.argmin(dx * dx + dy * dy, axis=0)
+        sel_dx = np.take_along_axis(dx, nearest[None], axis=0)[0]
+        sel_dy = np.take_along_axis(dy, nearest[None], axis=0)[0]
+        data[1] = np.clip(sel_dx / sides[nearest, 0], -2.0, 2.0)
+        data[2] = np.clip(sel_dy / sides[nearest, 1], -2.0, 2.0)
+    if noise > 0.0:
+        data += rng.normal(0.0, noise, size=data.shape)
+    return data
+
+
+def oracle_place_objects(cfg, rng, n_target):
+    size = float(cfg.image_size)
+    placed = []
+    for _ in range(n_target):
+        ok = None
+        for _ in range(40):
+            w = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
+            h = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
+            cand = Box(rng.uniform(0.5 * w, size - 0.5 * w), rng.uniform(0.5 * h, size - 0.5 * h), w, h)
+            if not placed or (iou(boxes_to_array([cand]), boxes_to_array(placed)) < cfg.max_gt_iou).all():
+                ok = cand
+                break
+        if ok is None:
+            return None
+        placed.append(ok)
+    return placed
+
+
+def oracle_synth_scene(cfg, index):
+    """(ground truths, feature data, warning message or None) of one scene."""
+    from boxregress.scenes import _place_adjacent_pair
+
+    size = float(cfg.image_size)
+    rng = np.random.default_rng([cfg.seed, index, 0])
+    n_initial = 2 if cfg.adjacent_pairs else int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
+    retry = 0
+    while True:
+        if retry:
+            rng = np.random.default_rng([cfg.seed, index, retry])
+        n_target = max(1, n_initial - retry)
+        if cfg.adjacent_pairs and n_target >= 2:
+            gts = _place_adjacent_pair(cfg, rng)
+        else:
+            gts = oracle_place_objects(cfg, rng, n_target)
+        if gts is not None:
+            msg = f"scene {index}: placement budget exhausted, regenerated with {len(gts)} objects" if retry else None
+            return gts, oracle_build_feature_map(size, size, gts, cfg.noise, rng), msg
+        retry += 1
+
+
+class TestSynthOracle:
+    @pytest.mark.parametrize("seed", [0, 3, 11, 12, 99])
+    @pytest.mark.parametrize("extra,count", [
+        ({"max_objects": 3}, 260),  # more than one feature-data batch
+        ({"noise": 0.3}, 30),
+        ({"max_objects": 6, "max_gt_iou": 0.05, "min_size_frac": 0.4, "max_size_frac": 0.6}, 30),
+        ({"adjacent_pairs": True, "noise": 0.1}, 30),
+        ({"image_size": 50, "min_objects": 2, "max_objects": 5}, 30),
+    ])
+    def test_synth_scenes_match_per_scene_oracle(self, seed, extra, count):
+        cfg = SynthConfig(seed=seed, **extra)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scenes = synth_scenes(cfg, count)
+        want = [oracle_synth_scene(cfg, i) for i in range(count)]
+        assert [(str(w.message), w.category) for w in caught] == [
+            (msg, SceneBudgetWarning) for _, _, msg in want if msg is not None
+        ]
+        for s, (gts, data, _) in zip(scenes, want):
+            assert [(g.x, g.y, g.w, g.h) for g in s.gts] == [(g.x, g.y, g.w, g.h) for g in gts]
+            assert s.feature_map().data.tobytes() == data.tobytes()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.sampled_from([4.0, 13.5, 128.0, 300.0]),
+        st.sampled_from([4.0, 100.0, 427.0]),
+        st.lists(st.tuples(st.floats(-0.4, 1.4), st.floats(-0.4, 1.4), st.floats(0.001, 1.0), st.floats(0.001, 1.0)),
+                 max_size=6),
+        st.booleans(),
+    )
+    def test_feature_map_matches_oracle(self, width, height, rel, duplicate):
+        gts = [Box(x * width, y * height, w * width, h * height) for x, y, w, h in rel]
+        if duplicate and gts:
+            gts.append(gts[-1])
+        got = build_feature_map(width, height, gts).data
+        assert got.tobytes() == oracle_build_feature_map(width, height, gts).tobytes()
 
 
 def export_coco(path, scenes):
