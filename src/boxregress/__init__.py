@@ -15,17 +15,9 @@ from .model import (
     save_model,
     train,
 )
-from .metrics import EvalRecord, corloc, make_record, mean_iou_trajectory, recall_at, recall_curve
-from .proposals import (
-    Proposal,
-    SeedGridConfig,
-    decay_nms,
-    generate_proposals,
-    load_proposals,
-    score_proposals,
-    seed_grid,
-)
-from .sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes, generate_training_boxes_many
+from .metrics import EvalRecord, corloc, mean_iou_trajectory, recall_at, recall_curve
+from .proposals import SeedGridConfig, decay_nms, generate_proposals, read_corner_csv, seed_grid, write_corner_csv
+from .sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes_many
 from .scenes import Scene, SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
 
 __version__ = "0.1.0"

@@ -81,16 +81,21 @@ def _build_scenes(args):
     if sources != 1:
         raise UsageError("exactly one of --synth, --annotations, --scene-cache is required")
     if args.synth:
-        cfg = SynthConfig(
-            image_size=args.image_size,
-            min_objects=args.min_objects,
-            max_objects=args.max_objects,
-            min_size_frac=args.min_size_frac,
-            max_size_frac=args.max_size_frac,
-            adjacent_pairs=args.adjacent_pairs,
-            noise=args.noise,
-            seed=args.synth_seed if args.synth_seed is not None else args.seed,
-        )
+        if args.synth_count < 1:
+            raise UsageError(f"--synth-count must be >= 1, got {args.synth_count}")
+        try:
+            cfg = SynthConfig(
+                image_size=args.image_size,
+                min_objects=args.min_objects,
+                max_objects=args.max_objects,
+                min_size_frac=args.min_size_frac,
+                max_size_frac=args.max_size_frac,
+                adjacent_pairs=args.adjacent_pairs,
+                noise=args.noise,
+                seed=args.synth_seed if args.synth_seed is not None else args.seed,
+            )
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         scenes = synth_scenes(cfg, args.synth_count)
     elif args.annotations:
         short = args.short_side if args.short_side > 0 else None
@@ -285,6 +290,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     """Pull --config out of argv and install its values as defaults."""
     pre = _Parser(add_help=False)
@@ -311,7 +319,12 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
             raise UsageError(f"{known.config}: line {lineno}: unknown key {key!r}")
         action = next(a for a in parser._actions if a.dest == dest)
         if isinstance(action, argparse._StoreTrueAction):
-            overrides[dest] = value.lower() in ("1", "true", "yes")
+            flag = _BOOLEANS.get(value.lower())
+            if flag is None:
+                raise UsageError(
+                    f"{known.config}: line {lineno}: bad value for {key!r}: {value!r} (expected true/false/yes/no/1/0)"
+                )
+            overrides[dest] = flag
         elif action.type is not None:
             try:
                 overrides[dest] = action.type(value)

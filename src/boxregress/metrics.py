@@ -8,9 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, boxes_to_array, iou
+from .boxes import iou
 from .ioutil import atomic_write
-from .proposals import Proposal
 
 DEFAULT_K_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -22,10 +21,6 @@ class EvalRecord:
     image_id: str
     boxes: np.ndarray  # (N, 4) center-form proposal boxes, ranked
     gts: np.ndarray  # (G, 4) center-form ground truths
-
-
-def make_record(image_id: str, proposals: Sequence[Proposal], gts: Sequence[Box]) -> EvalRecord:
-    return EvalRecord(image_id, boxes_to_array([p.box for p in proposals]), boxes_to_array(gts))
 
 
 def recall_at(records: Sequence[EvalRecord], iou_thresh: float, k: int) -> float:

@@ -142,27 +142,22 @@ def init_model(
     )
 
 
-def _forward_batch(model: RegressorModel, x: np.ndarray):
-    z1 = x @ model.w1.T + model.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ model.w2.T + model.b2
-    h2 = np.maximum(z2, 0.0)
-    pred = h2 @ model.w3.T + model.b3
-    return pred, (z1, h1, z2, h2)
+def _forward(model: RegressorModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head's offsets for features x, and its two rectified activations.
 
-
-def _predict(model: RegressorModel, x: np.ndarray) -> np.ndarray:
-    """The head's offsets for features x, bitwise equal to _forward_batch's but keeping one activation."""
-    h = x @ model.w1.T
-    h += model.b1
-    np.maximum(h, 0.0, out=h)
-    h2 = h @ model.w2.T
-    del h
+    Each layer is computed in place in its own output array. A rectified
+    unit is positive exactly where its pre-activation is, so the
+    activations alone give the backward pass its masks.
+    """
+    h1 = x @ model.w1.T
+    h1 += model.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ model.w2.T
     h2 += model.b2
     np.maximum(h2, 0.0, out=h2)
     pred = h2 @ model.w3.T
     pred += model.b3
-    return pred
+    return pred, h1, h2
 
 
 def loss_and_weight_grads(
@@ -182,7 +177,7 @@ def loss_and_weight_grads(
     if loss not in LOSS_KINDS:
         raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
     n = x.shape[0]
-    pred, (z1, h1, z2, h2) = _forward_batch(model, x)
+    pred, h1, h2 = _forward(model, x)
 
     if loss == "iou":
         losses, dpred, fallback = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
@@ -194,9 +189,9 @@ def loss_and_weight_grads(
 
     dz3 = dpred / n
     dh2 = dz3 @ model.w3
-    dz2 = dh2 * (z2 > 0.0)
+    dz2 = dh2 * (h2 > 0.0)
     dh1 = dz2 @ model.w2
-    dz1 = dh1 * (z1 > 0.0)
+    dz1 = dh1 * (h1 > 0.0)
     grads = {
         "w3": dz3.T @ h2, "b3": dz3.sum(axis=0),
         "w2": dz2.T @ h1, "b2": dz2.sum(axis=0),
@@ -236,13 +231,44 @@ def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator, po
 
 def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
     """Held-out loss and mean IoU of one-step refinement."""
-    pred, _ = _forward_batch(model, x)
+    pred, _, _ = _forward(model, x)
     if loss == "iou":
         losses, _, _ = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
     else:
         losses, _ = smooth_l1_terms_batch(pred, encode_offsets_array(input_boxes, gt_boxes), loss_cfg)
     refined = apply_offsets_array(input_boxes, pred)
     return float(losses.mean()), float(iou(refined, gt_boxes).mean())
+
+
+def _train_epoch(model, velocity, scenes, rng, lr, cfg, sampler_cfg, loss_cfg, loss) -> float:
+    """One epoch of SGD on a freshly sampled pool; returns its mean training loss.
+
+    Builds the pool from rng, then draws the minibatch order from it.
+    The weights and their velocities are updated in place: each step
+    adds weight decay to the weight gradients, then sets v = momentum * v
+    + g and p -= lr * v, through one scratch array per weight. Every
+    array made here is freed when the epoch returns, so no two pools are
+    alive at once.
+    """
+    x, in_boxes, gt_boxes = _build_pool(scenes, sampler_cfg, rng, cfg.pool_size)
+    perm = rng.permutation(len(in_boxes))
+    params = model.params()
+    scratch = {name: np.empty_like(p) for name, p in params.items()}
+    running = 0.0
+    for start in range(0, len(perm), cfg.minibatch_size):
+        idx = perm[start : start + cfg.minibatch_size]
+        mb_loss, grads, _ = loss_and_weight_grads(model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss)
+        running += mb_loss * len(idx)
+        for name, p in params.items():
+            g, v, s = grads[name], velocity[name], scratch[name]
+            if name.startswith("w"):
+                np.multiply(p, cfg.weight_decay, out=s)
+                g += s
+            v *= cfg.momentum
+            v += g
+            np.multiply(v, lr, out=s)
+            p -= s
+    return running / len(perm)
 
 
 def train(
@@ -289,26 +315,11 @@ def train(
     stall = 0
 
     for epoch in range(cfg.max_epochs):
-        rng_e = np.random.default_rng([cfg.seed, 1, epoch])
         try:
-            x, in_boxes, gt_boxes = _build_pool(train_scenes, sampler_cfg, rng_e, cfg.pool_size)
-            perm = rng_e.permutation(len(in_boxes))
-            running = 0.0
-            for start in range(0, len(perm), cfg.minibatch_size):
-                idx = perm[start : start + cfg.minibatch_size]
-                mb_loss, grads, _ = loss_and_weight_grads(
-                    model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss
-                )
-                running += mb_loss * len(idx)
-                params = model.params()
-                for name, p in params.items():
-                    g = grads[name]
-                    if name.startswith("w"):
-                        g = g + cfg.weight_decay * p
-                    velocity[name] = cfg.momentum * velocity[name] + g
-                    p -= lr * velocity[name]
-            train_loss = running / len(perm)
-            del x, in_boxes, gt_boxes  # free this epoch's pool before the next one is built
+            train_loss = _train_epoch(
+                model, velocity, train_scenes, np.random.default_rng([cfg.seed, 1, epoch]),
+                lr, cfg, sampler_cfg, loss_cfg, loss,
+            )
             val_loss, val_miou = _evaluate(model, val_x, val_boxes, val_gts, loss_cfg, loss)
         except (OverflowError, ValueError) as e:
             raise TrainingDiverged(f"epoch {epoch}: {e}", model=checkpoint, log=log) from None
@@ -355,7 +366,8 @@ def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1)
     arr = boxes
     out: list[np.ndarray] = []
     for _ in range(iterations):
-        arr = apply_offsets_array(arr, _predict(model, roi_align_many(fm, arr / FEATURE_STRIDE, model.pool_size)))
+        pred = _forward(model, roi_align_many(fm, arr / FEATURE_STRIDE, model.pool_size))[0]
+        arr = apply_offsets_array(arr, pred)
         if not (np.isfinite(arr).all() and (arr[:, 2:] > 0.0).all()):
             raise OverflowError("refined boxes left the numeric range")
         out.append(arr)

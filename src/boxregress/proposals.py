@@ -16,23 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, _extents, _iou_of_extents, boxes_to_array
+from .boxes import Box, _extents, _iou_of_extents
 from .errors import DataFormatError
 from .ioutil import atomic_write
 from .model import RegressorModel, refine
 
 # A refined box counts toward a seed's score above this overlap.
 NEIGHBOR_IOU = 0.7
-
-
-@dataclass(frozen=True)
-class Proposal:
-    box: Box
-    score: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.score) and self.score >= 0):
-            raise ValueError(f"proposal score must be finite and >= 0, got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -262,37 +252,31 @@ def _decay_ranking(start, stop, cols, scores: np.ndarray, decay: float) -> tuple
     return order, emitted
 
 
-def score_proposals(boxes: Sequence[Box]) -> list[float]:
-    """Score each box by its count of near-duplicate neighbors.
-
-    The score of box n is the number of other boxes with IoU(b_n, b_m)
-    strictly above 0.7.
-    """
-    if len(boxes) == 0:
-        return []
-    counts = _neighbor_graph(boxes_to_array(boxes), NEIGHBOR_IOU, NEIGHBOR_IOU)[3]
-    return (counts - 1).astype(np.float64).tolist()
-
-
 def decay_nms(
-    proposals: Sequence[Proposal], iou_thresh: float = 0.6, decay: float = 10.0
-) -> list[Proposal]:
-    """Rank proposals, dividing overlapping neighbors' scores by `decay`.
+    boxes: np.ndarray, scores: np.ndarray, iou_thresh: float = 0.6, decay: float = 10.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank (N, 4) center-form boxes, dividing overlapping neighbors' scores by `decay`.
 
-    Repeatedly emits the highest-score remaining proposal (ties break to
-    the lower input index), then divides by `decay` the score of every
-    remaining proposal whose IoU with the emitted one exceeds
-    iou_thresh, which must lie in [0, 1]. Nothing is deleted: the result
-    is a permutation of the input carrying the decayed scores as of
-    emission time.
+    Repeatedly emits the highest-score remaining box (ties break to the
+    lower index), then divides by `decay` the score of every remaining
+    box whose IoU with the emitted one exceeds iou_thresh, which must
+    lie in [0, 1]. Scores are (N,), finite and >= 0. Nothing is deleted:
+    returns (order, emitted), a permutation of the box indices and each
+    box's decayed score as of its emission.
     """
     _check_nms_args(iou_thresh, decay)
-    if len(proposals) == 0:
-        return []
-    start, stop, cols, _ = _neighbor_graph(boxes_to_array([p.box for p in proposals]), iou_thresh, iou_thresh)
-    scores = np.array([p.score for p in proposals], dtype=np.float64)
-    order, emitted = _decay_ranking(start, stop, cols, scores, decay)
-    return [Proposal(proposals[i].box, s) for i, s in zip(order.tolist(), emitted.tolist())]
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"boxes must be (N, 4), got shape {boxes.shape}")
+    if scores.shape != (len(boxes),):
+        raise ValueError(f"expected {len(boxes)} scores, got shape {scores.shape}")
+    # _decay_ranking's early exit relies on no live score being negative.
+    bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0.0)))
+    if bad.size:
+        raise ValueError(f"proposal score must be finite and >= 0, got {scores[bad[0]]} at index {bad[0]}")
+    start, stop, cols, _ = _neighbor_graph(boxes, iou_thresh, iou_thresh)
+    return _decay_ranking(start, stop, cols, scores, decay)
 
 
 def generate_proposals(
@@ -306,10 +290,11 @@ def generate_proposals(
     """Full pipeline: seed, refine, score, rank; output boxes clipped.
 
     Returns (N, 5) rows (x, y, w, h, score) in rank order, one per seed.
-    One pass over the refined boxes gives both the neighbor counts above
-    0.7 and the neighbor lists above nms_iou; the result equals
-    decay_nms over the refined boxes and their score_proposals scores,
-    with each box then clipped. Raises OverflowError if a refined box is
+    A refined box's score is the number of other refined boxes that
+    overlap it with IoU above 0.7. One pass over the refined boxes gives
+    both those counts and the neighbor lists above nms_iou; the result
+    equals decay_nms over the refined boxes and their scores, with each
+    box then clipped. Raises OverflowError if a refined box is
     below floating-point resolution at its position (zero corner extent).
     """
     _check_nms_args(nms_iou, decay)
@@ -333,7 +318,7 @@ _READ_BYTES = 1 << 20
 
 
 def _check_row(parts: list[str], scored: bool) -> None:
-    """Build one row's Box (and Proposal) by the scalar rules.
+    """Check one row by the scalar rules: its Box, then its score.
 
     Raises ValueError with the message the row is rejected with.
     """
@@ -341,9 +326,9 @@ def _check_row(parts: list[str], scored: bool) -> None:
         xmin, ymin, xmax, ymax, *score = map(float, parts[1:6] if scored else parts[1:5])
     except ValueError as e:
         raise ValueError("non-numeric field" if scored else str(e)) from None
-    box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
-    if scored:
-        Proposal(box, score[0])
+    Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
+    if scored and not (math.isfinite(score[0]) and score[0] >= 0):
+        raise ValueError(f"proposal score must be finite and >= 0, got {score[0]}")
 
 
 def _row_error(path: str, lines: list[str], linenos: Sequence[int], scored: bool) -> DataFormatError:
@@ -444,14 +429,3 @@ def write_corner_csv(path: str, by_image: dict[str, np.ndarray]) -> None:
             x, y, w, h = rows[:, :4].T
             corners = np.column_stack([x - 0.5 * w, y - 0.5 * h, x + 0.5 * w, y + 0.5 * h, rows[:, 4:]])
             f.write("".join(f"{image_id},{','.join(map(repr, r))}\n" for r in corners.tolist()))
-
-
-def load_proposals(path: str) -> dict[str, list[Proposal]]:
-    """Read a proposals file; per-image order is preserved.
-
-    A `Proposal` view of read_corner_csv, with the same checks and errors.
-    """
-    return {
-        image_id: [Proposal(Box(x, y, w, h), s) for x, y, w, h, s in rows.tolist()]
-        for image_id, rows in read_corner_csv(path).items()
-    }

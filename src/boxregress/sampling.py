@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box, apply_offsets_array, iou
+from .boxes import apply_offsets_array, iou
 
 
 class SampleBudgetWarning(RuntimeWarning):
@@ -54,17 +54,6 @@ class SamplerConfig:
             np.array([-self.alpha, -self.alpha, lo, lo]),
             np.array([self.alpha, self.alpha, hi, hi]),
         )
-
-
-def generate_training_boxes(g: Box, cfg: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
-    """(N, 4) center-form perturbed copies of g, each overlapping g with IoU >= cfg.t.
-
-    The one-ground-truth case of generate_training_boxes_many: returns
-    cfg.boxes_per_gt rows when the rejection rate allows, otherwise
-    stops early with a SampleBudgetWarning.
-    """
-    rows, _ = generate_training_boxes_many(np.array([[g.x, g.y, g.w, g.h]], dtype=np.float64), cfg, rng)
-    return rows
 
 
 def generate_training_boxes_many(

@@ -134,8 +134,8 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
 
     Expects top-level "images" (id, width, height) and "annotations"
     (image_id, bbox as top-left [x, y, w, h], optional category_id)
-    arrays. Boxes are converted to center form and grouped by image.
-    Annotations referencing unknown images, with non-positive extents,
+    arrays. Boxes are converted to center form and grouped by image; an
+    image id listed twice is a DataFormatError. Annotations referencing unknown images, with non-positive extents,
     or placed too far outside their image are skipped with a warning.
     With short_side set, each scene's coordinates are rescaled so the
     shorter image side matches it.
@@ -154,13 +154,16 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
     scenes: dict[object, Scene] = {}
     for i, img in enumerate(doc["images"]):
         try:
-            scenes[img["id"]] = Scene(
+            scene = Scene(
                 id=str(img["id"]),
                 width=float(img["width"]),
                 height=float(img["height"]),
                 gts=[],
                 labels=[],
             )
+            if img["id"] in scenes:
+                raise ValueError(f"duplicate image id {img['id']!r}")
+            scenes[img["id"]] = scene
         except (KeyError, TypeError, ValueError) as e:
             raise DataFormatError(f"{path}: images[{i}]: {e}") from None
 

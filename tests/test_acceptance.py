@@ -16,10 +16,10 @@ import pytest
 from boxregress import cli
 from boxregress.boxes import Box, boxes_to_array, iou
 from boxregress.losses import LossConfig
-from boxregress.metrics import EvalRecord, corloc, make_record, recall_at, recall_curve
+from boxregress.metrics import EvalRecord, corloc, recall_at, recall_curve
 from boxregress.model import TrainConfig, refine, train
-from boxregress.proposals import Proposal, decay_nms, generate_proposals, seed_grid
-from boxregress.sampling import SamplerConfig, generate_training_boxes
+from boxregress.proposals import decay_nms, generate_proposals, seed_grid
+from boxregress.sampling import SamplerConfig, generate_training_boxes_many
 from boxregress.scenes import SynthConfig, synth_scenes
 
 from test_boxes import raster_iou, row
@@ -53,7 +53,7 @@ def bench():
     held_scenes = synth_scenes(SYNTH_HELD, N_HELD)
 
     rng = np.random.default_rng(EVAL_SEED)
-    held_inputs = [np.concatenate([generate_training_boxes(g, SAMPLER, rng) for g in s.gts]) for s in held_scenes]
+    held_inputs = [generate_training_boxes_many(boxes_to_array(s.gts), SAMPLER, rng)[0] for s in held_scenes]
 
     # Input quality is recorded before any training happens.
     per_scene_base = [
@@ -136,7 +136,7 @@ def test_criterion_3_sampler_contract():
     rng = np.random.default_rng(30)
     boxes = []
     while sum(map(len, boxes)) < 10_000:
-        boxes.append(generate_training_boxes(g, SAMPLER, rng))
+        boxes.append(generate_training_boxes_many(row(g)[None], SAMPLER, rng)[0])
     boxes = np.concatenate(boxes)[:10_000]
     min_iou = float(iou(boxes, row(g)).min())
 
@@ -281,21 +281,21 @@ def test_criterion_8_corloc_oracle():
         # Mix of hits, misses, near-threshold predictions, and no predictions.
         kind = i % 4
         if kind == 0:
-            pred = [Proposal(gts[0], 1.0)]
+            pred = [gts[0]]
         elif kind == 1:
-            pred = [Proposal(Box(gts[0].x + rng.uniform(2, 4), gts[0].y, gts[0].w, gts[0].h), 1.0)]
+            pred = [Box(gts[0].x + rng.uniform(2, 4), gts[0].y, gts[0].w, gts[0].h)]
         elif kind == 2:
             pred = []
         else:
             g = gts[0]
-            pred = [Proposal(Box(g.x, g.y, g.w / 2, g.h), 1.0)]  # IoU exactly 0.5
-        records.append(make_record(str(i), pred, gts))
+            pred = [Box(g.x, g.y, g.w / 2, g.h)]  # IoU exactly 0.5
+        records.append(EvalRecord(str(i), boxes_to_array(pred), boxes_to_array(gts)))
 
     got = corloc(records)
     want = brute_force_corloc(records)
 
     g = Box(0, 0, 2, 2)
-    boundary = [make_record("b", [Proposal(Box(0, 0, 1, 2), 1.0)], [g])]
+    boundary = [EvalRecord("b", row(Box(0, 0, 1, 2))[None], row(g)[None])]
     boundary_ok = corloc(boundary) == 0.0 and iou(row(Box(0, 0, 1, 2)), row(g)) == 0.5
 
     report(
@@ -307,27 +307,24 @@ def test_criterion_8_corloc_oracle():
 
 
 def test_criterion_9_decay_nms_trace():
-    b = Box(5, 5, 4, 4)
-    out = decay_nms([Proposal(b, 10.0), Proposal(b, 9.0)])
-    trace_ok = [p.score for p in out] == [10.0, 0.9]
+    b = row(Box(5, 5, 4, 4))
+    _, emitted = decay_nms(np.stack([b, b]), np.array([10.0, 9.0]))
+    trace_ok = emitted.tolist() == [10.0, 0.9]
 
     rng = np.random.default_rng(90)
-    props = [
-        Proposal(
-            Box(rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(2, 10), rng.uniform(2, 10)),
-            float(rng.uniform(0, 10)),
-        )
-        for _ in range(100)
-    ]
-    ranked = decay_nms(props)
-    key = lambda bx: (bx.x, bx.y, bx.w, bx.h)
-    perm_ok = sorted((p.box for p in ranked), key=key) == sorted((p.box for p in props), key=key)
+    boxes, scores = [], []
+    for _ in range(100):
+        boxes.append([rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(2, 10), rng.uniform(2, 10)])
+        scores.append(float(rng.uniform(0, 10)))
+    boxes = np.array(boxes)
+    order, _ = decay_nms(boxes, np.array(scores))
+    perm_ok = sorted(map(tuple, boxes[order].tolist())) == sorted(map(tuple, boxes.tolist()))
 
     report(
         9,
         "two identical boxes emit scores (10, then 0.9); output is a permutation of input",
         trace_ok and perm_ok,
-        f"trace scores {[p.score for p in out]}; permutation: {perm_ok}",
+        f"trace scores {emitted.tolist()}; permutation: {perm_ok}",
     )
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 
@@ -99,6 +100,28 @@ class TestUsageErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [
+        ["--image-size", "2"],
+        ["--min-objects", "0"],
+        ["--max-objects", "0"],
+        ["--noise", "-1"],
+        ["--min-size-frac", "0"],
+        ["--synth-count", "0"],
+    ], ids="=".join)
+    @pytest.mark.parametrize("command", ["train", "refine", "propose", "eval"])
+    def test_bad_scene_flag(self, tmp_path, capsys, command, flag):
+        # Every input file is missing: a check after loading one would exit 2.
+        missing = {
+            "train": [],
+            "refine": ["--model", str(tmp_path / "missing.ubbr"), "--boxes", str(tmp_path / "missing.csv")],
+            "propose": ["--model", str(tmp_path / "missing.ubbr")],
+            "eval": ["--proposals", str(tmp_path / "missing.csv")],
+        }[command]
+        code = run_cli([command, "--out-dir", str(tmp_path / "o"), "--synth"] + missing + flag)
+        assert code == 1
+        one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [
         ["--ks", "0"], ["--ks", "1,0"], ["--ks", "-3"], ["--ks", "a,b"], ["--ks", "1.5"], ["--ks", ""], ["--ks", ","],
         ["--iou", "nan"], ["--iou", "1.5"], ["--corloc-iou", "-0.1"], ["--corloc-iou", "nan"],
     ], ids="=".join)
@@ -118,6 +141,16 @@ class TestDataErrors:
         ann = tmp_path / "broken.json"
         ann.write_text("{not json")
         assert run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", str(ann)]) == 2
+
+    def test_duplicate_image_id(self, tmp_path, capsys):
+        ann = tmp_path / "dup.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": 100, "height": 100}, {"id": 1, "width": 50, "height": 50}],
+            "annotations": [{"image_id": 1, "bbox": [10, 10, 30, 30]}],
+        }))
+        assert run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", str(ann)]) == 2
+        assert "images[1]: duplicate image id 1" in one_line_error(capsys, "data error: ")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_model(self, tmp_path):
         code = run_cli([
@@ -278,6 +311,27 @@ class TestConfigFile:
         assert code == 1
         msg = one_line_error(capsys, "error: ")
         assert str(cfg) in msg and "line 2" in msg and "nms_iou" in msg
+
+    def test_bad_boolean_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth_count = 2\nadjacent_pairs = ture\n")
+        code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg)])
+        assert code == 1
+        msg = one_line_error(capsys, "error: ")
+        assert str(cfg) in msg and "line 2" in msg and "adjacent_pairs" in msg
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value,flag", [
+        ("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, value, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"adjacent_pairs = {value}\n")
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices["train"]
+        cli._apply_config_file(sub, ["--config", str(cfg)])
+        args = parser.parse_args(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg)])
+        assert args.adjacent_pairs is flag
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

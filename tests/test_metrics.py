@@ -9,42 +9,41 @@ from boxregress.boxes import Box, boxes_to_array
 from boxregress.metrics import (
     EvalRecord,
     corloc,
-    make_record,
     mean_iou_trajectory,
     recall_at,
     recall_curve,
     write_recall_curve_svg,
     write_table,
 )
-from boxregress.proposals import Proposal
 
 from test_boxes import oracle_iou_pairwise
 
 
-def props(*boxes):
-    return [Proposal(b, float(s)) for s, b in enumerate(reversed(boxes))][::-1]
+def record(image_id, boxes, gts):
+    """An EvalRecord of ranked proposal boxes and ground truths given as Box lists."""
+    return EvalRecord(image_id, boxes_to_array(boxes), boxes_to_array(gts))
 
 
 class TestRecallAt:
     def test_perfect_proposals(self):
         gts = [Box(10, 10, 5, 5), Box(30, 30, 8, 8)]
-        rec = make_record("a", [Proposal(g, 1.0) for g in gts], gts)
+        rec = record("a", gts, gts)
         assert recall_at([rec], 0.5, k=2) == 1.0
 
     def test_no_proposal_reaches_threshold(self):
-        rec = make_record("a", [Proposal(Box(90, 90, 5, 5), 1.0)], [Box(10, 10, 5, 5)])
+        rec = record("a", [Box(90, 90, 5, 5)], [Box(10, 10, 5, 5)])
         assert recall_at([rec], 0.5, k=5) == 0.0
 
     def test_hand_case_half(self):
         g1, g2 = Box(10, 10, 10, 10), Box(60, 60, 10, 10)
         near = Box(10.5, 10, 10, 10)  # IoU 0.905 with g1
-        rec = make_record("a", [Proposal(near, 2.0), Proposal(g2, 1.0)], [g1, g2])
+        rec = record("a", [near, g2], [g1, g2])
         assert recall_at([rec], 0.5, k=1) == 0.5
 
     def test_strictness_at_threshold(self):
         g = Box(0, 0, 10, 10)
         half = Box(0, 0, 5, 10)  # IoU exactly 0.5
-        rec = make_record("a", [Proposal(half, 1.0)], [g])
+        rec = record("a", [half], [g])
         assert recall_at([rec], 0.5, k=1) == 0.0
 
     def test_monotone_in_k_and_threshold(self):
@@ -52,11 +51,12 @@ class TestRecallAt:
         records = []
         for i in range(10):
             gts = [Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)) for _ in range(3)]
-            ps = [
-                Proposal(Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)), float(rng.uniform(0, 5)))
+            # Each box is drawn with a score, which the metrics ignore.
+            ranked = [
+                (Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)), rng.uniform(0, 5))
                 for _ in range(30)
             ]
-            records.append(make_record(str(i), ps, gts))
+            records.append(record(str(i), [b for b, _ in ranked], gts))
         for thresh in (0.3, 0.5):
             vals = [recall_at(records, thresh, k) for k in (1, 2, 5, 10, 30, 100)]
             assert all(vals[i + 1] >= vals[i] for i in range(len(vals) - 1))
@@ -65,39 +65,38 @@ class TestRecallAt:
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
-            recall_at([make_record("a", [], [Box(0, 0, 1, 1)])], 0.5, k=0)
+            recall_at([record("a", [], [Box(0, 0, 1, 1)])], 0.5, k=0)
 
 
 class TestCorloc:
     def test_perfect(self):
         gts = [Box(10, 10, 5, 5)]
-        recs = [make_record("a", [Proposal(gts[0], 1.0)], gts)]
+        recs = [record("a", [gts[0]], gts)]
         assert corloc(recs) == 100.0
 
     def test_boundary_not_counted(self):
         g = Box(0, 0, 2, 2)
         half = Box(0, 0, 1, 2)  # IoU exactly 0.5
-        recs = [make_record("a", [Proposal(half, 1.0)], [g])]
+        recs = [record("a", [half], [g])]
         assert corloc(recs) == 0.0
 
     def test_two_of_three(self):
         g = Box(10, 10, 6, 6)
-        hit = Proposal(g, 1.0)
-        miss = Proposal(Box(50, 50, 6, 6), 1.0)
+        miss = Box(50, 50, 6, 6)
         recs = [
-            make_record("a", [hit], [g]),
-            make_record("b", [hit], [g]),
-            make_record("c", [miss], [g]),
+            record("a", [g], [g]),
+            record("b", [g], [g]),
+            record("c", [miss], [g]),
         ]
         assert abs(corloc(recs) - 100 * 2 / 3) < 1e-9
 
     def test_top1_only(self):
         g = Box(10, 10, 6, 6)
-        recs = [make_record("a", [Proposal(Box(50, 50, 6, 6), 9.0), Proposal(g, 1.0)], [g])]
+        recs = [record("a", [Box(50, 50, 6, 6), g], [g])]
         assert corloc(recs) == 0.0
 
     def test_no_predictions_is_failure_not_error(self):
-        recs = [make_record("a", [], [Box(10, 10, 6, 6)])]
+        recs = [record("a", [], [Box(10, 10, 6, 6)])]
         assert corloc(recs) == 0.0
 
     def test_empty_records_rejected(self):
@@ -130,13 +129,13 @@ class TestMeanIouTrajectory:
 class TestRecallCurve:
     def test_saturation(self):
         gts = [Box(10, 10, 5, 5)]
-        recs = [make_record("a", [Proposal(gts[0], 1.0)], gts)]
+        recs = [record("a", [gts[0]], gts)]
         curve = recall_curve(recs, 0.5, ks=[1, 10, 1000])
         assert [r for _, r in curve] == [1.0, 1.0, 1.0]
 
     def test_k_grid_passthrough(self):
         gts = [Box(10, 10, 5, 5)]
-        recs = [make_record("a", [Proposal(Box(40, 40, 5, 5), 1.0), Proposal(gts[0], 0.5)], gts)]
+        recs = [record("a", [Box(40, 40, 5, 5), gts[0]], gts)]
         curve = recall_curve(recs, 0.5, ks=[1, 2])
         assert curve == [(1, 0.0), (2, 1.0)]
 
@@ -148,10 +147,10 @@ class TestPermutationInvariance:
         for i in range(8):
             gts = [Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)) for _ in range(2)]
             ps = [
-                Proposal(Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)), 1.0)
+                Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10))
                 for _ in range(10)
             ]
-            records.append(make_record(str(i), ps, gts))
+            records.append(record(str(i), ps, gts))
         shuffled = [records[i] for i in rng.permutation(len(records))]
         assert recall_at(records, 0.5, 5) == recall_at(shuffled, 0.5, 5)
         assert corloc(records) == corloc(shuffled)
@@ -180,29 +179,29 @@ class TestWriters:
 
 
 # Reference metrics: recall_at and corloc as they were on records holding
-# Proposal and Box tuples, converting the top k boxes on every call.
+# lists of Box values, converting the top k boxes on every call.
 
 
 def oracle_recall_at(records, iou_thresh, k):
     total = 0
     covered = 0
-    for image_id, props, gts in records:
+    for image_id, boxes, gts in records:
         if not gts:
             continue
         total += len(gts)
-        if not props:
+        if not boxes:
             continue
-        top = boxes_to_array([p.box for p in props[:k]])
+        top = boxes_to_array(boxes[:k])
         covered += int((oracle_iou_pairwise(top, boxes_to_array(gts)) > iou_thresh).any(axis=0).sum())
     return covered / total
 
 
 def oracle_corloc(records, iou_thresh):
     hits = 0
-    for image_id, props, gts in records:
-        if not props or not gts:
+    for image_id, boxes, gts in records:
+        if not boxes or not gts:
             continue
-        if float(oracle_iou_pairwise(boxes_to_array([props[0].box]), boxes_to_array(gts)).max()) > iou_thresh:
+        if float(oracle_iou_pairwise(boxes_to_array(boxes[:1]), boxes_to_array(gts)).max()) > iou_thresh:
             hits += 1
     return 100.0 * hits / len(records)
 
@@ -221,19 +220,17 @@ class TestArrayRecords:
     )
     def test_array_records_match_proposal_lists(self, images, thresh, ks):
         # Integer boxes make exact-threshold IoUs common.
-        lists = [(str(i), [Proposal(b, 1.0) for b in boxes], gts) for i, (boxes, gts) in enumerate(images)]
-        from_lists = [make_record(i, props, gts) for i, props, gts in lists]
+        lists = [(str(i), boxes, gts) for i, (boxes, gts) in enumerate(images)]
         from_arrays = [
             EvalRecord(i, np.array([[b.x, b.y, b.w, b.h] for b in boxes]).reshape(-1, 4), boxes_to_array(gts))
-            for i, (boxes, gts) in zip(map(str, range(len(images))), images)
+            for i, boxes, gts in lists
         ]
         for k in ks:
-            want = oracle_recall_at(lists, thresh, k)
-            assert recall_at(from_lists, thresh, k) == want == recall_at(from_arrays, thresh, k)
-        assert corloc(from_lists, thresh) == oracle_corloc(lists, thresh) == corloc(from_arrays, thresh)
+            assert recall_at(from_arrays, thresh, k) == oracle_recall_at(lists, thresh, k)
+        assert corloc(from_arrays, thresh) == oracle_corloc(lists, thresh)
 
     def test_record_holds_arrays(self):
-        rec = make_record("a", [Proposal(Box(1, 2, 3, 4), 0.5), Proposal(Box(5, 6, 7, 8), 0.25)], [Box(0, 0, 1, 1)])
+        rec = record("a", [Box(1, 2, 3, 4), Box(5, 6, 7, 8)], [Box(0, 0, 1, 1)])
         assert rec.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
         assert rec.gts.tolist() == [[0, 0, 1, 1]]
-        assert make_record("b", [], []).boxes.shape == (0, 4)
+        assert record("b", [], []).boxes.shape == (0, 4)

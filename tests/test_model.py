@@ -1,18 +1,21 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boxregress.boxes import apply_offsets_array, boxes_to_array, iou
+from boxregress.boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from boxregress.features import FEATURE_STRIDE, roi_align_many
-from boxregress.losses import LossConfig
+from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from boxregress.model import (
+    LOSS_KINDS,
+    EpochStats,
     RegressorModel,
     TrainConfig,
     TrainingDiverged,
     _build_pool,
-    _forward_batch,
+    _forward,
     init_model,
     load_model,
     loss_and_weight_grads,
@@ -43,7 +46,7 @@ def zero_model(channels=3, pool_size=7, hidden=(8, 8)):
 
 def forward(model, features):
     """The head's (tx, ty, tw, th) for one pooled feature vector."""
-    return tuple(_forward_batch(model, np.asarray(features, dtype=np.float64)[None])[0][0].tolist())
+    return tuple(_forward(model, np.asarray(features, dtype=np.float64)[None])[0][0].tolist())
 
 
 class TestForward:
@@ -156,9 +159,6 @@ def gradcheck_sample(seed, loss, coords_per_param=1, h=1e-5):
     sits too close to a rectifier or box-edge kink for central
     differences to be trustworthy.
     """
-    from boxregress.boxes import apply_offsets_array, encode_offsets_array
-    from boxregress.model import _forward_batch
-
     rng = np.random.default_rng(seed)
     m = init_model(1, 3, (10, 10), rng=rng)
     for name, p in m.params().items():
@@ -170,7 +170,7 @@ def gradcheck_sample(seed, loss, coords_per_param=1, h=1e-5):
     boxes = np.array([[0.0, 0.0, 4.0, 4.0], [1.0, 1.0, 3.0, 5.0], [-1.0, 2.0, 5.0, 2.0]])
     gts = boxes * np.array([1, 1, 1.2, 0.9]) + np.array([0.5, -0.3, 0, 0])
 
-    pred, (z1, _, z2, _) = _forward_batch(m, x)
+    pred, (z1, _, z2, _) = oracle_forward_batch(m, x)
     if min(np.abs(z1).min(), np.abs(z2).min()) < 1e-3:
         return None
     if loss == "iou":
@@ -242,14 +242,14 @@ class TestRefine:
 
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     def test_inference_forward_matches_training_forward(self, iterations):
-        # refine keeps one activation at a time; its offsets must be
-        # _forward_batch's pred bit for bit, at the default head width.
+        # refine's offsets must be the reference training forward's pred
+        # bit for bit, at the default head width.
         scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
         m = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(iterations))
         arr = seed_grid(scene.width, scene.height)
         traj = refine(m, scene, arr, iterations=iterations)
         for stage in traj:
-            pred, _ = _forward_batch(m, roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, m.pool_size))
+            pred, _ = oracle_forward_batch(m, roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, m.pool_size))
             arr = apply_offsets_array(arr, pred)
             assert stage.tobytes() == arr.tobytes()
         assert not np.array_equal(traj[-1], seed_grid(scene.width, scene.height))
@@ -368,3 +368,266 @@ class TestBuildPoolOracle:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         assert rng_new.permutation(len(got[1])).tolist() == rng_old.permutation(len(want[1])).tolist()
+
+
+# Reference training loop: the forward pass, gradients, held-out
+# evaluation and train as they were before the single in-place forward
+# and the epoch function, verbatim but for their names. train must
+# reproduce them bit for bit.
+
+
+def oracle_forward_batch(model: RegressorModel, x: np.ndarray):
+    z1 = x @ model.w1.T + model.b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ model.w2.T + model.b2
+    h2 = np.maximum(z2, 0.0)
+    pred = h2 @ model.w3.T + model.b3
+    return pred, (z1, h1, z2, h2)
+
+
+def oracle_loss_and_weight_grads(
+    model: RegressorModel,
+    x: np.ndarray,
+    input_boxes: np.ndarray,
+    gt_boxes: np.ndarray,
+    loss_cfg: LossConfig = LossConfig(),
+    loss: str = "iou",
+) -> tuple[float, dict[str, np.ndarray], int]:
+    if loss not in LOSS_KINDS:
+        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
+    n = x.shape[0]
+    pred, (z1, h1, z2, h2) = oracle_forward_batch(model, x)
+
+    if loss == "iou":
+        losses, dpred, fallback = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
+        fallbacks = int(fallback.sum())
+    else:
+        targets = encode_offsets_array(input_boxes, gt_boxes)
+        losses, dpred = smooth_l1_terms_batch(pred, targets, loss_cfg)
+        fallbacks = 0
+
+    dz3 = dpred / n
+    dh2 = dz3 @ model.w3
+    dz2 = dh2 * (z2 > 0.0)
+    dh1 = dz2 @ model.w2
+    dz1 = dh1 * (z1 > 0.0)
+    grads = {
+        "w3": dz3.T @ h2, "b3": dz3.sum(axis=0),
+        "w2": dz2.T @ h1, "b2": dz2.sum(axis=0),
+        "w1": dz1.T @ x, "b1": dz1.sum(axis=0),
+    }
+    return float(losses.mean()), grads, fallbacks
+
+
+def oracle_evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
+    pred, _ = oracle_forward_batch(model, x)
+    if loss == "iou":
+        losses, _, _ = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
+    else:
+        losses, _ = smooth_l1_terms_batch(pred, encode_offsets_array(input_boxes, gt_boxes), loss_cfg)
+    refined = apply_offsets_array(input_boxes, pred)
+    return float(losses.mean()), float(iou(refined, gt_boxes).mean())
+
+
+def oracle_train(
+    scenes,
+    cfg: TrainConfig = TrainConfig(),
+    sampler_cfg: SamplerConfig = SamplerConfig(),
+    loss_cfg: LossConfig = LossConfig(),
+    loss: str = "iou",
+) -> tuple[RegressorModel, list[EpochStats]]:
+    if loss not in LOSS_KINDS:
+        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
+    if not scenes:
+        raise ValueError("train requires at least one scene")
+    for s in scenes:
+        if not s.gts:
+            raise ValueError(f"scene {s.id} has no ground-truth boxes")
+
+    if len(scenes) >= 2:
+        n_val = max(1, round(cfg.val_fraction * len(scenes)))
+        train_scenes, val_scenes = scenes[:-n_val], scenes[-n_val:]
+    else:
+        train_scenes = val_scenes = list(scenes)
+
+    channels = train_scenes[0].feature_map().channels
+    model = init_model(channels, cfg.pool_size, cfg.hidden, cfg.init_std,
+                       np.random.default_rng([cfg.seed, 0]))
+    velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
+
+    val_sampler = replace(sampler_cfg, boxes_per_gt=cfg.val_boxes_per_gt)
+    val_x, val_boxes, val_gts = _build_pool(val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]), cfg.pool_size)
+
+    log: list[EpochStats] = []
+    best_val = math.inf
+    best_model = model.copy()
+    checkpoint = model.copy()
+    lr = cfg.initial_lr
+    stall = 0
+
+    for epoch in range(cfg.max_epochs):
+        rng_e = np.random.default_rng([cfg.seed, 1, epoch])
+        try:
+            x, in_boxes, gt_boxes = _build_pool(train_scenes, sampler_cfg, rng_e, cfg.pool_size)
+            perm = rng_e.permutation(len(in_boxes))
+            running = 0.0
+            for start in range(0, len(perm), cfg.minibatch_size):
+                idx = perm[start : start + cfg.minibatch_size]
+                mb_loss, grads, _ = oracle_loss_and_weight_grads(
+                    model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss
+                )
+                running += mb_loss * len(idx)
+                params = model.params()
+                for name, p in params.items():
+                    g = grads[name]
+                    if name.startswith("w"):
+                        g = g + cfg.weight_decay * p
+                    velocity[name] = cfg.momentum * velocity[name] + g
+                    p -= lr * velocity[name]
+            train_loss = running / len(perm)
+            del x, in_boxes, gt_boxes  # free this epoch's pool before the next one is built
+            val_loss, val_miou = oracle_evaluate(model, val_x, val_boxes, val_gts, loss_cfg, loss)
+        except (OverflowError, ValueError) as e:
+            raise TrainingDiverged(f"epoch {epoch}: {e}", model=checkpoint, log=log) from None
+
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise TrainingDiverged(
+                f"epoch {epoch}: non-finite loss (train={train_loss}, val={val_loss})",
+                model=checkpoint, log=log,
+            )
+
+        checkpoint = model.copy()
+        log.append(EpochStats(epoch, lr, train_loss, val_loss, val_miou))
+
+        if val_loss < best_val * (1.0 - cfg.plateau_rel_improvement):
+            best_val = val_loss
+            best_model = model.copy()
+            stall = 0
+        else:
+            if val_loss < best_val:
+                best_val = val_loss
+                best_model = model.copy()
+            stall += 1
+            if stall >= cfg.plateau_patience:
+                lr /= cfg.lr_decay_factor
+                stall = 0
+        if lr < cfg.stop_lr:
+            break
+    return best_model, log
+
+
+def weight_bytes(model):
+    return {name: p.tobytes() for name, p in model.params().items()}
+
+
+def log_bits(log):
+    """Every field of an epoch log, floats as exact hex strings."""
+    return [(r.epoch, r.lr.hex(), r.train_loss.hex(), r.val_loss.hex(), r.val_mean_iou.hex()) for r in log]
+
+
+def run_train(fn, *args, **kwargs):
+    """(weight bytes, log bits, divergence message) of one training run."""
+    try:
+        model, log = fn(*args, **kwargs)
+        message = None
+    except TrainingDiverged as e:
+        model, log, message = e.model, e.log, str(e)
+    return weight_bytes(model), log_bits(log), message
+
+
+def no_weight_decay(cfg):
+    # TrainConfig requires every numeric field to be positive; the update
+    # itself must still match the reference at weight decay 0.
+    object.__setattr__(cfg, "weight_decay", 0.0)
+    return cfg
+
+
+TRAIN_CASES = {
+    "iou": (TrainConfig(seed=3, max_epochs=4, hidden=(12, 12)), SamplerConfig(boxes_per_gt=10), "iou"),
+    "smooth_l1": (TrainConfig(seed=4, max_epochs=4, hidden=(12, 12)), SamplerConfig(boxes_per_gt=10), "smooth_l1"),
+    # Every epoch counts as a stall, so the learning rate is divided each epoch.
+    "plateau": (
+        TrainConfig(seed=5, max_epochs=6, hidden=(12, 12), plateau_patience=1, plateau_rel_improvement=0.5,
+                    stop_lr=1e-9),
+        SamplerConfig(boxes_per_gt=10), "iou",
+    ),
+    "weight_decay_0": (no_weight_decay(TrainConfig(seed=6, max_epochs=3, hidden=(12, 12))),
+                       SamplerConfig(boxes_per_gt=10), "iou"),
+    "weight_decay_big": (TrainConfig(seed=7, max_epochs=3, hidden=(12, 12), weight_decay=0.5, initial_lr=0.01),
+                         SamplerConfig(boxes_per_gt=10), "smooth_l1"),
+    "minibatch_tail": (TrainConfig(seed=8, max_epochs=3, hidden=(10, 6), minibatch_size=7),
+                       SamplerConfig(boxes_per_gt=9), "iou"),
+    "diverges": (TrainConfig(seed=0, initial_lr=1e9, max_epochs=10, hidden=(12, 12), stop_lr=1e-3),
+                 SamplerConfig(boxes_per_gt=10), "iou"),
+    "diverges_late": (TrainConfig(seed=1, initial_lr=3.0, max_epochs=8, hidden=(12, 12), stop_lr=1e-3),
+                      SamplerConfig(boxes_per_gt=10), "iou"),
+}
+
+
+class TestTrainOracle:
+    @pytest.mark.parametrize("case", list(TRAIN_CASES))
+    def test_bitwise_equal(self, case):
+        cfg, sampler, loss = TRAIN_CASES[case]
+        scenes = synth_scenes(SynthConfig(seed=20 + len(case), max_objects=3), 6)
+        got = run_train(train, scenes, cfg, sampler, LOSS_CFG, loss=loss)
+        want = run_train(oracle_train, scenes, cfg, sampler, LOSS_CFG, loss=loss)
+        assert got == want
+        _, log, message = got
+        assert (message is not None) == case.startswith("diverges")
+        if case == "plateau":
+            assert len({lr for _, lr, *_ in log}) > 2
+
+    def test_cases_cover_divergence_after_an_epoch(self):
+        # The checkpoint compared above is then a trained model, not the init.
+        cfg, sampler, loss = TRAIN_CASES["diverges_late"]
+        scenes = synth_scenes(SynthConfig(seed=20 + len("diverges_late"), max_objects=3), 6)
+        with pytest.raises(TrainingDiverged) as exc:
+            train(scenes, cfg, sampler, LOSS_CFG, loss=loss)
+        assert len(exc.value.log) >= 2
+
+    @pytest.mark.parametrize("loss", ["iou", "smooth_l1"])
+    def test_weight_grads_match_reference(self, loss):
+        rng = np.random.default_rng(11)
+        m = init_model(1, 3, (10, 10), init_std=0.1, rng=rng)
+        x = rng.normal(size=(40, m.in_dim))
+        boxes = np.column_stack([rng.uniform(0, 50, (40, 2)), rng.uniform(2, 20, (40, 2))])
+        gts = boxes * rng.uniform(0.8, 1.2, (40, 4))
+        got = loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
+        want = oracle_loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
+        assert got[0].hex() == want[0].hex() and got[2] == want[2]
+        assert {k: v.tobytes() for k, v in got[1].items()} == {k: v.tobytes() for k, v in want[1].items()}
+
+
+class TestForwardOracle:
+    def test_rectifier_mask_from_activation(self):
+        # The backward pass masks with h > 0 in place of z > 0.
+        z = np.array([1.5, 0.0, -0.0, -2.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        h = z.copy()
+        np.maximum(h, 0.0, out=h)
+        assert ((h > 0.0) == (z > 0.0)).all()
+
+    def test_matches_reference_on_zero_negative_and_nan_rows(self):
+        # One input unit feeds each hidden unit through a unit weight, so the
+        # first pre-activations are the features plus the biases.
+        m = zero_model(channels=1, pool_size=2, hidden=(4, 4))
+        m.w1[:] = np.eye(4)
+        m.b1[:] = [0.0, -0.0, -1.0, 0.5]
+        m.w2[:] = [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, -1.0]]
+        m.b2[:] = [0.0, -0.0, 0.25, -0.5]
+        m.w3[:] = np.arange(16.0).reshape(4, 4) - 6.0
+        m.b3[:] = [0.1, -0.2, 0.0, -0.0]
+        x = np.array([
+            [0.0, 0.0, 0.0, 0.0],         # zero pre-activations
+            [-0.0, -0.0, -0.0, -0.0],     # signed zeros
+            [-1.0, -3.0, -0.5, -2.0],     # all negative
+            [np.nan, 1.0, 2.0, 3.0],      # a NaN feature
+            [1.0, -1.0, 2.0, -0.5],
+            [0.5, 0.0, 1.0, -0.5],        # exactly zero after the bias
+        ])
+        pred, h1, h2 = _forward(m, x)
+        want, (z1, h1_old, z2, h2_old) = oracle_forward_batch(m, x)
+        for a, b in ((pred, want), (h1, h1_old), (h2, h2_old)):
+            assert a.tobytes() == b.tobytes()
+        assert ((h1 > 0.0) == (z1 > 0.0)).all() and ((h2 > 0.0) == (z2 > 0.0)).all()
+        assert (z1 == 0.0).any() and (z1 < 0.0).any() and np.isnan(z1).any()
+        assert (z2 == 0.0).any() and (z2 < 0.0).any() and np.isnan(z2).any()

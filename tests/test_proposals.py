@@ -12,15 +12,13 @@ from boxregress import proposals
 from boxregress.model import init_model, refine
 from boxregress.proposals import (
     NEIGHBOR_IOU,
-    Proposal,
     SeedGridConfig,
+    _check_row,
     _clip_array,
     _neighbor_graph,
     decay_nms,
     generate_proposals,
-    load_proposals,
     read_corner_csv,
-    score_proposals,
     seed_grid,
     write_corner_csv,
 )
@@ -53,8 +51,21 @@ def nested_pair(target_iou, w=10.0, rel=0.0):
 
 
 def proposal_rows(props):
-    """(N, 5) rows (x, y, w, h, score) of a proposal list."""
-    return np.array([(p.box.x, p.box.y, p.box.w, p.box.h, p.score) for p in props], dtype=np.float64).reshape(-1, 5)
+    """(N, 5) rows (x, y, w, h, score) of a list of (Box, score) pairs."""
+    return np.array([(b.x, b.y, b.w, b.h, s) for b, s in props], dtype=np.float64).reshape(-1, 5)
+
+
+def neighbor_scores(boxes):
+    """Each box's proposal score: the other boxes overlapping it at IoU above NEIGHBOR_IOU."""
+    counts = _neighbor_graph(boxes_to_array(boxes), NEIGHBOR_IOU, NEIGHBOR_IOU)[3]
+    return (counts - 1).astype(np.float64).tolist()
+
+
+def ranked_rows(boxes, scores, iou_thresh=0.6, decay=10.0):
+    """decay_nms over a Box list and its scores, as (N, 5) rows in emission order."""
+    arr = boxes_to_array(boxes)
+    order, emitted = decay_nms(arr, np.array(scores, dtype=np.float64), iou_thresh, decay)
+    return np.column_stack([arr[order], emitted])
 
 
 class TestSeedGrid:
@@ -110,108 +121,126 @@ class TestClipBox:
 
 class TestScoreProposals:
     def test_single_box(self):
-        assert score_proposals([Box(0, 0, 2, 2)]) == [0.0]
+        assert neighbor_scores([Box(0, 0, 2, 2)]) == [0.0]
 
     def test_five_identical(self):
         boxes = [Box(1, 1, 4, 4)] * 5
-        assert score_proposals(boxes) == [4.0] * 5
+        assert neighbor_scores(boxes) == [4.0] * 5
 
     def test_hand_triple(self):
         a, b = overlap_pair(0.8)
         c = Box(100, 0, 10, 10)
         assert box_iou(a, b) == pytest.approx(0.8)
-        assert score_proposals([a, b, c]) == [1.0, 1.0, 0.0]
+        assert neighbor_scores([a, b, c]) == [1.0, 1.0, 0.0]
 
     def test_exact_threshold_not_counted(self):
         a, b = overlap_pair(0.7)
         assert box_iou(a, b) == pytest.approx(0.7, abs=1e-12)
-        scores = score_proposals([a, b])
+        scores = neighbor_scores([a, b])
         assert scores == [0.0, 0.0]
 
     def test_empty(self):
-        assert score_proposals([]) == []
+        assert neighbor_scores([]) == []
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(0)
         boxes = [Box(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(1, 8), rng.uniform(1, 8)) for _ in range(40)]
-        base = score_proposals(boxes)
+        base = neighbor_scores(boxes)
         perm = list(rng.permutation(40))
-        shuffled = score_proposals([boxes[i] for i in perm])
+        shuffled = neighbor_scores([boxes[i] for i in perm])
         assert shuffled == [base[i] for i in perm]
+
+
+def random_proposals(rng, n, lo, hi, side_lo, side_hi, score_lo, score_hi):
+    """n boxes and scores, each box drawn before its score."""
+    boxes, scores = [], []
+    for _ in range(n):
+        x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        boxes.append(Box(x, y, rng.uniform(side_lo, side_hi), rng.uniform(side_lo, side_hi)))
+        scores.append(float(rng.uniform(score_lo, score_hi)))
+    return boxes, scores
 
 
 class TestDecayNms:
     def test_two_identical_boxes_trace(self):
         b = Box(5, 5, 4, 4)
-        out = decay_nms([Proposal(b, 10.0), Proposal(b, 9.0)])
-        assert [p.score for p in out] == [10.0, 0.9]
+        _, emitted = decay_nms(boxes_to_array([b, b]), np.array([10.0, 9.0]))
+        assert emitted.tolist() == [10.0, 0.9]
 
     def test_decayed_box_emitted_after_higher_scores(self):
         b = Box(5, 5, 4, 4)
         c = Box(50, 50, 4, 4)
-        out = decay_nms([Proposal(b, 10.0), Proposal(b, 9.0), Proposal(c, 5.0)])
-        assert [p.score for p in out] == [10.0, 5.0, 0.9]
-        assert out[1].box == c
+        order, emitted = decay_nms(boxes_to_array([b, b, c]), np.array([10.0, 9.0, 5.0]))
+        assert emitted.tolist() == [10.0, 5.0, 0.9]
+        assert order[1] == 2
 
     def test_non_overlapping_plain_descending(self):
-        props = [Proposal(Box(i * 100, 0, 5, 5), float(s)) for i, s in enumerate([3, 9, 1, 7])]
-        out = decay_nms(props)
-        assert [p.score for p in out] == [9.0, 7.0, 3.0, 1.0]
+        boxes = [Box(i * 100, 0, 5, 5) for i in range(4)]
+        _, emitted = decay_nms(boxes_to_array(boxes), np.array([3.0, 9.0, 1.0, 7.0]))
+        assert emitted.tolist() == [9.0, 7.0, 3.0, 1.0]
 
     def test_tie_breaks_to_input_order(self):
-        props = [Proposal(Box(i * 100, 0, 5, 5), 2.0) for i in range(4)]
-        out = decay_nms(props)
-        assert [p.box.x for p in out] == [0, 100, 200, 300]
+        arr = boxes_to_array([Box(i * 100, 0, 5, 5) for i in range(4)])
+        order, _ = decay_nms(arr, np.full(4, 2.0))
+        assert arr[order, 0].tolist() == [0, 100, 200, 300]
 
     def test_permutation_of_input(self):
         rng = np.random.default_rng(1)
-        props = [
-            Proposal(Box(rng.uniform(0, 30), rng.uniform(0, 30), rng.uniform(2, 10), rng.uniform(2, 10)), float(rng.uniform(0, 10)))
-            for _ in range(60)
-        ]
-        out = decay_nms(props)
-        assert len(out) == len(props)
-        key = lambda b: (b.x, b.y, b.w, b.h)
-        assert sorted((p.box for p in out), key=key) == sorted((p.box for p in props), key=key)
+        boxes, scores = random_proposals(rng, 60, 0, 30, 2, 10, 0, 10)
+        arr = boxes_to_array(boxes)
+        order, emitted = decay_nms(arr, np.array(scores))
+        assert len(order) == len(emitted) == len(boxes)
+        assert sorted(map(tuple, arr[order].tolist())) == sorted(map(tuple, arr.tolist()))
 
     def test_emitted_scores_non_increasing(self):
         rng = np.random.default_rng(2)
-        props = [
-            Proposal(Box(rng.uniform(0, 20), rng.uniform(0, 20), rng.uniform(2, 10), rng.uniform(2, 10)), float(rng.uniform(0, 10)))
-            for _ in range(50)
-        ]
-        out = decay_nms(props)
-        scores = [p.score for p in out]
+        boxes, scores = random_proposals(rng, 50, 0, 20, 2, 10, 0, 10)
+        scores = decay_nms(boxes_to_array(boxes), np.array(scores))[1].tolist()
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
     def test_huge_decay_matches_hard_nms_prefix(self):
         rng = np.random.default_rng(3)
-        props = [
-            Proposal(Box(rng.uniform(0, 25), rng.uniform(0, 25), rng.uniform(2, 12), rng.uniform(2, 12)), float(rng.uniform(1, 10)))
-            for _ in range(50)
-        ]
+        boxes, scores = random_proposals(rng, 50, 0, 25, 2, 12, 1, 10)
 
-        def hard_nms(plist, thresh=0.6):
-            order = sorted(range(len(plist)), key=lambda i: (-plist[i].score, i))
+        def hard_nms(thresh=0.6):
+            order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
             kept = []
             for i in order:
-                if all(box_iou(plist[i].box, plist[j].box) <= thresh for j in kept):
+                if all(box_iou(boxes[i], boxes[j]) <= thresh for j in kept):
                     kept.append(i)
-            return [plist[i] for i in kept]
+            return kept
 
-        kept = hard_nms(props)
-        out = decay_nms(props, decay=1e15)
-        assert [p.box for p in out[: len(kept)]] == [p.box for p in kept]
+        kept = hard_nms()
+        order, _ = decay_nms(boxes_to_array(boxes), np.array(scores), decay=1e15)
+        assert order[: len(kept)].tolist() == kept
 
     def test_decay_validation(self):
         for decay in (1.0, 0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
-                decay_nms([Proposal(Box(0, 0, 1, 1), 1.0)], decay=decay)
+                decay_nms(boxes_to_array([Box(0, 0, 1, 1)]), np.array([1.0]), decay=decay)
 
     def test_iou_thresh_validation(self):
         for thresh in (-0.5, 1.5, math.nan):
             with pytest.raises(ValueError):
-                decay_nms([Proposal(Box(0, 0, 1, 1), 1.0)], iou_thresh=thresh)
+                decay_nms(boxes_to_array([Box(0, 0, 1, 1)]), np.array([1.0]), iou_thresh=thresh)
+
+    @pytest.mark.parametrize("score", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_score_validation(self, score):
+        # The ranking's early exit assumes no live score is negative.
+        arr = boxes_to_array([Box(0, 0, 1, 1), Box(5, 5, 1, 1)])
+        with pytest.raises(ValueError, match="proposal score must be finite and >= 0"):
+            decay_nms(arr, np.array([1.0, score]))
+
+    def test_shape_validation(self):
+        arr = boxes_to_array([Box(0, 0, 1, 1), Box(5, 5, 1, 1)])
+        for boxes, scores in ((arr, np.ones(3)), (arr, np.ones(1)), (arr, np.ones((2, 1))), (arr[:, :3], np.ones(2))):
+            with pytest.raises(ValueError):
+                decay_nms(boxes, scores)
+
+    def test_empty(self):
+        order, emitted = decay_nms(np.empty((0, 4)), np.empty(0))
+        assert order.shape == emitted.shape == (0,)
+        assert emitted.dtype == np.float64
 
 
 class TestGenerateProposals:
@@ -255,29 +284,33 @@ class TestGenerateProposals:
 class TestProposalIo:
     def test_roundtrip(self, tmp_path):
         by_image = {
-            "img-1": [Proposal(Box(10, 10, 5, 5), 3.0), Proposal(Box(20, 20, 8, 8), 1.5)],
-            "img-2": [Proposal(Box(1.25, 2.5, 0.5, 0.75), 0.0)],
+            "img-1": [(Box(10, 10, 5, 5), 3.0), (Box(20, 20, 8, 8), 1.5)],
+            "img-2": [(Box(1.25, 2.5, 0.5, 0.75), 0.0)],
         }
         path = str(tmp_path / "props.csv")
         write_corner_csv(path, {i: proposal_rows(p) for i, p in by_image.items()})
-        loaded = load_proposals(path)
-        assert loaded == by_image
+        loaded = read_corner_csv(path)
+        assert {i: r.tolist() for i, r in loaded.items()} == {i: proposal_rows(p).tolist() for i, p in by_image.items()}
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("img,1,2,3,4,5\nimg,not-a-number,2,3,4,5\n")
         with pytest.raises(DataFormatError, match="line 2"):
-            load_proposals(str(path))
+            read_corner_csv(str(path))
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("img,1,2,3\n")
         with pytest.raises(DataFormatError, match="6 fields"):
-            load_proposals(str(path))
+            read_corner_csv(str(path))
 
-    def test_proposal_score_validation(self):
-        with pytest.raises(ValueError):
-            Proposal(Box(0, 0, 1, 1), -1.0)
+    def test_proposal_score_validation(self, tmp_path):
+        with pytest.raises(ValueError, match=r"proposal score must be finite and >= 0, got -1.0$"):
+            _check_row(["img", "0", "0", "1", "1", "-1"], scored=True)
+        path = tmp_path / "bad.csv"
+        path.write_text("img,0,0,1,1,1\nimg,0,0,1,1,-1\n")
+        with pytest.raises(DataFormatError, match=r"line 2: proposal score must be finite and >= 0, got -1.0$"):
+            read_corner_csv(str(path))
 
 
 # Dense reference implementations: the proposal stage as it was before the
@@ -325,17 +358,18 @@ def oracle_score_proposals(boxes):
     return [float(c - 1) for c in counts]
 
 
-def oracle_decay_nms(proposals, iou_thresh=0.6, decay=10.0):
-    n = len(proposals)
+def oracle_decay_nms(boxes, scores, iou_thresh=0.6, decay=10.0):
+    """(Box, score) pairs in emission order."""
+    n = len(boxes)
     if n == 0:
         return []
-    arr = boxes_to_array([p.box for p in proposals])
-    scores = np.array([p.score for p in proposals], dtype=np.float64)
+    arr = boxes_to_array(boxes)
+    scores = np.array(scores, dtype=np.float64)
     remaining = np.ones(n, dtype=bool)
     out = []
     for _ in range(n):
         pick = int(np.argmax(np.where(remaining, scores, -np.inf)))
-        out.append(Proposal(proposals[pick].box, float(scores[pick])))
+        out.append((boxes[pick], float(scores[pick])))
         remaining[pick] = False
         if remaining.any():
             overlaps = oracle_iou_pairwise(arr[pick : pick + 1], arr)[0]
@@ -346,14 +380,13 @@ def oracle_decay_nms(proposals, iou_thresh=0.6, decay=10.0):
 def oracle_generate_proposals(model, scene, grid_cfg, iterations, nms_iou, decay):
     seeds = oracle_seed_grid(scene.width, scene.height, grid_cfg)
     refined = [Box(*r) for r in refine(model, scene, boxes_to_array(seeds), iterations=iterations)[-1].tolist()]
-    scores = oracle_score_proposals(refined)
-    ranked = oracle_decay_nms([Proposal(b, s) for b, s in zip(refined, scores)], nms_iou, decay)
-    return [Proposal(oracle_clip_box(p.box, scene.width, scene.height), p.score) for p in ranked]
+    ranked = oracle_decay_nms(refined, oracle_score_proposals(refined), nms_iou, decay)
+    return [(oracle_clip_box(b, scene.width, scene.height), s) for b, s in ranked]
 
 
 def bits(props):
-    """Every float of a proposal list, as exact hex strings."""
-    return [tuple(v.hex() for v in (p.box.x, p.box.y, p.box.w, p.box.h, float(p.score))) for p in props]
+    """Every float of a list of (Box, score) pairs, as exact hex strings."""
+    return [tuple(v.hex() for v in (b.x, b.y, b.w, b.h, float(s))) for b, s in props]
 
 
 def row_bits(rows):
@@ -423,7 +456,7 @@ class TestDenseOracle:
     @DIFFERENTIAL
     @given(box_sets())
     def test_score_proposals_matches_dense(self, boxes):
-        got = score_proposals(boxes)
+        got = neighbor_scores(boxes)
         want = oracle_score_proposals(boxes)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -431,15 +464,14 @@ class TestDenseOracle:
     @given(st.data(), box_sets(), NMS_IOUS, DECAYS)
     def test_decay_nms_matches_dense(self, data, boxes, nms_iou, decay):
         scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
-        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
-        assert bits(decay_nms(props, nms_iou, decay)) == bits(oracle_decay_nms(props, nms_iou, decay))
+        want = oracle_decay_nms(boxes, scores, nms_iou, decay)
+        assert row_bits(ranked_rows(boxes, scores, nms_iou, decay)) == bits(want)
 
     @DIFFERENTIAL
     @given(box_sets(), NMS_IOUS, DECAYS)
     def test_neighbor_scores_then_decay_match_dense(self, boxes, nms_iou, decay):
-        props = [Proposal(b, s) for b, s in zip(boxes, score_proposals(boxes))]
-        want = oracle_decay_nms([Proposal(b, s) for b, s in zip(boxes, oracle_score_proposals(boxes))], nms_iou, decay)
-        assert bits(decay_nms(props, nms_iou, decay)) == bits(want)
+        want = oracle_decay_nms(boxes, oracle_score_proposals(boxes), nms_iou, decay)
+        assert row_bits(ranked_rows(boxes, neighbor_scores(boxes), nms_iou, decay)) == bits(want)
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(
@@ -495,10 +527,9 @@ class TestDenseOracle:
         else:
             scores = [float(v) for v in rng.integers(0, 3, 40)]
             scores[::7] = [-0.0] * len(scores[::7])
-        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
-        got = decay_nms(props, 0.6, decay)
-        assert bits(got) == bits(oracle_decay_nms(props, 0.6, decay))
-        assert got[-1].score == 0.0
+        got = ranked_rows(boxes, scores, 0.6, decay)
+        assert row_bits(got) == bits(oracle_decay_nms(boxes, scores, 0.6, decay))
+        assert got[-1, 4] == 0.0
 
     @DIFFERENTIAL
     @given(st.builds(Box, st.floats(-50.0, 200.0), st.floats(-50.0, 200.0), SIDES, SIDES),
@@ -506,13 +537,13 @@ class TestDenseOracle:
     def test_clip_box_matches_scalar(self, b, image_w, image_h):
         got = Box(*_clip_array(boxes_to_array([b]), image_w, image_h)[0].tolist())
         want = oracle_clip_box(b, image_w, image_h)
-        assert bits([Proposal(got, 0.0)]) == bits([Proposal(want, 0.0)])
+        assert bits([(got, 0.0)]) == bits([(want, 0.0)])
 
     @pytest.mark.parametrize("shape", [(600, 600), (640, 427), (128, 128), (100.5, 333)])
     def test_seed_grid_matches_scalar(self, shape):
         for cfg in (SeedGridConfig(), SeedGridConfig(scales=(0.3,), aspect_ratios=(3.0,), stride=0.07)):
             got, want = seed_grid(*shape, cfg), oracle_seed_grid(*shape, cfg)
-            assert bits([Proposal(Box(*r), 0.0) for r in got.tolist()]) == bits([Proposal(b, 0.0) for b in want])
+            assert bits([(Box(*r), 0.0) for r in got.tolist()]) == bits([(b, 0.0) for b in want])
 
 
 # Reference readers: the corner-CSV loaders as they were before the
@@ -541,10 +572,11 @@ def oracle_load_proposals(path):
             raise DataFormatError(f"{path}: line {lineno}: non-numeric field") from None
         try:
             box = Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
-            prop = Proposal(box, score)
         except ValueError as e:
             raise DataFormatError(f"{path}: line {lineno}: {e}") from None
-        out.setdefault(image_id, []).append(prop)
+        if not (math.isfinite(score) and score >= 0):
+            raise DataFormatError(f"{path}: line {lineno}: proposal score must be finite and >= 0, got {score}")
+        out.setdefault(image_id, []).append((box, score))
     return out
 
 
@@ -583,7 +615,7 @@ def outcome(read, path):
 def oracle_outcome(path, scored):
     if scored:
         return outcome(lambda p: {
-            i: [(q.box.x, q.box.y, q.box.w, q.box.h, q.score) for q in props]
+            i: [(b.x, b.y, b.w, b.h, score) for b, score in props]
             for i, props in oracle_load_proposals(p).items()
         }, path)
     return outcome(lambda p: {i: [(b.x, b.y, b.w, b.h) for b in boxes] for i, boxes in oracle_load_boxes(p).items()}, path)
@@ -740,47 +772,51 @@ class TestCornerCsvOracle:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text("\n  \n")
-        assert read_corner_csv(str(path)) == {} == load_proposals(str(path))
+        assert read_corner_csv(str(path)) == {} == oracle_load_proposals(str(path))
 
-    def test_load_proposals_wraps_reader(self, tmp_path):
+    def test_reader_groups_rows_by_image(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_lines(path, [["b", "0", "0", "2", "4", "3"], ["a", "1", "1", "2", "2", "0"], ["b", "1", "1", "3", "3", "2"]], "\n")
-        assert load_proposals(str(path)) == oracle_load_proposals(str(path)) == {
-            "b": [Proposal(Box(1, 2, 2, 4), 3.0), Proposal(Box(2, 2, 2, 2), 2.0)],
-            "a": [Proposal(Box(1.5, 1.5, 1, 1), 0.0)],
+        want = {
+            "b": [(Box(1, 2, 2, 4), 3.0), (Box(2, 2, 2, 2), 2.0)],
+            "a": [(Box(1.5, 1.5, 1, 1), 0.0)],
         }
+        assert oracle_load_proposals(str(path)) == want
+        loaded = read_corner_csv(str(path))
+        assert list(loaded) == ["b", "a"]
+        assert {i: r.tolist() for i, r in loaded.items()} == {i: proposal_rows(p).tolist() for i, p in want.items()}
 
 
 def oracle_save_proposals(path, by_image):
     with open(path, "w", encoding="utf-8") as f:
         for image_id, props in by_image.items():
-            for p in props:
+            for b, score in props:
                 xmin, ymin, xmax, ymax = (
-                    p.box.x - 0.5 * p.box.w,
-                    p.box.y - 0.5 * p.box.h,
-                    p.box.x + 0.5 * p.box.w,
-                    p.box.y + 0.5 * p.box.h,
+                    b.x - 0.5 * b.w,
+                    b.y - 0.5 * b.h,
+                    b.x + 0.5 * b.w,
+                    b.y + 0.5 * b.h,
                 )
-                f.write(f"{image_id},{xmin!r},{ymin!r},{xmax!r},{ymax!r},{p.score!r}\n")
+                f.write(f"{image_id},{xmin!r},{ymin!r},{xmax!r},{ymax!r},{score!r}\n")
 
 
 DYADIC = st.integers(-8000, 8000).map(lambda k: k / 8)
 DYADIC_SIDE = st.integers(1, 4000).map(lambda k: k / 4)
-FLOAT_PROPOSALS = st.builds(
-    Proposal, st.builds(Box, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES, SIDES), st.floats(0.0, 1e4)
+FLOAT_PROPOSALS = st.tuples(
+    st.builds(Box, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), SIDES, SIDES), st.floats(0.0, 1e4)
 )
 
 
 class TestCornerCsvRoundTrip:
     @IO_PROPERTY
-    @given(st.dictionaries(IDS, st.lists(st.builds(Proposal, st.builds(Box, DYADIC, DYADIC, DYADIC_SIDE, DYADIC_SIDE),
-                                                    st.floats(0.0, 1e4)), max_size=20)))
+    @given(st.dictionaries(IDS, st.lists(st.tuples(st.builds(Box, DYADIC, DYADIC, DYADIC_SIDE, DYADIC_SIDE),
+                                                   st.floats(0.0, 1e4)), max_size=20)))
     def test_save_load_round_trip_exact(self, tmp_path, by_image):
         # Corner and center arithmetic is exact on this grid, so nothing may change.
         path = str(tmp_path / "props.csv")
         write_corner_csv(path, {i: proposal_rows(p) for i, p in by_image.items()})
-        loaded = load_proposals(path)
-        assert {i: bits(p) for i, p in loaded.items()} == {i: bits(p) for i, p in by_image.items() if p}
+        loaded = read_corner_csv(path)
+        assert {i: row_bits(r) for i, r in loaded.items()} == {i: bits(p) for i, p in by_image.items() if p}
 
     @IO_PROPERTY
     @given(st.dictionaries(IDS, st.lists(FLOAT_PROPOSALS, max_size=20)))

@@ -10,7 +10,6 @@ from boxregress.boxes import Box, apply_offsets_array, encode_offsets_array, iou
 from boxregress.sampling import (
     SampleBudgetWarning,
     SamplerConfig,
-    generate_training_boxes,
     generate_training_boxes_many,
 )
 
@@ -45,7 +44,7 @@ class TestConfig:
 def drawn_offsets(cfg, rng):
     """The offsets behind one call's boxes: at t = 0 every draw is accepted."""
     cfg = SamplerConfig(alpha=cfg.alpha, beta=cfg.beta, t=0.0, boxes_per_gt=cfg.boxes_per_gt)
-    out = generate_training_boxes(G, cfg, rng)
+    out = generate_training_boxes_many(G_ROW, cfg, rng)[0]
     return encode_offsets_array(np.repeat(G_ROW, len(out), 0), out)
 
 
@@ -73,7 +72,7 @@ class TestSampleOffsets:
 class TestGenerate:
     def test_degenerate_yields_copies(self):
         cfg = SamplerConfig(alpha=0, beta=0, t=0.5)
-        out = generate_training_boxes(G, cfg, np.random.default_rng(0))
+        out = generate_training_boxes_many(G_ROW, cfg, np.random.default_rng(0))[0]
         assert out.shape == (50, 4)
         assert (out == G_ROW).all()
 
@@ -82,19 +81,19 @@ class TestGenerate:
         rng = np.random.default_rng(2)
         boxes = []
         while sum(map(len, boxes)) < 2000:
-            boxes.append(generate_training_boxes(G, cfg, rng))
+            boxes.append(generate_training_boxes_many(G_ROW, cfg, rng)[0])
         assert (iou(np.concatenate(boxes), G_ROW) >= cfg.t).all()
 
     def test_seed_determinism(self):
         cfg = SamplerConfig()
-        a = generate_training_boxes(G, cfg, np.random.default_rng(7))
-        b = generate_training_boxes(G, cfg, np.random.default_rng(7))
+        a = generate_training_boxes_many(G_ROW, cfg, np.random.default_rng(7))[0]
+        b = generate_training_boxes_many(G_ROW, cfg, np.random.default_rng(7))[0]
         assert np.array_equal(a, b)
 
     def test_underfill_warns_and_terminates(self):
         cfg = SamplerConfig(t=0.99, max_attempts_per_box=200)
         with pytest.warns(SampleBudgetWarning):
-            out = generate_training_boxes(G, cfg, np.random.default_rng(3))
+            out = generate_training_boxes_many(G_ROW, cfg, np.random.default_rng(3))[0]
         assert len(out) < cfg.boxes_per_gt
 
     def test_high_threshold_acceptance_rate(self):
@@ -106,8 +105,9 @@ class TestGenerate:
         assert accepted / 10_000 < 0.05
 
 
-# Reference sampler: generate_training_boxes as it was when it consumed
-# candidates one attempt at a time and returned a list of Box values.
+# Reference sampler: the one-ground-truth sampler as it was when it
+# consumed candidates one attempt at a time and returned a list of Box
+# values.
 
 
 def oracle_generate_training_boxes(g: Box, cfg: SamplerConfig, rng: np.random.Generator) -> list[Box]:
@@ -143,17 +143,10 @@ def oracle_generate_training_boxes(g: Box, cfg: SamplerConfig, rng: np.random.Ge
     return out
 
 
-def run_sampler(fn, g, cfg, seed):
-    rng = np.random.default_rng(seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(g, cfg, rng)
-    rows = np.array([[b.x, b.y, b.w, b.h] for b in out]) if isinstance(out, list) else out
-    messages = [(w.category, str(w.message)) for w in caught]
-    return [[v.hex() for v in r] for r in rows.reshape(-1, 4).tolist()], messages, rng.bit_generator.state
-
-
 class TestOracle:
+    # One ground truth sampled on its own must be the reference's
+    # one-attempt-at-a-time result: rows, warnings and final RNG state.
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         st.floats(0.0, 1.5),
@@ -169,33 +162,28 @@ class TestOracle:
         # block boundaries and give up mid-block; the RNG must end where
         # the old sampler left it, so later draws are unchanged too.
         cfg = SamplerConfig(alpha=alpha, beta=beta, t=t, boxes_per_gt=boxes_per_gt, max_attempts_per_box=max_attempts)
-        g = Box(*g)
-        assert run_sampler(generate_training_boxes, g, cfg, seed) == run_sampler(
-            oracle_generate_training_boxes, g, cfg, seed
-        )
+        gts = np.array([g], dtype=np.float64)
+        assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
 
     @pytest.mark.parametrize("t,max_attempts", [(0.3, 1000), (0.9, 3), (0.97, 50), (0.5, 1), (0.99, 7)])
     def test_matches_on_many_seeds(self, t, max_attempts):
         cfg = SamplerConfig(t=t, boxes_per_gt=25, max_attempts_per_box=max_attempts)
-        g = Box(50.0, 50.0, 20.0, 30.0)
+        gts = np.array([[50.0, 50.0, 20.0, 30.0]])
         for seed in range(40):
-            assert run_sampler(generate_training_boxes, g, cfg, seed) == run_sampler(
-                oracle_generate_training_boxes, g, cfg, seed
-            )
+            assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
 
     def test_integer_box_is_not_truncated(self):
         # The reference sampled an int-valued Box into an int array and
         # truncated every box; the sampler works in float64.
         cfg = SamplerConfig(boxes_per_gt=25)
-        out = generate_training_boxes(G, cfg, np.random.default_rng(0))
+        ints = np.array([[50, 50, 20, 30]])
+        out = generate_training_boxes_many(ints, cfg, np.random.default_rng(0))[0]
         assert out.dtype == np.float64 and not (out == np.round(out)).all()
-        assert run_sampler(generate_training_boxes, G, cfg, 0) == run_sampler(
-            generate_training_boxes, Box(50.0, 50.0, 20.0, 30.0), cfg, 0
-        )
+        assert run_many(ints, cfg, 0) == run_many(ints.astype(np.float64), cfg, 0)
 
 
 def run_many(gts, cfg, seed):
-    """generate_training_boxes_many over (G, 4) gts, recorded like run_sampler."""
+    """generate_training_boxes_many over (G, 4) gts: rows as hex strings, counts, warnings, final RNG state."""
     rng = np.random.default_rng(seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

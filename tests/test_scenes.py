@@ -90,6 +90,17 @@ class TestLoadAnnotations:
         with pytest.raises(DataFormatError):
             load_annotations(str(tmp_path / "does-not-exist.json"))
 
+    def test_duplicate_image_id_rejected(self, tmp_path):
+        # A later image with the same id would silently replace the first,
+        # and the annotation would move onto it.
+        doc = {
+            "images": [{"id": 1, "width": 100, "height": 100}, {"id": 2, "width": 64, "height": 64},
+                       {"id": 1, "width": 50, "height": 50}],
+            "annotations": [{"image_id": 1, "bbox": [60, 60, 30, 30]}],
+        }
+        with pytest.raises(DataFormatError, match=r"images\[2\]: duplicate image id 1"):
+            load_annotations(write_json(tmp_path, doc))
+
     @pytest.mark.parametrize("label", [1.5, "7", True, [1]], ids=repr)
     def test_non_integer_category_rejected(self, tmp_path, capsys, label):
         # The scene cache stores labels as int32: a label that is not an
