@@ -10,6 +10,7 @@ optima (refined box equal to the target) get a zero gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +25,12 @@ class LossConfig:
     fallback_weight: float = 1.0   # scale on the zero-overlap gradient fallback
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.smooth_l1_delta <= 0:
-            raise ValueError(f"smooth_l1_delta must be positive, got {self.smooth_l1_delta}")
-        if self.fallback_weight < 0:
-            raise ValueError(f"fallback_weight must be >= 0, got {self.fallback_weight}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.smooth_l1_delta) and self.smooth_l1_delta > 0):
+            raise ValueError(f"smooth_l1_delta must be finite and positive, got {self.smooth_l1_delta}")
+        if not (math.isfinite(self.fallback_weight) and self.fallback_weight >= 0):
+            raise ValueError(f"fallback_weight must be finite and >= 0, got {self.fallback_weight}")
 
 
 def smooth_l1_terms_batch(

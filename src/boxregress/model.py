@@ -94,14 +94,21 @@ class TrainConfig:
     max_epochs: int = 200
 
     def __post_init__(self):
-        positives = (
-            self.momentum, self.weight_decay, self.initial_lr, self.lr_decay_factor,
-            self.plateau_patience, self.stop_lr, self.minibatch_size, self.init_std,
-            self.pool_size, self.val_fraction, self.val_boxes_per_gt,
-            self.plateau_rel_improvement, self.max_epochs, *self.hidden,
-        )
-        if any(v <= 0 for v in positives):
-            raise ValueError("all TrainConfig numeric fields must be positive")
+        # Plain SGD has no momentum or weight decay; every other field scales
+        # or counts something that must exist.
+        nonnegative = {"momentum": self.momentum, "weight_decay": self.weight_decay}
+        positive = {
+            "initial_lr": self.initial_lr, "lr_decay_factor": self.lr_decay_factor,
+            "plateau_patience": self.plateau_patience, "stop_lr": self.stop_lr,
+            "minibatch_size": self.minibatch_size, "init_std": self.init_std,
+            "pool_size": self.pool_size, "val_fraction": self.val_fraction,
+            "val_boxes_per_gt": self.val_boxes_per_gt, "plateau_rel_improvement": self.plateau_rel_improvement,
+            "max_epochs": self.max_epochs, "hidden": min(self.hidden),
+        }
+        for name, v in (*nonnegative.items(), *positive.items()):
+            if not (math.isfinite(v) and (v > 0 if name in positive else v >= 0)):
+                bound = "> 0" if name in positive else ">= 0"
+                raise ValueError(f"TrainConfig {name} must be finite and {bound}, got {v}")
         if self.stop_lr >= self.initial_lr:
             raise ValueError(f"stop_lr must be below initial_lr, got {self.stop_lr} >= {self.initial_lr}")
 
@@ -350,23 +357,47 @@ def train(
     return best_model, log
 
 
+# Rows per pooling and head chunk in refine; chunks start at multiples of
+# it. Pooling is elementwise per row, but a row's matrix-product bits can
+# depend on the BLAS kernel's row blocking. Chunks that start at these
+# multiples, each 512-1023 rows long, gave predictions bitwise equal to
+# one unchunked product on every OpenBLAS kernel tried (Prescott to
+# SkylakeX); equal-sized chunks did not on several, and on the output
+# layer chunks of 300 rows or fewer differed even on the default kernel.
+_REFINE_ROWS = 512
+
+
+def _row_chunks(n: int) -> list[int]:
+    """Chunk edges for n rows: every multiple of _REFINE_ROWS below n, then n.
+
+    A remainder shorter than _REFINE_ROWS joins the chunk before it, so
+    fewer than 2 * _REFINE_ROWS rows stay one chunk.
+    """
+    return list(range(0, n, _REFINE_ROWS))[: max(1, n // _REFINE_ROWS)] + [n]
+
+
 def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
     """Iteratively refine (N, 4) center-form boxes against one scene.
 
-    The scene's feature map is computed once and reused. Returns the
-    boxes after each iteration, one (N, 4) array each, so the result
-    has `iterations` entries. Raises OverflowError if a refined row is
-    not a box (a non-finite field or a non-positive side).
+    The scene's feature map is computed once and reused. Boxes are
+    pooled and run through the head in row chunks (see _REFINE_ROWS),
+    so working memory beyond the (N, 4) arrays does not grow with N.
+    Returns the boxes after each iteration, one (N, 4) array each, so
+    the result has `iterations` entries. Raises OverflowError if a
+    refined row is not a box (a non-finite field or a non-positive side).
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     fm = scene.feature_map()
     if fm.channels != model.channels:
         raise ValueError(f"model expects {model.channels} channels, scene provides {fm.channels}")
+    edges = _row_chunks(len(boxes))
     arr = boxes
     out: list[np.ndarray] = []
     for _ in range(iterations):
-        pred = _forward(model, roi_align_many(fm, arr / FEATURE_STRIDE, model.pool_size))[0]
+        pred = np.empty((len(arr), 4))
+        for a, b in zip(edges[:-1], edges[1:]):
+            pred[a:b] = _forward(model, roi_align_many(fm, arr[a:b] / FEATURE_STRIDE, model.pool_size))[0]
         arr = apply_offsets_array(arr, pred)
         if not (np.isfinite(arr).all() and (arr[:, 2:] > 0.0).all()):
             raise OverflowError("refined boxes left the numeric range")

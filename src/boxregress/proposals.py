@@ -106,7 +106,7 @@ _BLOCK = 1 << 15
 def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Neighbor lists at IoU > t and neighbor counts at IoU > count_t, self included.
 
-    Returns (start, stop, cols, counts): box i's neighbors are
+    Returns (start, stop, cols, counts): box i's neighbors are the int32
     cols[start[i]:stop[i]], in no particular order: every box j with
     IoU(i, j) > t as `iou` computes it. counts[i] is the number of boxes
     j with IoU(i, j) > count_t. That kernel is bitwise symmetric, so
@@ -128,7 +128,7 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
     n = len(arr)
     t0 = min(t, count_t)
     if t0 >= 1.0 or n == 0:
-        return np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(0, np.intp), np.zeros(n, np.intp)
+        return np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(0, np.int32), np.zeros(n, np.intp)
     x_lo, x_hi, y_lo, y_hi, area = _extents(arr)
     wid = x_hi - x_lo
     hgt = y_hi - y_lo
@@ -204,13 +204,19 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
                     cols_out += [j, i]
                 counts_p[r0:r1] += np.bincount(cr, minlength=r1 - r0)
                 counts_p[c0:c1] += np.bincount(cc, minlength=c1 - c0)
+    # Each temporary is freed as soon as it is used: with up to a million
+    # entries, this tail sets the graph's peak memory.
     rows = np.concatenate(rows_out)
     del rows_out
-    cols = np.concatenate(cols_out)
-    del cols_out
     indptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    cols = order[cols[np.argsort(rows)]]
+    perm = np.argsort(rows)
+    del rows
+    cols = np.concatenate(cols_out)
+    del cols_out
+    cols = cols[perm]
+    del perm
+    cols = order.astype(np.int32)[cols]
     start = np.zeros(n, dtype=np.intp)
     stop = np.zeros(n, dtype=np.intp)
     counts = np.zeros(n, dtype=np.intp)

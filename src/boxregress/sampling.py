@@ -36,8 +36,8 @@ class SamplerConfig:
     max_attempts_per_box: int = 1000
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 <= self.beta < 1:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not 0 <= self.t < 1:

@@ -89,6 +89,21 @@ class TestUsageErrors:
         (["--t", "1.5"], "t must be"),                # SamplerConfig
         (["--lr", "-1"], "TrainConfig"),              # TrainConfig
         (["--epsilon", "0"], "epsilon must be"),      # LossConfig
+        # Every float field must be finite; NaN passes a plain `v <= 0` check.
+        (["--alpha", "nan"], "alpha must be"),
+        (["--alpha", "inf"], "alpha must be"),
+        (["--epsilon", "nan"], "epsilon must be"),
+        (["--epsilon", "inf"], "epsilon must be"),
+        (["--lr", "nan"], "initial_lr must be"),
+        (["--lr", "inf"], "initial_lr must be"),
+        (["--init-std", "nan"], "init_std must be"),
+        (["--init-std", "inf"], "init_std must be"),
+        (["--momentum", "nan"], "momentum must be"),
+        (["--momentum", "inf"], "momentum must be"),
+        (["--weight-decay", "nan"], "weight_decay must be"),
+        (["--weight-decay", "inf"], "weight_decay must be"),
+        (["--stop-lr", "nan"], "stop_lr must be"),
+        (["--momentum", "-0.5"], "momentum must be"),
     ], ids=lambda v: "=".join(v) if isinstance(v, list) else None)
     def test_bad_train_flag(self, tmp_path, capsys, flag, field):
         # The annotation file does not exist: a check after building the scenes would exit 2.
@@ -134,6 +149,14 @@ class TestUsageErrors:
         assert code == 1
         assert flag[0] in one_line_error(capsys, "error: ")
         assert not (tmp_path / "o").exists()
+
+
+class TestPlainSgd:
+    @pytest.mark.parametrize("flag", ["--weight-decay", "--momentum"])
+    def test_zero_is_accepted(self, tmp_path, flag):
+        out = tmp_path / "train"
+        assert run_cli(["train", "--out-dir", str(out), flag, "0"] + TINY_TRAIN) == 0
+        assert (out / "model.ubbr").exists()
 
 
 class TestDataErrors:

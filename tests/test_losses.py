@@ -256,7 +256,11 @@ class TestBatchIouLoss:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [{"epsilon": 0}, {"smooth_l1_delta": 0}, {"fallback_weight": -1}])
+    @pytest.mark.parametrize("kwargs", [
+        {"epsilon": 0}, {"smooth_l1_delta": 0}, {"fallback_weight": -1},
+        {"epsilon": math.nan}, {"epsilon": math.inf}, {"smooth_l1_delta": math.nan}, {"smooth_l1_delta": math.inf},
+        {"fallback_weight": math.nan}, {"fallback_weight": math.inf},
+    ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LossConfig(**kwargs)

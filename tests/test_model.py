@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import boxregress
 from boxregress.boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from boxregress.features import FEATURE_STRIDE, roi_align_many
 from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
@@ -23,7 +28,7 @@ from boxregress.model import (
     save_model,
     train,
 )
-from boxregress.proposals import seed_grid
+from boxregress.proposals import SeedGridConfig, seed_grid
 from boxregress.sampling import SampleBudgetWarning, SamplerConfig
 from boxregress.scenes import SynthConfig, synth_scenes
 
@@ -264,6 +269,68 @@ class TestRefine:
             refine(m, scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
 
 
+# Runs in a fresh process, so OPENBLAS_CORETYPE picks the kernel: chunked
+# refine against one unchunked pooling and head pass per iteration, at the
+# pinned model's widths. Prints the kernel's name, then every (rows,
+# iterations) whose bits differ.
+CHUNK_BITS_SCRIPT = """
+import ctypes, glob, os
+import numpy as np
+from boxregress.boxes import apply_offsets_array
+from boxregress.features import FEATURE_STRIDE, roi_align_many
+from boxregress.model import _forward, init_model, refine
+from boxregress.scenes import SynthConfig, synth_scenes
+
+try:
+    lib = ctypes.CDLL(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))[0])
+    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    print(lib.scipy_openblas_get_corename64_().decode())
+except (IndexError, OSError, AttributeError):
+    print("unknown")
+scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
+fm = scene.feature_map()
+model = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(0))
+rng = np.random.default_rng(1)
+for n in (1, 4, 5, 300, 511, 512, 513, 1023, 1024, 1025, 1535, 1536, 2047, 2100, 3072, 3073):
+    boxes = np.column_stack([rng.uniform(0.0, 128.0, (n, 2)), rng.uniform(4.0, 100.0, (n, 2))])
+    for iterations in (1, 3):
+        arr = boxes
+        for got in refine(model, scene, boxes, iterations):
+            arr = apply_offsets_array(arr, _forward(model, roi_align_many(fm, arr / FEATURE_STRIDE, 7))[0])
+            if got.tobytes() != arr.tobytes():
+                print(n, iterations)
+                break
+"""
+
+
+class TestRefineChunks:
+    @pytest.mark.parametrize("coretype", ["", "Prescott", "Nehalem", "Sandybridge", "Haswell", "Zen"])
+    def test_bitwise_equal_to_unchunked_on_each_kernel(self, coretype):
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(boxregress.__file__)))
+        run = subprocess.run([sys.executable, "-c", CHUNK_BITS_SCRIPT], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        kernel, *differing = run.stdout.splitlines()
+        assert differing == [], f"OpenBLAS kernel {kernel}: (rows, iterations) differing: {differing}"
+
+    @pytest.mark.parametrize("stride", [0.0625, 0.03125])  # 3072 and 12288 seeds
+    def test_working_memory_is_bounded(self, stride):
+        scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
+        scene.feature_map()
+        seeds = seed_grid(scene.width, scene.height, SeedGridConfig(stride=stride))
+        assert len(seeds) == 3072 * (0.0625 / stride) ** 2
+        model = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            refine(model, scene, seeds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000, f"refine on {len(seeds)} seeds peaked at {peak / 1e6:.2f} MB"
+
+
 class TestTrain:
     def test_degenerate_config_converges_fast(self):
         # Inputs equal ground truths, so the identity refinement is optimal
@@ -320,7 +387,20 @@ class TestTrainConfigValidation:
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
-            TrainConfig(momentum=0)
+            TrainConfig(initial_lr=0)
+
+    def test_plain_sgd_fields_may_be_zero(self):
+        cfg = TrainConfig(momentum=0.0, weight_decay=0.0)
+        assert cfg.momentum == cfg.weight_decay == 0.0
+
+    @pytest.mark.parametrize("field", [
+        "momentum", "weight_decay", "initial_lr", "lr_decay_factor", "stop_lr", "init_std", "val_fraction",
+        "plateau_rel_improvement",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_float_fields_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 # Reference pool: _build_pool as it was when it sampled one ground truth
@@ -535,13 +615,6 @@ def run_train(fn, *args, **kwargs):
     return weight_bytes(model), log_bits(log), message
 
 
-def no_weight_decay(cfg):
-    # TrainConfig requires every numeric field to be positive; the update
-    # itself must still match the reference at weight decay 0.
-    object.__setattr__(cfg, "weight_decay", 0.0)
-    return cfg
-
-
 TRAIN_CASES = {
     "iou": (TrainConfig(seed=3, max_epochs=4, hidden=(12, 12)), SamplerConfig(boxes_per_gt=10), "iou"),
     "smooth_l1": (TrainConfig(seed=4, max_epochs=4, hidden=(12, 12)), SamplerConfig(boxes_per_gt=10), "smooth_l1"),
@@ -551,7 +624,7 @@ TRAIN_CASES = {
                     stop_lr=1e-9),
         SamplerConfig(boxes_per_gt=10), "iou",
     ),
-    "weight_decay_0": (no_weight_decay(TrainConfig(seed=6, max_epochs=3, hidden=(12, 12))),
+    "weight_decay_0": (TrainConfig(seed=6, max_epochs=3, hidden=(12, 12), weight_decay=0.0),
                        SamplerConfig(boxes_per_gt=10), "iou"),
     "weight_decay_big": (TrainConfig(seed=7, max_epochs=3, hidden=(12, 12), weight_decay=0.5, initial_lr=0.01),
                          SamplerConfig(boxes_per_gt=10), "smooth_l1"),

@@ -50,6 +50,20 @@ def nested_pair(target_iou, w=10.0, rel=0.0):
     return Box(0, 0, w, w), Box(0.5 * (w - m), 0, m, w)
 
 
+def crossed_pair(target_iou, a=10.0, rel=1e-9):
+    """An a x b and a b x a box on one center, at IoU just above target_iou.
+
+    Their IoU is r / (2 - r) for the side ratio r = b / a, while their
+    side-ratio product is r * r: so a skip of pairs whose product is at
+    most the threshold drops this true neighbor pair. Returns no boxes
+    when no such pair exists (target 0 or 1) or the short side underflows.
+    """
+    b = a * 2.0 * target_iou / (1.0 + target_iou) * (1 + rel)
+    if not 0.0 < b < a:
+        return ()
+    return Box(0, 0, a, b), Box(0, 0, b, a)
+
+
 def proposal_rows(props):
     """(N, 5) rows (x, y, w, h, score) of a list of (Box, score) pairs."""
     return np.array([(b.x, b.y, b.w, b.h, s) for b, s in props], dtype=np.float64).reshape(-1, 5)
@@ -414,6 +428,7 @@ def box_sets(draw, thresholds=st.sampled_from([0.6, 0.7])):
         boxes += draw(st.lists(st.sampled_from(boxes), max_size=8))
     for target in draw(st.lists(thresholds, max_size=3)):
         boxes += overlap_pair(target, draw(st.floats(0.5, 100.0)))
+        boxes += crossed_pair(target, draw(st.floats(0.5, 100.0)))
         if target > 0:
             rel = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]))
             boxes += nested_pair(target, draw(st.floats(0.5, 100.0)), rel)

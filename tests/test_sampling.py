@@ -34,6 +34,10 @@ class TestConfig:
             {"t": -0.5},
             {"boxes_per_gt": 0},
             {"max_attempts_per_box": 0},
+            {"alpha": math.nan},
+            {"alpha": math.inf},
+            {"beta": math.nan},
+            {"t": math.nan},
         ],
     )
     def test_invalid(self, kwargs):
