@@ -2,7 +2,7 @@
 
 from .boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from .errors import DataFormatError
-from .features import FEATURE_STRIDE, FeatureMap, roi_align_many
+from .features import FEATURE_STRIDE, FeatureMap, PlaneBuffer, plane_buffer, roi_align_many
 from .losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from .model import (
     EpochStats,

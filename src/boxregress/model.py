@@ -18,7 +18,7 @@ import numpy as np
 
 from .boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from .errors import DataFormatError
-from .features import FEATURE_STRIDE, roi_align_many
+from .features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from .losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from .sampling import SamplerConfig, generate_training_boxes_many
 
@@ -207,14 +207,14 @@ def loss_and_weight_grads(
     return float(losses.mean()), grads, fallbacks
 
 
-def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator, pool_size: int):
-    """Sample training boxes for every ground truth and pool their features.
+def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator):
+    """Sample training boxes for every ground truth of the scenes.
 
     The ground truths of all scenes are sampled in one call, scene after
-    scene, so they share one offset stream; each scene's features are
-    written into one preallocated array. Returns (features, input boxes,
-    matched ground truths) with the box data as (N, 4) center-form
-    arrays.
+    scene, so they share one offset stream. Returns (input boxes,
+    matched ground truths, scene index of each row): the boxes as (N, 4)
+    center-form arrays, in scene order. Features are pooled later, from
+    a plane buffer of the scenes' maps.
     """
     gts = [boxes_to_array(scene.gts) for scene in scenes]
     rows, counts = generate_training_boxes_many(
@@ -224,21 +224,62 @@ def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator, po
         raise ValueError("no training boxes could be generated")
     # Each scene's rows end where its last ground truth's rows end.
     row_ends = np.concatenate(([0], np.cumsum(counts)))[np.cumsum([len(g) for g in gts], dtype=np.int64)]
-    feats = np.empty((len(rows), scenes[0].feature_map().channels * pool_size * pool_size))
     matched = np.empty_like(rows)
     start = 0
-    for scene, gts_arr, end in zip(scenes, gts, row_ends):
+    for gts_arr, end in zip(gts, row_ends):
         if end > start:
             arr = rows[start:end]
             matched[start:end] = gts_arr[iou(arr[:, None], gts_arr[None]).argmax(axis=1)]
-            feats[start:end] = roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size)
         start = end
-    return feats, rows, matched
+    scene_of = np.repeat(np.arange(len(scenes)), np.diff(row_ends, prepend=0))
+    return rows, matched, scene_of
+
+
+# Minibatches pooled at once in _train_epoch. Against pooling the whole
+# epoch up front (192 scenes of the default recipe; one thread of a
+# 2-vCPU Xeon VM, SkylakeX OpenBLAS kernel; median of 24 alternating
+# epochs), pooling each minibatch alone took 1.08x the epoch time, its
+# many small gathers missing cache; spans of 8, 16 and 32 took 0.99x,
+# 0.99x and 0.98x. A span of 16 holds 2.4 MB of features at the default
+# minibatch, where the epoch's pool held 22 MB.
+_POOL_SPAN = 16
+
+
+# Rows per head chunk in refine and _evaluate, and per pooling chunk in
+# refine; chunks start at multiples of it. Pooling is elementwise per
+# row, but a row's matrix-product bits can depend on the BLAS kernel's
+# row blocking. Chunks that start at these multiples, each 512-1023 rows
+# long, gave predictions bitwise equal to one unchunked product on every
+# OpenBLAS kernel tried (Prescott to SkylakeX); equal-sized chunks did
+# not on several, and on the output layer chunks of 300 rows or fewer
+# differed even on the default kernel.
+_REFINE_ROWS = 512
+
+
+def _row_chunks(n: int) -> list[int]:
+    """Chunk edges for n rows: every multiple of _REFINE_ROWS below n, then n.
+
+    A remainder shorter than _REFINE_ROWS joins the chunk before it, so
+    fewer than 2 * _REFINE_ROWS rows stay one chunk.
+    """
+    return list(range(0, n, _REFINE_ROWS))[: max(1, n // _REFINE_ROWS)] + [n]
+
+
+def _predict(model: RegressorModel, n: int, features) -> np.ndarray:
+    """The head's (n, 4) offsets, run in row chunks (see _REFINE_ROWS).
+
+    features(a, b) gives the pooled features of rows a to b.
+    """
+    pred = np.empty((n, 4))
+    edges = _row_chunks(n)
+    for a, b in zip(edges[:-1], edges[1:]):
+        pred[a:b] = _forward(model, features(a, b))[0]
+    return pred
 
 
 def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
     """Held-out loss and mean IoU of one-step refinement."""
-    pred, _, _ = _forward(model, x)
+    pred = _predict(model, len(x), lambda a, b: x[a:b])
     if loss == "iou":
         losses, _, _ = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
     else:
@@ -247,34 +288,45 @@ def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
     return float(losses.mean()), float(iou(refined, gt_boxes).mean())
 
 
-def _train_epoch(model, velocity, scenes, rng, lr, cfg, sampler_cfg, loss_cfg, loss) -> float:
-    """One epoch of SGD on a freshly sampled pool; returns its mean training loss.
+def _train_epoch(model, velocity, scenes, buf, rng, lr, cfg, sampler_cfg, loss_cfg, loss) -> float:
+    """One epoch of SGD on freshly sampled boxes; returns its mean training loss.
 
-    Builds the pool from rng, then draws the minibatch order from it.
-    The weights and their velocities are updated in place: each step
-    adds weight decay to the weight gradients, then sets v = momentum * v
-    + g and p -= lr * v, through one scratch array per weight. Every
-    array made here is freed when the epoch returns, so no two pools are
-    alive at once.
+    Samples the boxes from rng, then draws the minibatch order from it.
+    Features are pooled from buf, the plane buffer of the scenes' maps,
+    _POOL_SPAN minibatches at a time just before those steps run. The
+    weights and their velocities are updated in place: each step adds
+    weight decay to the weight gradients, then sets v = momentum * v +
+    g and p -= lr * v, through one scratch array per weight.
     """
-    x, in_boxes, gt_boxes = _build_pool(scenes, sampler_cfg, rng, cfg.pool_size)
+    in_boxes, gt_boxes, scene_of = _build_pool(scenes, sampler_cfg, rng)
     perm = rng.permutation(len(in_boxes))
     params = model.params()
     scratch = {name: np.empty_like(p) for name, p in params.items()}
+    mb = cfg.minibatch_size
     running = 0.0
-    for start in range(0, len(perm), cfg.minibatch_size):
-        idx = perm[start : start + cfg.minibatch_size]
-        mb_loss, grads, _ = loss_and_weight_grads(model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss)
-        running += mb_loss * len(idx)
-        for name, p in params.items():
-            g, v, s = grads[name], velocity[name], scratch[name]
-            if name.startswith("w"):
-                np.multiply(p, cfg.weight_decay, out=s)
-                g += s
-            v *= cfg.momentum
-            v += g
-            np.multiply(v, lr, out=s)
-            p -= s
+    for span in range(0, len(perm), mb * _POOL_SPAN):
+        span_idx = perm[span : span + mb * _POOL_SPAN]
+        # Pool the span's rows sorted, which is scene order, so the gathers
+        # walk the buffer forward; then put them back in minibatch order.
+        order = np.argsort(span_idx)
+        rows = span_idx[order]
+        x = roi_align_many(buf, in_boxes[rows] / FEATURE_STRIDE, cfg.pool_size, scene_of[rows])[np.argsort(order)]
+        for start in range(0, len(span_idx), mb):
+            idx = span_idx[start : start + mb]
+            mb_loss, grads, _ = loss_and_weight_grads(
+                model, x[start : start + mb], in_boxes[idx], gt_boxes[idx], loss_cfg, loss
+            )
+            running += mb_loss * len(idx)
+            for name, p in params.items():
+                g, v, s = grads[name], velocity[name], scratch[name]
+                if name.startswith("w"):
+                    np.multiply(p, cfg.weight_decay, out=s)
+                    g += s
+                v *= cfg.momentum
+                v += g
+                np.multiply(v, lr, out=s)
+                p -= s
+        del x  # the next span's features replace these
     return running / len(perm)
 
 
@@ -311,8 +363,14 @@ def train(
                        np.random.default_rng([cfg.seed, 0]))
     velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
 
+    # The held-out features are pooled once; the training scenes' planes
+    # stay in one buffer that every epoch pools from.
     val_sampler = replace(sampler_cfg, boxes_per_gt=cfg.val_boxes_per_gt)
-    val_x, val_boxes, val_gts = _build_pool(val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]), cfg.pool_size)
+    val_boxes, val_gts, val_of = _build_pool(val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]))
+    val_x = roi_align_many(
+        plane_buffer([s.feature_map() for s in val_scenes]), val_boxes / FEATURE_STRIDE, cfg.pool_size, val_of
+    )
+    buf = plane_buffer([s.feature_map() for s in train_scenes])
 
     log: list[EpochStats] = []
     best_val = math.inf
@@ -324,7 +382,7 @@ def train(
     for epoch in range(cfg.max_epochs):
         try:
             train_loss = _train_epoch(
-                model, velocity, train_scenes, np.random.default_rng([cfg.seed, 1, epoch]),
+                model, velocity, train_scenes, buf, np.random.default_rng([cfg.seed, 1, epoch]),
                 lr, cfg, sampler_cfg, loss_cfg, loss,
             )
             val_loss, val_miou = _evaluate(model, val_x, val_boxes, val_gts, loss_cfg, loss)
@@ -357,25 +415,6 @@ def train(
     return best_model, log
 
 
-# Rows per pooling and head chunk in refine; chunks start at multiples of
-# it. Pooling is elementwise per row, but a row's matrix-product bits can
-# depend on the BLAS kernel's row blocking. Chunks that start at these
-# multiples, each 512-1023 rows long, gave predictions bitwise equal to
-# one unchunked product on every OpenBLAS kernel tried (Prescott to
-# SkylakeX); equal-sized chunks did not on several, and on the output
-# layer chunks of 300 rows or fewer differed even on the default kernel.
-_REFINE_ROWS = 512
-
-
-def _row_chunks(n: int) -> list[int]:
-    """Chunk edges for n rows: every multiple of _REFINE_ROWS below n, then n.
-
-    A remainder shorter than _REFINE_ROWS joins the chunk before it, so
-    fewer than 2 * _REFINE_ROWS rows stay one chunk.
-    """
-    return list(range(0, n, _REFINE_ROWS))[: max(1, n // _REFINE_ROWS)] + [n]
-
-
 def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
     """Iteratively refine (N, 4) center-form boxes against one scene.
 
@@ -391,13 +430,11 @@ def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1)
     fm = scene.feature_map()
     if fm.channels != model.channels:
         raise ValueError(f"model expects {model.channels} channels, scene provides {fm.channels}")
-    edges = _row_chunks(len(boxes))
+    buf = plane_buffer([fm])
     arr = boxes
     out: list[np.ndarray] = []
     for _ in range(iterations):
-        pred = np.empty((len(arr), 4))
-        for a, b in zip(edges[:-1], edges[1:]):
-            pred[a:b] = _forward(model, roi_align_many(fm, arr[a:b] / FEATURE_STRIDE, model.pool_size))[0]
+        pred = _predict(model, len(arr), lambda a, b: roi_align_many(buf, arr[a:b] / FEATURE_STRIDE, model.pool_size))
         arr = apply_offsets_array(arr, pred)
         if not (np.isfinite(arr).all() and (arr[:, 2:] > 0.0).all()):
             raise OverflowError("refined boxes left the numeric range")
@@ -430,13 +467,20 @@ def load_model(path: str) -> RegressorModel:
     header_end = len(MODEL_MAGIC) + 24
     if len(blob) < header_end:
         raise DataFormatError(f"{path}: truncated header")
-    pool_size, channels, in_dim, h1, h2, out_dim = struct.unpack("<6i", blob[len(MODEL_MAGIC) : header_end])
+    header = struct.unpack("<6i", blob[len(MODEL_MAGIC) : header_end])
+    for name, value in zip(("pool size", "channels", "input width", "hidden width 1", "hidden width 2",
+                            "output width"), header):
+        if value < 1:
+            raise DataFormatError(f"{path}: {name} must be >= 1, got {value}")
+    pool_size, channels, in_dim, h1, h2, out_dim = header
     if in_dim != channels * pool_size * pool_size:
         raise DataFormatError(f"{path}: input width {in_dim} does not match {channels}x{pool_size}^2")
     if out_dim != 4:
         raise DataFormatError(f"{path}: output width must be 4, got {out_dim}")
+    # Python ints: every count is a product of positive header fields, exact at any size.
     shapes = [(h1, in_dim), (h1,), (h2, h1), (h2,), (4, h2), (4,)]
-    need = sum(int(np.prod(s)) for s in shapes)
+    sizes = [math.prod(s) for s in shapes]
+    need = sum(sizes)
     body = np.frombuffer(blob[header_end:], dtype="<f8")
     if body.size != need:
         raise DataFormatError(f"{path}: expected {need} weights, found {body.size}")
@@ -446,8 +490,7 @@ def load_model(path: str) -> RegressorModel:
         raise DataFormatError(f"{path}: weight {first} is not finite ({body[first]})")
     arrays = []
     pos = 0
-    for s in shapes:
-        size = int(np.prod(s))
+    for s, size in zip(shapes, sizes):
         arrays.append(body[pos : pos + size].reshape(s).copy())
         pos += size
     return RegressorModel(pool_size, channels, *arrays)

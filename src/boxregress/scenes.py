@@ -398,6 +398,14 @@ def load_scenes(path: str) -> list[Scene]:
         pos += n
         return chunk
 
+    def flag(name: str, ident: str) -> bool:
+        # save_scenes writes 0 or 1; any other byte would not save back the same.
+        at = pos
+        (value,) = take(1)
+        if value > 1:
+            raise DataFormatError(f"{path}: byte {at}: scene {ident}: has-{name} flag must be 0 or 1, got {value}")
+        return value == 1
+
     if bytes(take(len(SCENE_CACHE_MAGIC))) != SCENE_CACHE_MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a scene cache")
     (count,) = struct.unpack("<I", take(4))
@@ -418,14 +426,12 @@ def load_scenes(path: str) -> list[Scene]:
                 gts.append(Box(x, y, w, h))
             except ValueError as e:
                 raise DataFormatError(f"{path}: byte {at}: scene {ident}: {e}") from None
-        (has_labels,) = struct.unpack("<B", take(1))
         labels = None
-        if has_labels:
+        if flag("labels", ident):
             raw = struct.unpack(f"<{n_gts}i", take(4 * n_gts))
             labels = [None if v == NO_LABEL else v for v in raw]
-        (has_fm,) = struct.unpack("<B", take(1))
         fm = None
-        if has_fm:
+        if flag("feature-map", ident):
             at = pos
             c, h, w = struct.unpack("<III", take(12))
             data = np.frombuffer(take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()

@@ -5,6 +5,8 @@ lines. The trained-model fixtures are shared across criteria, so the
 expensive benchmark training runs once per session.
 """
 
+import hashlib
+import json
 import os
 import time
 from dataclasses import replace
@@ -17,13 +19,13 @@ from boxregress import cli
 from boxregress.boxes import Box, boxes_to_array, iou
 from boxregress.losses import LossConfig
 from boxregress.metrics import EvalRecord, corloc, recall_at, recall_curve
-from boxregress.model import TrainConfig, refine, train
+from boxregress.model import TrainConfig, refine, save_model, train
 from boxregress.proposals import decay_nms, generate_proposals, seed_grid
 from boxregress.sampling import SamplerConfig, generate_training_boxes_many
 from boxregress.scenes import SynthConfig, synth_scenes
 
 from test_boxes import raster_iou, row
-from test_model import gradcheck_sample
+from test_model import gradcheck_sample, openblas_core
 
 # Benchmark setup: 200 training scenes, 50 held-out scenes, the paper's
 # sampler and optimizer constants. Patience 5 on the plateau schedule
@@ -341,4 +343,25 @@ def test_criterion_10_cli_determinism(tmp_path):
         "two `train --synth --seed 7` runs write bitwise-identical model files",
         code1 == 0 and code2 == 0 and blob1 == blob2,
         f"{len(blob1)} bytes each",
+    )
+
+
+PINNED_RECIPE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pinned", "recipe.json")
+
+
+@pytest.mark.slow
+def test_pinned_recipe_digest(bench, tmp_path):
+    # The fixture's t = 0.3 model is the pinned recipe's run (synth seed 11,
+    # 200 scenes, seed 7, patience 5), so its bytes must hash as pinned. Its
+    # bits go through OpenBLAS, so they hold on the kernel the recipe was
+    # made with; a mismatch names that environment and this run's kernel.
+    with open(PINNED_RECIPE) as f:
+        recipe = json.load(f)
+    path = str(tmp_path / "model.ubbr")
+    save_model(path, bench.model_t03)
+    with open(path, "rb") as f:
+        got = hashlib.sha256(f.read()).hexdigest()
+    assert got == recipe["sha256"], (
+        f"t=0.3 model sha256 {got}, pinned {recipe['sha256']}: the recipe was made with "
+        f"{recipe['environment']}; this run has numpy {np.__version__}, OpenBLAS core {openblas_core()}"
     )

@@ -8,7 +8,7 @@ import pytest
 from boxregress import cli
 from boxregress.boxes import Box
 from boxregress.features import FeatureMap
-from boxregress.model import init_model, save_model
+from boxregress.model import MODEL_MAGIC, init_model, save_model
 from boxregress.scenes import SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
 
 
@@ -245,6 +245,21 @@ class TestDataErrors:
         assert code == 2
         assert "not finite" in one_line_error(capsys, "data error: ")
 
+    @pytest.mark.parametrize("header,weights,field", [
+        # Negative widths whose signed weight count matches a 3-weight body.
+        ((1, 1, 1, -2, 1, 4), 3, "hidden width 1 must be >= 1, got -2"),
+        ((0, 3, 0, 8, 8, 4), 116, "pool size must be >= 1, got 0"),
+        # Zero widths, which would refine with the output bias alone.
+        ((7, 3, 147, 0, 0, 4), 4, "hidden width 1 must be >= 1, got 0"),
+    ], ids=["negative-hidden", "zero-pool", "zero-hidden"])
+    def test_impossible_model_header(self, tmp_path, capsys, header, weights, field):
+        path = tmp_path / "odd.ubbr"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<6i", *header) + np.zeros(weights, "<f8").tobytes())
+        code = run_cli([
+            "propose", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1", "--model", str(path),
+        ])
+        assert code == 2
+        assert field in one_line_error(capsys, "data error: ")
 
     @pytest.mark.parametrize("command", ["refine", "propose"])
     def test_model_channel_mismatch(self, tmp_path, capsys, command):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxregress.boxes import Box
-from boxregress.features import FEATURE_STRIDE, FeatureMap, roi_align_many
+from boxregress.features import FEATURE_STRIDE, FeatureMap, plane_buffer, roi_align_many
 
 
 def roi_align(fm, b, pool_size=7):
     """Pooled feature vector of one box given in feature-map coordinates."""
-    return roi_align_many(fm, np.array([[b.x, b.y, b.w, b.h]]), pool_size)[0]
+    return roi_align_many(plane_buffer([fm]), np.array([[b.x, b.y, b.w, b.h]]), pool_size)[0]
 
 
 class TestFeatureMap:
@@ -81,13 +81,13 @@ class TestRoiAlign:
         fm = FeatureMap(rng.normal(size=(3, 9, 7)))
         boxes = [Box(rng.uniform(0, 7), rng.uniform(0, 9), rng.uniform(0.5, 5), rng.uniform(0.5, 5)) for _ in range(20)]
         arr = np.array([[b.x, b.y, b.w, b.h] for b in boxes])
-        batch = roi_align_many(fm, arr, pool_size=4)
+        batch = roi_align_many(plane_buffer([fm]), arr, pool_size=4)
         for i, b in enumerate(boxes):
             assert np.array_equal(batch[i], roi_align(fm, b, pool_size=4))
 
     def test_empty_batch(self):
         fm = FeatureMap(np.ones((2, 3, 3)))
-        assert roi_align_many(fm, np.zeros((0, 4)), pool_size=3).shape == (0, 18)
+        assert roi_align_many(plane_buffer([fm]), np.zeros((0, 4)), pool_size=3).shape == (0, 18)
 
     def test_pool_size_validation(self):
         fm = FeatureMap(np.ones((1, 3, 3)))
@@ -175,7 +175,7 @@ class TestOracle:
         data[rng.random(data.shape) < 0.2] = -0.0
         fm = FeatureMap(data)
         boxes = random_boxes(rng, n, h, w, spill, max(side_lo, 1e-3), side_hi)
-        got = roi_align_many(fm, boxes, pool_size)
+        got = roi_align_many(plane_buffer([fm]), boxes, pool_size)
         want = oracle_roi_align_many(fm, boxes, pool_size)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -190,10 +190,61 @@ class TestOracle:
             [3.0, 2.5, 6.0, 5.0], [0.5, 0.5, 1.0, 1.0], [6.0, 5.0, 2.0, 2.0], [0.0, 0.0, 1.0, 1.0],
             [-1.0, 2.5, 2.0, 5.0], [3.0, 5.5, 6.0, 1.0], [100.0, -100.0, 1.0, 1.0], [3.0, 2.5, 1e-6, 1e-6],
         ])
-        got = roi_align_many(fm, boxes, pool_size)
+        got = roi_align_many(plane_buffer([fm]), boxes, pool_size)
         assert got.tobytes() == oracle_roi_align_many(fm, boxes, pool_size).tobytes()
 
     def test_empty(self):
         fm = FeatureMap(np.ones((2, 3, 3)))
-        got = roi_align_many(fm, np.zeros((0, 4)), 4)
+        got = roi_align_many(plane_buffer([fm]), np.zeros((0, 4)), 4)
         assert got.shape == (0, 32) and got.tobytes() == oracle_roi_align_many(fm, np.zeros((0, 4)), 4).tobytes()
+
+
+class TestPlaneBuffer:
+    @pytest.mark.parametrize("pool_size", range(1, 8))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_sizes_match_oracle_per_scene(self, pool_size, seed):
+        # Rows of maps of five sizes, shuffled together, each pooled from its
+        # own map; boxes lie inside, straddling and fully outside their map.
+        rng = np.random.default_rng(seed)
+        shapes = [(5, 8), (12, 4), (1, 1), (9, 9), (3, 17)]
+        maps, boxes, of = [], [], []
+        for m, (h, w) in enumerate(shapes):
+            data = rng.normal(size=(3, h, w))
+            data[rng.random(data.shape) < 0.2] = -0.0
+            maps.append(FeatureMap(data))
+            n = int(rng.integers(0, 30))
+            boxes.append(random_boxes(rng, n, h, w, 1.5, 0.05, 20.0))
+            of.append(np.full(n, m))
+        boxes, of = np.concatenate(boxes), np.concatenate(of)
+        assert (np.bincount(of, minlength=len(shapes)) > 0).sum() >= 4
+        perm = rng.permutation(len(boxes))
+        got = roi_align_many(plane_buffer(maps), boxes[perm], pool_size, of[perm])
+        assert got.shape == (len(boxes), 3 * pool_size * pool_size)
+        for m, fm in enumerate(maps):
+            rows = np.flatnonzero(of[perm] == m)
+            want = oracle_roi_align_many(fm, boxes[perm][rows], pool_size)
+            assert got[rows].tobytes() == want.tobytes()
+
+    def test_first_map_by_default(self):
+        rng = np.random.default_rng(3)
+        maps = [FeatureMap(rng.normal(size=(2, 6, 4))), FeatureMap(rng.normal(size=(2, 3, 9)))]
+        boxes = random_boxes(rng, 12, 6, 4, 0.3, 0.5, 5.0)
+        got = roi_align_many(plane_buffer(maps), boxes, 3)
+        assert got.tobytes() == roi_align_many(plane_buffer(maps), boxes, 3, np.zeros(12, dtype=np.int64)).tobytes()
+        assert got.tobytes() == oracle_roi_align_many(maps[0], boxes, 3).tobytes()
+
+    def test_layout(self):
+        fm = FeatureMap(np.arange(12.0).reshape(2, 2, 3))
+        buf = plane_buffer([FeatureMap(np.ones((2, 1, 1))), fm])
+        assert buf.offsets.tolist() == [0, 9] and buf.heights.tolist() == [1, 2] and buf.widths.tolist() == [1, 3]
+        assert buf.data.shape == (2, 9 + 20)
+        planes = buf.data[:, 9:].reshape(2, 4, 5)
+        assert np.array_equal(planes[:, 1:-1, 1:-1], fm.data)
+        planes[:, 1:-1, 1:-1] = 0.0
+        assert not planes.any()
+
+    def test_rejects_no_maps_and_mixed_channels(self):
+        with pytest.raises(ValueError):
+            plane_buffer([])
+        with pytest.raises(ValueError):
+            plane_buffer([FeatureMap(np.ones((2, 3, 3))), FeatureMap(np.ones((3, 3, 3)))])

@@ -250,7 +250,7 @@ class TestBatchIouLoss:
     def test_empty_rejected(self):
         # No training boxes, or no ground truth to match them to.
         with pytest.raises(ValueError):
-            _build_pool([], SamplerConfig(), np.random.default_rng(0), 7)
+            _build_pool([], SamplerConfig(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             matched_mean_loss([((0, 0, 1, 1), (0, 0, 0, 0))], [])
 

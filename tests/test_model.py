@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import math
 import os
 import subprocess
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 
 import boxregress
-from boxregress.boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, iou
-from boxregress.features import FEATURE_STRIDE, roi_align_many
+from boxregress import model as model_module
+from boxregress.boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
+from boxregress.features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from boxregress.model import (
     LOSS_KINDS,
@@ -29,8 +32,8 @@ from boxregress.model import (
     train,
 )
 from boxregress.proposals import SeedGridConfig, seed_grid
-from boxregress.sampling import SampleBudgetWarning, SamplerConfig
-from boxregress.scenes import SynthConfig, synth_scenes
+from boxregress.sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes_many
+from boxregress.scenes import Scene, SynthConfig, synth_scenes
 
 from test_features import oracle_roi_align_many
 from test_sampling import oracle_generate_training_boxes
@@ -253,8 +256,9 @@ class TestRefine:
         m = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(iterations))
         arr = seed_grid(scene.width, scene.height)
         traj = refine(m, scene, arr, iterations=iterations)
+        buf = plane_buffer([scene.feature_map()])
         for stage in traj:
-            pred, _ = oracle_forward_batch(m, roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, m.pool_size))
+            pred, _ = oracle_forward_batch(m, roi_align_many(buf, arr / FEATURE_STRIDE, m.pool_size))
             arr = apply_offsets_array(arr, pred)
             assert stage.tobytes() == arr.tobytes()
         assert not np.array_equal(traj[-1], seed_grid(scene.width, scene.height))
@@ -269,6 +273,17 @@ class TestRefine:
             refine(m, scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
 
 
+def openblas_core() -> str:
+    """numpy's OpenBLAS kernel name, found as CI's not-slow job finds it."""
+    try:
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "*openblas*"))[0])
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        return lib.scipy_openblas_get_corename64_().decode()
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+
+
 # Runs in a fresh process, so OPENBLAS_CORETYPE picks the kernel: chunked
 # refine against one unchunked pooling and head pass per iteration, at the
 # pinned model's widths. Prints the kernel's name, then every (rows,
@@ -277,7 +292,7 @@ CHUNK_BITS_SCRIPT = """
 import ctypes, glob, os
 import numpy as np
 from boxregress.boxes import apply_offsets_array
-from boxregress.features import FEATURE_STRIDE, roi_align_many
+from boxregress.features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from boxregress.model import _forward, init_model, refine
 from boxregress.scenes import SynthConfig, synth_scenes
 
@@ -288,7 +303,7 @@ try:
 except (IndexError, OSError, AttributeError):
     print("unknown")
 scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
-fm = scene.feature_map()
+buf = plane_buffer([scene.feature_map()])
 model = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(0))
 rng = np.random.default_rng(1)
 for n in (1, 4, 5, 300, 511, 512, 513, 1023, 1024, 1025, 1535, 1536, 2047, 2100, 3072, 3073):
@@ -296,7 +311,7 @@ for n in (1, 4, 5, 300, 511, 512, 513, 1023, 1024, 1025, 1535, 1536, 2047, 2100,
     for iterations in (1, 3):
         arr = boxes
         for got in refine(model, scene, boxes, iterations):
-            arr = apply_offsets_array(arr, _forward(model, roi_align_many(fm, arr / FEATURE_STRIDE, 7))[0])
+            arr = apply_offsets_array(arr, _forward(model, roi_align_many(buf, arr / FEATURE_STRIDE, 7))[0])
             if got.tobytes() != arr.tobytes():
                 print(n, iterations)
                 break
@@ -442,7 +457,9 @@ class TestBuildPoolOracle:
         rng_new, rng_old = np.random.default_rng([synth_seed, 1, 3]), np.random.default_rng([synth_seed, 1, 3])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleBudgetWarning)
-            got = _build_pool(scenes, sampler_cfg, rng_new, pool_size)
+            boxes, matched, scene_of = _build_pool(scenes, sampler_cfg, rng_new)
+            buf = plane_buffer([s.feature_map() for s in scenes])
+            got = (roi_align_many(buf, boxes / FEATURE_STRIDE, pool_size, scene_of), boxes, matched)
             want = oracle_build_pool(scenes, sampler_cfg, rng_old, pool_size)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -499,6 +516,27 @@ def oracle_loss_and_weight_grads(
     return float(losses.mean()), grads, fallbacks
 
 
+def reference_build_pool(scenes, sampler_cfg, rng, pool_size):
+    """The epoch's full pool, as _build_pool built it before training pooled per span."""
+    gts = [boxes_to_array(scene.gts) for scene in scenes]
+    rows, counts = generate_training_boxes_many(
+        np.concatenate(gts) if gts else np.empty((0, 4)), sampler_cfg, rng
+    )
+    if not len(rows):
+        raise ValueError("no training boxes could be generated")
+    row_ends = np.concatenate(([0], np.cumsum(counts)))[np.cumsum([len(g) for g in gts], dtype=np.int64)]
+    feats = np.empty((len(rows), scenes[0].feature_map().channels * pool_size * pool_size))
+    matched = np.empty_like(rows)
+    start = 0
+    for scene, gts_arr, end in zip(scenes, gts, row_ends):
+        if end > start:
+            arr = rows[start:end]
+            matched[start:end] = gts_arr[iou(arr[:, None], gts_arr[None]).argmax(axis=1)]
+            feats[start:end] = oracle_roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size)
+        start = end
+    return feats, rows, matched
+
+
 def oracle_evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
     pred, _ = oracle_forward_batch(model, x)
     if loss == "iou":
@@ -536,7 +574,9 @@ def oracle_train(
     velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
 
     val_sampler = replace(sampler_cfg, boxes_per_gt=cfg.val_boxes_per_gt)
-    val_x, val_boxes, val_gts = _build_pool(val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]), cfg.pool_size)
+    val_x, val_boxes, val_gts = reference_build_pool(
+        val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]), cfg.pool_size
+    )
 
     log: list[EpochStats] = []
     best_val = math.inf
@@ -548,7 +588,7 @@ def oracle_train(
     for epoch in range(cfg.max_epochs):
         rng_e = np.random.default_rng([cfg.seed, 1, epoch])
         try:
-            x, in_boxes, gt_boxes = _build_pool(train_scenes, sampler_cfg, rng_e, cfg.pool_size)
+            x, in_boxes, gt_boxes = reference_build_pool(train_scenes, sampler_cfg, rng_e, cfg.pool_size)
             perm = rng_e.permutation(len(in_boxes))
             running = 0.0
             for start in range(0, len(perm), cfg.minibatch_size):
@@ -635,6 +675,106 @@ TRAIN_CASES = {
     "diverges_late": (TrainConfig(seed=1, initial_lr=3.0, max_epochs=8, hidden=(12, 12), stop_lr=1e-3),
                       SamplerConfig(boxes_per_gt=10), "iou"),
 }
+
+
+def reference_train_epoch(model, velocity, scenes, rng, lr, cfg, sampler_cfg, loss_cfg, loss):
+    """_train_epoch as it was when it pooled the whole epoch before the first step."""
+    x, in_boxes, gt_boxes = reference_build_pool(scenes, sampler_cfg, rng, cfg.pool_size)
+    perm = rng.permutation(len(in_boxes))
+    params = model.params()
+    scratch = {name: np.empty_like(p) for name, p in params.items()}
+    running = 0.0
+    for start in range(0, len(perm), cfg.minibatch_size):
+        idx = perm[start : start + cfg.minibatch_size]
+        mb_loss, grads, _ = loss_and_weight_grads(model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss)
+        running += mb_loss * len(idx)
+        for name, p in params.items():
+            g, v, s = grads[name], velocity[name], scratch[name]
+            if name.startswith("w"):
+                np.multiply(p, cfg.weight_decay, out=s)
+                g += s
+            v *= cfg.momentum
+            v += g
+            np.multiply(v, lr, out=s)
+            p -= s
+    return running / len(perm)
+
+
+def mixed_size_scenes():
+    """Eleven scenes of five image sizes, square and not, in mixed order."""
+    scenes = []
+    for i, size in enumerate((48, 100, 128)):
+        scenes += synth_scenes(SynthConfig(seed=30 + i, image_size=size, max_objects=3, noise=0.3), 3)
+    scenes += [
+        Scene(id="wide", width=160, height=72, gts=[Box(40, 30, 50, 30), Box(120, 40, 30, 40)]),
+        Scene(id="tall", width=56, height=140, gts=[Box(28, 100, 30, 50)]),
+    ]
+    return [scenes[i] for i in np.random.default_rng(0).permutation(len(scenes))]
+
+
+class TestTrainEpochOracle:
+    @pytest.mark.parametrize("span", [1, 3, None], ids=["span1", "span3", "default"])
+    @pytest.mark.parametrize("minibatch_size,loss", [(7, "iou"), (32, "smooth_l1")])
+    def test_bitwise_equal_to_full_pool(self, monkeypatch, span, minibatch_size, loss):
+        # About 440 rows an epoch: every case but the default span at 32 rows
+        # a minibatch pools several spans, the last one short.
+        if span is not None:
+            monkeypatch.setattr(model_module, "_POOL_SPAN", span)
+        scenes = mixed_size_scenes()
+        cfg = TrainConfig(seed=3, hidden=(12, 12), minibatch_size=minibatch_size, initial_lr=0.01)
+        sampler = SamplerConfig(boxes_per_gt=20)
+        model = init_model(3, cfg.pool_size, cfg.hidden, 0.1, np.random.default_rng(1))
+        ref = model.copy()
+        velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
+        ref_velocity = {k: np.zeros_like(v) for k, v in ref.params().items()}
+        buf = plane_buffer([s.feature_map() for s in scenes])
+        for epoch in range(2):
+            got = model_module._train_epoch(model, velocity, scenes, buf, np.random.default_rng([3, 1, epoch]),
+                                            cfg.initial_lr, cfg, sampler, LOSS_CFG, loss)
+            want = reference_train_epoch(ref, ref_velocity, scenes, np.random.default_rng([3, 1, epoch]),
+                                         cfg.initial_lr, cfg, sampler, LOSS_CFG, loss)
+            assert got.hex() == want.hex()
+            assert weight_bytes(model) == weight_bytes(ref)
+            assert {k: v.tobytes() for k, v in velocity.items()} == {k: v.tobytes() for k, v in ref_velocity.items()}
+
+
+def traced_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainMemory:
+    def test_epoch_holds_less_than_its_pool(self):
+        # The whole epoch's features, rows x in_dim floats, are never alive
+        # at once: only one span of minibatches is pooled at a time.
+        scenes = synth_scenes(SynthConfig(seed=5, max_objects=3), 100)
+        cfg = TrainConfig(hidden=(16, 16))
+        sampler = SamplerConfig()
+        model = init_model(3, cfg.pool_size, cfg.hidden, cfg.init_std, np.random.default_rng(0))
+        velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
+        buf = plane_buffer([s.feature_map() for s in scenes])
+        rows = len(model_module._build_pool(scenes, sampler, np.random.default_rng(4))[0])
+        pool_bytes = rows * model.in_dim * 8
+        peak = traced_peak(model_module._train_epoch, model, velocity, scenes, buf, np.random.default_rng(4),
+                           1e-3, cfg, sampler, LOSS_CFG, "iou")
+        assert peak < pool_bytes, f"{rows} rows: epoch peak {peak / 1e6:.2f} MB, pool {pool_bytes / 1e6:.2f} MB"
+
+    def test_evaluate_runs_the_head_in_chunks(self):
+        # 4096 rows at widths (256, 256): one unchunked pass would hold two
+        # 8.4 MB activations, 512-row chunks two 1 MB ones.
+        rng = np.random.default_rng(2)
+        model = init_model(3, 7, (256, 256), init_std=0.1, rng=rng)
+        x = rng.normal(size=(4096, model.in_dim))
+        boxes = np.column_stack([rng.uniform(20, 100, (4096, 2)), rng.uniform(4, 40, (4096, 2))])
+        gts = boxes * rng.uniform(0.9, 1.1, (4096, 4))
+        peak = traced_peak(model_module._evaluate, model, x, boxes, gts, LOSS_CFG, "iou")
+        assert peak <= 4_000_000, f"_evaluate on 4096 rows peaked at {peak / 1e6:.2f} MB"
 
 
 class TestTrainOracle:

@@ -10,6 +10,7 @@ from boxregress import cli
 from boxregress.boxes import Box, boxes_to_array, iou
 from boxregress.errors import DataFormatError
 from boxregress.scenes import (
+    SCENE_CACHE_MAGIC,
     Scene,
     SceneBudgetWarning,
     SynthConfig,
@@ -466,6 +467,23 @@ class TestSceneCache:
         assert code == 2
         assert "scene bad: label" in capsys.readouterr().err
         assert not (tmp_path / "cli.bin").exists()
+
+    @pytest.mark.parametrize("flag", ["labels", "feature-map"])
+    @pytest.mark.parametrize("value", [2, 7, 255])
+    def test_flag_byte_must_be_0_or_1(self, tmp_path, flag, value):
+        scene = Scene(id="s", width=64, height=64, gts=[Box(20, 20, 10, 10)], labels=[3])
+        scene.feature_map()
+        path = tmp_path / "scenes.bin"
+        save_scenes(str(path), [scene])
+        # magic, count, id length and id, extents and count, one box; then
+        # the has-labels flag, one label and the has-feature-map flag.
+        at = len(SCENE_CACHE_MAGIC) + 4 + 2 + 1 + 20 + 32 + (0 if flag == "labels" else 1 + 4)
+        blob = bytearray(path.read_bytes())
+        assert blob[at] == 1
+        blob[at] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=f"byte {at}: scene s: has-{flag} flag must be 0 or 1, got {value}"):
+            load_scenes(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
