@@ -20,16 +20,18 @@ from .ioutil import atomic_write
 from .losses import LossConfig
 from .metrics import (
     EvalRecord,
+    check_budgets,
     corloc,
     mean_iou_trajectory,
     recall_curve,
     write_recall_curve_svg,
     write_table,
 )
-from .model import TrainConfig, TrainingDiverged, load_model, refine, save_model, train
-from .proposals import SeedGridConfig, generate_proposals, read_corner_csv, write_corner_csv
+from .model import TrainConfig, TrainingDiverged, check_iterations, load_model, refine, save_model, train
+from .proposals import SeedGridConfig, check_nms_args, generate_proposals, read_corner_csv, write_corner_csv
 from .sampling import SamplerConfig
-from .scenes import SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes, synth_scenes
+from .scenes import (MAX_IMAGE_SIDE, SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes,
+                     synth_scenes)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,22 +39,21 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
+class UsageError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise UsageError(message)
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _list(text: str, flag: str, kind: type) -> list:
+    """The values of a comma-separated list flag; empty items are skipped."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+        raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}") from None
 
 
 def _add_scene_options(p: _Parser):
@@ -76,33 +77,38 @@ def _add_scene_options(p: _Parser):
     src.add_argument("--save-scene-cache", help="also write the scenes to this cache file")
 
 
-def _build_scenes(args):
-    sources = sum(1 for v in (args.synth, args.annotations, args.scene_cache) if v)
-    if sources != 1:
+def _check_scenes(args, *required: str) -> tuple[SynthConfig, set[int]]:
+    """Check the flags every command has; return the synthetic-scene config and excluded categories."""
+    # Argparse does not check required flags, so that a config file line parses on its own.
+    missing = [flag for flag in ("--out-dir", *required) if not getattr(args, flag[2:].replace("-", "_"))]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if sum(1 for v in (args.synth, args.annotations, args.scene_cache) if v) != 1:
         raise UsageError("exactly one of --synth, --annotations, --scene-cache is required")
+    if args.synth_count < 1:
+        raise ValueError(f"--synth-count must be >= 1, got {args.synth_count}")
+    if not (math.isfinite(args.short_side) and 0 <= args.short_side <= MAX_IMAGE_SIDE):
+        raise ValueError(f"--short-side must be in [0, {MAX_IMAGE_SIDE}], got {args.short_side}")
+    synth = SynthConfig(
+        image_size=args.image_size,
+        min_objects=args.min_objects,
+        max_objects=args.max_objects,
+        min_size_frac=args.min_size_frac,
+        max_size_frac=args.max_size_frac,
+        adjacent_pairs=args.adjacent_pairs,
+        noise=args.noise,
+        seed=args.synth_seed if args.synth_seed is not None else args.seed,
+    )
+    return synth, set(_list(args.exclude_categories, "--exclude-categories", int))
+
+
+def _build_scenes(args, synth: SynthConfig, excluded: set[int]):
     if args.synth:
-        if args.synth_count < 1:
-            raise UsageError(f"--synth-count must be >= 1, got {args.synth_count}")
-        try:
-            cfg = SynthConfig(
-                image_size=args.image_size,
-                min_objects=args.min_objects,
-                max_objects=args.max_objects,
-                min_size_frac=args.min_size_frac,
-                max_size_frac=args.max_size_frac,
-                adjacent_pairs=args.adjacent_pairs,
-                noise=args.noise,
-                seed=args.synth_seed if args.synth_seed is not None else args.seed,
-            )
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        scenes = synth_scenes(cfg, args.synth_count)
+        scenes = synth_scenes(synth, args.synth_count)
     elif args.annotations:
-        short = args.short_side if args.short_side > 0 else None
-        scenes = load_annotations(args.annotations, short_side=short)
+        scenes = load_annotations(args.annotations, short_side=args.short_side or None)
     else:
         scenes = load_scenes(args.scene_cache)
-    excluded = set(_int_list(args.exclude_categories, "--exclude-categories"))
     if excluded:
         scenes = filter_categories(scenes, excluded)
     if args.save_scene_cache:
@@ -110,63 +116,47 @@ def _build_scenes(args):
     return scenes
 
 
-def _write_resolved_config(args, out_dir: str):
-    skip = {"func", "config"}
-    with atomic_write(os.path.join(out_dir, "config.txt")) as f:
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
+def _make_out_dir(args) -> None:
+    """Create the out-dir and echo the resolved flags to its config.txt."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    with atomic_write(os.path.join(args.out_dir, "config.txt")) as f:
+        for key in sorted(vars(args).keys() - {"func", "check", "config"}):
             f.write(f"{key} = {getattr(args, key)!r}\n")
 
 
-class UsageError(Exception):
-    pass
-
-
-def _check_channels(model, model_path: str, scenes) -> None:
-    """Refuse a model whose input channels differ from a scene's feature map."""
+def _check_channels(scenes, channels: int, source: str) -> None:
+    """Refuse a scene whose feature map has other than the `channels` channels that `source` states."""
     for s in scenes:
-        channels = s.feature_map().channels
-        if channels != model.channels:
-            raise DataFormatError(
-                f"{model_path}: model expects {model.channels} feature channels, scene {s.id} provides {channels}"
-            )
+        got = s.feature_map().channels
+        if got != channels:
+            raise DataFormatError(f"{source} {channels} feature channels, scene {s.id} provides {got}")
 
 
-def cmd_train(args) -> int:
-    hidden = _int_list(args.hidden, "--hidden")
-    if len(hidden) != 2:
-        raise UsageError("--hidden must name two widths, e.g. 256,256")
-    try:
-        sampler_cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, t=args.t, boxes_per_gt=args.boxes_per_gt)
-        train_cfg = TrainConfig(
-            momentum=args.momentum,
-            weight_decay=args.weight_decay,
-            initial_lr=args.lr,
-            plateau_patience=args.patience,
-            stop_lr=args.stop_lr,
-            minibatch_size=args.minibatch,
-            init_std=args.init_std,
-            seed=args.seed,
-            hidden=(hidden[0], hidden[1]),
-            pool_size=args.pool_size,
-            max_epochs=args.max_epochs,
-        )
-        loss_cfg = LossConfig(epsilon=args.epsilon)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    scenes = [s for s in _build_scenes(args) if s.gts]
+def _check_train(args):
+    sampler_cfg = SamplerConfig(alpha=args.alpha, beta=args.beta, t=args.t, boxes_per_gt=args.boxes_per_gt)
+    train_cfg = TrainConfig(
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        initial_lr=args.lr,
+        plateau_patience=args.patience,
+        stop_lr=args.stop_lr,
+        minibatch_size=args.minibatch,
+        init_std=args.init_std,
+        seed=args.seed,
+        hidden=tuple(_list(args.hidden, "--hidden", int)),
+        pool_size=args.pool_size,
+        max_epochs=args.max_epochs,
+    )
+    return _check_scenes(args), sampler_cfg, train_cfg, LossConfig(epsilon=args.epsilon)
+
+
+def cmd_train(args, scene_source, sampler_cfg, train_cfg, loss_cfg) -> int:
+    scenes = [s for s in _build_scenes(args, *scene_source) if s.gts]
     if not scenes:
         raise DataFormatError("no scenes with ground truths to train on")
-    channels = scenes[0].feature_map().channels
-    for s in scenes:
-        if s.feature_map().channels != channels:
-            raise DataFormatError(
-                f"scene {s.id} has {s.feature_map().channels} feature channels, scene {scenes[0].id} has {channels}"
-            )
+    _check_channels(scenes, scenes[0].feature_map().channels, f"scene {scenes[0].id} provides")
     model, log = train(scenes, train_cfg, sampler_cfg, loss_cfg, loss=args.loss)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_resolved_config(args, args.out_dir)
+    _make_out_dir(args)
     model_path = os.path.join(args.out_dir, "model.ubbr")
     save_model(model_path, model)
     write_table(
@@ -178,18 +168,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_refine(args) -> int:
-    if args.iters < 1:
-        raise UsageError(f"--iters must be >= 1, got {args.iters}")
-    scenes = {s.id: s for s in _build_scenes(args)}
+def _check_refine(args):
+    check_iterations(args.iters, "--iters")
+    return (_check_scenes(args, "--model", "--boxes"),)
+
+
+def cmd_refine(args, scene_source) -> int:
+    scenes = {s.id: s for s in _build_scenes(args, *scene_source)}
     model = load_model(args.model)
     boxes_by_image = read_corner_csv(args.boxes, scored=False)
     unknown = sorted(set(boxes_by_image) - set(scenes))
     if unknown:
         raise DataFormatError(f"{args.boxes}: unknown image ids: {', '.join(unknown[:5])}")
-    _check_channels(model, args.model, (scenes[i] for i in boxes_by_image))
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_resolved_config(args, args.out_dir)
+    _check_channels((scenes[i] for i in boxes_by_image), model.channels, f"{args.model}: model expects")
+    _make_out_dir(args)
 
     trajectories = {
         image_id: refine(model, scenes[image_id], boxes, iterations=args.iters)
@@ -203,49 +195,39 @@ def cmd_refine(args) -> int:
 
     with_gts = [i for i in boxes_by_image if scenes[i].gts]
     if with_gts:
-        stages = ["input"] + [f"iter{k + 1}" for k in range(args.iters)]
-        pooled = np.zeros(args.iters + 1)
-        count = 0
-        for image_id in with_gts:
-            means = mean_iou_trajectory(
-                boxes_by_image[image_id], trajectories[image_id], boxes_to_array(scenes[image_id].gts)
-            )
-            n = len(boxes_by_image[image_id])
-            pooled += np.array(means) * n
-            count += n
-        write_table(
-            os.path.join(args.out_dir, "trajectory.csv"),
-            ["stage", "mean_iou"],
-            list(zip(stages, (pooled / count).tolist())),
+        # Each image's mean IoUs, weighted by its box count.
+        pooled = sum(
+            np.array(mean_iou_trajectory(boxes_by_image[i], trajectories[i], boxes_to_array(scenes[i].gts)))
+            * len(boxes_by_image[i])
+            for i in with_gts
         )
+        stages = ["input"] + [f"iter{k + 1}" for k in range(args.iters)]
+        count = sum(len(boxes_by_image[i]) for i in with_gts)
+        rows = list(zip(stages, (pooled / count).tolist()))
+        write_table(os.path.join(args.out_dir, "trajectory.csv"), ["stage", "mean_iou"], rows)
     print(f"wrote {args.iters} refined box files to {args.out_dir}")
     return EXIT_OK
 
 
-def cmd_propose(args) -> int:
-    if args.iters < 1:
-        raise UsageError(f"--iters must be >= 1, got {args.iters}")
-    if not 0.0 <= args.nms_iou <= 1.0:
-        raise UsageError(f"--nms-iou must be in [0, 1], got {args.nms_iou}")
-    if not (math.isfinite(args.decay) and args.decay > 1.0):
-        raise UsageError(f"--decay must be finite and > 1, got {args.decay}")
-    try:
-        grid = SeedGridConfig(
-            scales=tuple(_float_list(args.scales)),
-            aspect_ratios=tuple(_float_list(args.ratios)),
-            stride=args.stride,
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    scenes = _build_scenes(args)
+def _check_propose(args):
+    check_iterations(args.iters, "--iters")
+    check_nms_args(args.nms_iou, args.decay, ("--nms-iou", "--decay"))
+    return _check_scenes(args, "--model"), SeedGridConfig(
+        scales=tuple(_list(args.scales, "--scales", float)),
+        aspect_ratios=tuple(_list(args.ratios, "--ratios", float)),
+        stride=args.stride,
+    )
+
+
+def cmd_propose(args, scene_source, grid) -> int:
+    scenes = _build_scenes(args, *scene_source)
     model = load_model(args.model)
-    _check_channels(model, args.model, scenes)
+    _check_channels(scenes, model.channels, f"{args.model}: model expects")
     by_image = {
         s.id: generate_proposals(model, s, grid, iterations=args.iters, nms_iou=args.nms_iou, decay=args.decay)
         for s in scenes
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_resolved_config(args, args.out_dir)
+    _make_out_dir(args)
     out_path = os.path.join(args.out_dir, "proposals.csv")
     write_corner_csv(out_path, by_image)
     total = sum(len(v) for v in by_image.values())
@@ -253,14 +235,17 @@ def cmd_propose(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    ks = _int_list(args.ks, "--ks")
-    if not ks or min(ks) < 1:
-        raise UsageError(f"--ks must list at least one budget, each >= 1, got {args.ks!r}")
+def _check_eval(args):
+    ks = _list(args.ks, "--ks", int)
+    check_budgets(ks, "--ks")
     for flag, value in (("--iou", args.iou), ("--corloc-iou", args.corloc_iou)):
         if not 0.0 <= value <= 1.0:
-            raise UsageError(f"{flag} must be in [0, 1], got {value}")
-    gts = [(s.id, boxes_to_array(s.gts)) for s in _build_scenes(args) if s.gts]
+            raise ValueError(f"{flag} must be in [0, 1], got {value}")
+    return _check_scenes(args, "--proposals"), ks
+
+
+def cmd_eval(args, scene_source, ks) -> int:
+    gts = [(s.id, boxes_to_array(s.gts)) for s in _build_scenes(args, *scene_source) if s.gts]
     no_rows = np.zeros((0, 5))
 
     def load_records(path: str) -> list[EvalRecord]:
@@ -271,21 +256,17 @@ def cmd_eval(args) -> int:
     if not records:
         raise DataFormatError("no scenes with ground truths to evaluate")
     base_records = load_records(args.baseline_proposals) if args.baseline_proposals else None
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_resolved_config(args, args.out_dir)
+    _make_out_dir(args)
 
-    curve = recall_curve(records, args.iou, ks)
-    series = [("refined", curve)]
-    rows = [(k, args.iou, r) for k, r in curve]
+    series = [("refined", recall_curve(records, args.iou, ks))]
     if base_records is not None:
-        base_curve = recall_curve(base_records, args.iou, ks)
-        series.append(("baseline", base_curve))
-        rows += [(k, args.iou, r) for k, r in base_curve]
+        series.append(("baseline", recall_curve(base_records, args.iou, ks)))
+    rows = [(k, args.iou, r) for _, curve in series for k, r in curve]
     write_table(os.path.join(args.out_dir, "recall.csv"), ["k", "iou", "recall"], rows)
     write_recall_curve_svg(os.path.join(args.out_dir, "recall-curve.svg"), series, args.iou)
     cl = corloc(records, args.corloc_iou)
     write_table(os.path.join(args.out_dir, "corloc.csv"), ["iou", "corloc_percent"], [(args.corloc_iou, cl)])
-    print(f"recall@{args.iou:g} at k={ks}: " + ", ".join(f"{r:.4f}" for _, r in curve))
+    print(f"recall@{args.iou:g} at k={ks}: " + ", ".join(f"{r:.4f}" for _, r in series[0][1]))
     print(f"corloc (top-1, IoU > {args.corloc_iou:g}): {cl:.3f}%")
     return EXIT_OK
 
@@ -293,47 +274,40 @@ def cmd_eval(args) -> int:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and install its values as defaults."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return argv
+def _config_tokens(parser: _Parser, args) -> list[str]:
+    """Flag tokens for the `key = value` lines of args.config, each line checked on its own.
+
+    A line gives `--key=value`; a switch (a flag with a bool value) `--key` if true, nothing if false.
+    """
     try:
-        with open(known.config, "r", encoding="utf-8") as f:
+        with open(args.config, "r", encoding="utf-8") as f:
             lines = f.readlines()
     except OSError as e:
-        raise DataFormatError(f"{known.config}: {e}") from None
-    valid = {a.dest for a in parser._actions}
-    overrides = {}
+        raise DataFormatError(f"{args.config}: {e}") from None
+    tokens = []
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{args.config}: line {lineno}"
         if "=" not in line:
-            raise UsageError(f"{known.config}: line {lineno}: expected 'key = value'")
+            raise UsageError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in valid:
-            raise UsageError(f"{known.config}: line {lineno}: unknown key {key!r}")
-        action = next(a for a in parser._actions if a.dest == dest)
-        if isinstance(action, argparse._StoreTrueAction):
-            flag = _BOOLEANS.get(value.lower())
-            if flag is None:
-                raise UsageError(
-                    f"{known.config}: line {lineno}: bad value for {key!r}: {value!r} (expected true/false/yes/no/1/0)"
-                )
-            overrides[dest] = flag
-        elif action.type is not None:
-            try:
-                overrides[dest] = action.type(value)
-            except ValueError:
-                raise UsageError(f"{known.config}: line {lineno}: bad value for {key!r}: {value!r}") from None
-        else:
-            overrides[dest] = value
-    parser.set_defaults(**overrides)
-    return argv
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest, None), bool):
+            if value.lower() not in _BOOLEANS:
+                raise UsageError(f"{where}: bad value for {key!r}: {value!r} (expected true/false/yes/no/1/0)")
+            tokens += [flag] if _BOOLEANS[value.lower()] else []
+            continue
+        try:
+            _, unknown = parser.parse_known_args([args.command, f"{flag}={value}"])
+        except UsageError as e:
+            raise UsageError(f"{where}: bad value for {key!r}: {e}") from None
+        if unknown or dest not in vars(args):
+            raise UsageError(f"{where}: unknown key {key!r}")
+        tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def build_parser() -> _Parser:
@@ -342,7 +316,7 @@ def build_parser() -> _Parser:
 
     def common(p: _Parser):
         p.add_argument("--config", help="key = value config file; flags override")
-        p.add_argument("--out-dir", required=True)
+        p.add_argument("--out-dir", help="required")
         p.add_argument("--seed", type=int, default=0)
         _add_scene_options(p)
 
@@ -364,34 +338,34 @@ def build_parser() -> _Parser:
     p_train.add_argument("--hidden", default="256,256")
     p_train.add_argument("--pool-size", type=int, default=7)
     p_train.add_argument("--max-epochs", type=int, default=200)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(check=_check_train, func=cmd_train)
 
     p_refine = sub.add_parser("refine", help="iteratively refine boxes from a file")
     common(p_refine)
-    p_refine.add_argument("--model", required=True)
-    p_refine.add_argument("--boxes", required=True, help="csv: id,xmin,ymin,xmax,ymax[,score]")
+    p_refine.add_argument("--model", help="required")
+    p_refine.add_argument("--boxes", help="required; csv: id,xmin,ymin,xmax,ymax[,score]")
     p_refine.add_argument("--iters", type=int, default=3)
-    p_refine.set_defaults(func=cmd_refine)
+    p_refine.set_defaults(check=_check_refine, func=cmd_refine)
 
     p_prop = sub.add_parser("propose", help="generate ranked proposals")
     common(p_prop)
-    p_prop.add_argument("--model", required=True)
+    p_prop.add_argument("--model", help="required")
     p_prop.add_argument("--iters", type=int, default=1)
     p_prop.add_argument("--scales", default="0.125,0.25,0.5,0.75")
     p_prop.add_argument("--ratios", default="0.5,1.0,2.0")
     p_prop.add_argument("--stride", type=float, default=0.0625)
     p_prop.add_argument("--nms-iou", type=float, default=0.6)
     p_prop.add_argument("--decay", type=float, default=10.0)
-    p_prop.set_defaults(func=cmd_propose)
+    p_prop.set_defaults(check=_check_propose, func=cmd_propose)
 
     p_eval = sub.add_parser("eval", help="score a proposals file against ground truth")
     common(p_eval)
-    p_eval.add_argument("--proposals", required=True)
+    p_eval.add_argument("--proposals", help="required")
     p_eval.add_argument("--baseline-proposals", help="second proposals file for curve comparison")
     p_eval.add_argument("--iou", type=float, default=0.7)
     p_eval.add_argument("--ks", default="1,2,5,10,20,50,100,200,500,1000")
     p_eval.add_argument("--corloc-iou", type=float, default=0.5)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(check=_check_eval, func=cmd_eval)
     return parser
 
 
@@ -399,24 +373,23 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # Resolve the subcommand first so config keys validate against it.
-        if argv and argv[0] in ("train", "refine", "propose", "eval"):
-            sub = next(
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            ).choices[argv[0]]
-            _apply_config_file(sub, argv[1:])
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.config:
+            # Config lines go before the command line's flags, which thus win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
+        try:
+            settings = args.check(args)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+        return args.func(args, *settings)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingDiverged as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OverflowError as e:
+    except (TrainingDiverged, OverflowError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

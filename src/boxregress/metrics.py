@@ -30,8 +30,7 @@ def recall_at(records: Sequence[EvalRecord], iou_thresh: float, k: int) -> float
     proposals overlaps it with IoU strictly above iou_thresh; each
     ground truth counts once no matter how many proposals hit it.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_budgets((k,), "k")
     total = 0
     covered = 0
     for rec in records:
@@ -68,12 +67,19 @@ def mean_iou_trajectory(before: np.ndarray, trajectory: Sequence[np.ndarray], gt
     return [float(iou(stage[:, None], gts[None]).max(axis=1).mean()) for stage in [before, *trajectory]]
 
 
+def check_budgets(ks: Sequence[int], name: str = "ks") -> None:
+    """Refuse an empty proposal-budget grid or a budget below 1; `name` labels the grid."""
+    if not ks or min(ks) < 1:
+        raise ValueError(f"{name} must list at least one budget, each >= 1, got {list(ks)}")
+
+
 def recall_curve(
     records: Sequence[EvalRecord],
     iou_thresh: float,
     ks: Sequence[int] = DEFAULT_K_GRID,
 ) -> list[tuple[int, float]]:
     """Plot-ready (k, recall) series over a proposal-budget grid."""
+    check_budgets(ks)
     return [(k, recall_at(records, iou_thresh, k)) for k in ks]
 
 

@@ -94,9 +94,11 @@ class TrainConfig:
     max_epochs: int = 200
 
     def __post_init__(self):
-        # Plain SGD has no momentum or weight decay; every other field scales
-        # or counts something that must exist.
-        nonnegative = {"momentum": self.momentum, "weight_decay": self.weight_decay}
+        if len(self.hidden) != 2:
+            raise ValueError(f"TrainConfig hidden must be two widths, got {self.hidden}")
+        # Plain SGD has no momentum or weight decay, and seeds start at 0; every
+        # other field scales or counts something that must exist.
+        nonnegative = {"momentum": self.momentum, "weight_decay": self.weight_decay, "seed": self.seed}
         positive = {
             "initial_lr": self.initial_lr, "lr_decay_factor": self.lr_decay_factor,
             "plateau_patience": self.plateau_patience, "stop_lr": self.stop_lr,
@@ -415,6 +417,12 @@ def train(
     return best_model, log
 
 
+def check_iterations(iterations: int, name: str = "iterations") -> None:
+    """Refuse fewer than one refinement iteration; `name` labels the count."""
+    if iterations < 1:
+        raise ValueError(f"{name} must be >= 1, got {iterations}")
+
+
 def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
     """Iteratively refine (N, 4) center-form boxes against one scene.
 
@@ -425,8 +433,7 @@ def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1)
     the result has `iterations` entries. Raises OverflowError if a
     refined row is not a box (a non-finite field or a non-positive side).
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_iterations(iterations)
     fm = scene.feature_map()
     if fm.channels != model.channels:
         raise ValueError(f"model expects {model.channels} channels, scene provides {fm.channels}")

@@ -24,6 +24,10 @@ from .model import RegressorModel, refine
 # A refined box counts toward a seed's score above this overlap.
 NEIGHBOR_IOU = 0.7
 
+# Most seeds, |scales| * |ratios| * ceil(1 / stride)^2, a grid may place on a
+# square image: 21 times the default grid's 3072.
+MAX_SEEDS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SeedGridConfig:
@@ -40,18 +44,22 @@ class SeedGridConfig:
             raise ValueError(f"aspect_ratios must be nonempty, finite and positive, got {self.aspect_ratios}")
         if not _finite_positive(self.stride):
             raise ValueError(f"stride must be finite and positive, got {self.stride}")
+        pairs = len(self.scales) * len(self.aspect_ratios)
+        if pairs * math.ceil(min(1.0 / self.stride, MAX_SEEDS)) ** 2 > MAX_SEEDS:
+            raise ValueError(f"{pairs} scale/ratio pairs at stride {self.stride} exceed {MAX_SEEDS} seeds per image")
 
 
 def _finite_positive(v: float) -> bool:
     return math.isfinite(v) and v > 0
 
 
-def _check_nms_args(iou_thresh: float, decay: float) -> None:
+def check_nms_args(iou_thresh: float, decay: float, names: tuple[str, str] = ("iou_thresh", "decay")) -> None:
+    """Refuse an NMS threshold outside [0, 1] or a decay that is not finite and > 1; `names` label them."""
     if not 0.0 <= iou_thresh <= 1.0:
-        raise ValueError(f"iou_thresh must be in [0, 1], got {iou_thresh}")
+        raise ValueError(f"{names[0]} must be in [0, 1], got {iou_thresh}")
     # Emitted boxes sit at -inf and keep being divided; -inf / inf is NaN.
     if not (math.isfinite(decay) and decay > 1):
-        raise ValueError(f"decay must be finite and > 1, got {decay}")
+        raise ValueError(f"{names[1]} must be finite and > 1, got {decay}")
 
 
 def _clip_array(arr: np.ndarray, image_w: float, image_h: float, min_side: float = 1.0) -> np.ndarray:
@@ -270,7 +278,7 @@ def decay_nms(
     returns (order, emitted), a permutation of the box indices and each
     box's decayed score as of its emission.
     """
-    _check_nms_args(iou_thresh, decay)
+    check_nms_args(iou_thresh, decay)
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
@@ -303,7 +311,7 @@ def generate_proposals(
     box then clipped. Raises OverflowError if a refined box is
     below floating-point resolution at its position (zero corner extent).
     """
-    _check_nms_args(nms_iou, decay)
+    check_nms_args(nms_iou, decay)
     seeds = seed_grid(scene.width, scene.height, grid_cfg)
     refined = refine(model, scene, seeds, iterations=iterations)[-1]
     start, stop, cols, counts = _neighbor_graph(refined, nms_iou, NEIGHBOR_IOU)

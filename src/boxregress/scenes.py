@@ -30,6 +30,9 @@ NO_LABEL = -1
 # of the image side.
 BOUNDS_SLACK = 0.5
 
+# Largest square image side flags may ask for: a 256 x 256-cell feature grid.
+MAX_IMAGE_SIDE = 1024
+
 
 class SceneBudgetWarning(RuntimeWarning):
     """Object placement ran out of attempts and the scene was simplified."""
@@ -243,14 +246,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.image_size < int(FEATURE_STRIDE):
-            raise ValueError(f"image_size must be >= {int(FEATURE_STRIDE)}, got {self.image_size}")
+        if not int(FEATURE_STRIDE) <= self.image_size <= MAX_IMAGE_SIDE:
+            raise ValueError(f"image_size must be in [{int(FEATURE_STRIDE)}, {MAX_IMAGE_SIDE}], got {self.image_size}")
         if not 1 <= self.min_objects <= self.max_objects:
             raise ValueError("object count range must satisfy 1 <= min <= max")
         if not 0 < self.min_size_frac <= self.max_size_frac < 1:
             raise ValueError("object size fractions must satisfy 0 < min <= max < 1")
-        if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # Scenes per feature-data batch in synth_scenes: bounds its temporaries.

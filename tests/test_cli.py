@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import struct
@@ -9,7 +12,8 @@ from boxregress import cli
 from boxregress.boxes import Box
 from boxregress.features import FeatureMap
 from boxregress.model import MODEL_MAGIC, init_model, save_model
-from boxregress.scenes import SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
+from boxregress.proposals import MAX_SEEDS
+from boxregress.scenes import MAX_IMAGE_SIDE, SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
 
 
 def run_cli(args):
@@ -287,7 +291,7 @@ class TestDataErrors:
                         "--max-epochs", "2", "--hidden", "8,8", "--boxes-per-gt", "8"])
         assert code == 2
         msg = one_line_error(capsys, "data error: ")
-        assert "scene synth-0002 has 5 feature channels, scene synth-0000 has 3" in msg
+        assert "scene synth-0000 provides 3 feature channels, scene synth-0002 provides 5" in msg
         assert not (tmp_path / "o").exists()
 
 
@@ -362,13 +366,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("value,flag", [
         ("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False),
     ])
-    def test_boolean_spellings(self, tmp_path, value, flag):
+    def test_boolean_spellings(self, tmp_path, monkeypatch, value, flag):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"adjacent_pairs = {value}\n")
-        parser = cli.build_parser()
-        sub = next(a for a in parser._actions if a.dest == "command").choices["train"]
-        cli._apply_config_file(sub, ["--config", str(cfg)])
-        args = parser.parse_args(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg)])
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args, *settings: seen.append(args) or 0)
+        assert run_cli(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg)]) == 0
+        args = seen[0]
         assert args.adjacent_pairs is flag
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -451,3 +455,269 @@ class TestPipeline:
         ])
         assert code == 0
         assert open(os.path.join(p1, "proposals.csv")).read() == open(os.path.join(p2, "proposals.csv")).read()
+
+
+def command_parsers():
+    """Each command's own parser, as build_parser() makes it."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def missing_inputs(tmp_path, command):
+    """Flags naming an input file that does not exist, which the command loads before doing any work.
+
+    The scene flags take effect: refine, propose and eval generate one
+    synthetic scene before they load the missing file.
+    """
+    return {
+        "train": ["--annotations", str(tmp_path / "missing.json")],
+        "refine": ["--model", str(tmp_path / "missing.ubbr"), "--boxes", str(tmp_path / "missing.csv")],
+        "propose": ["--model", str(tmp_path / "missing.ubbr")],
+        "eval": ["--proposals", str(tmp_path / "missing.csv")],
+    }[command] + ([] if command == "train" else ["--synth", "--synth-count", "1"])
+
+
+SWEEP = [
+    (command, action.option_strings[-1], value)
+    for command, sub in command_parsers().items()
+    for action in sub._actions
+    if action.type in (int, float)
+    for value in ({int: ("0", "-1"), float: ("nan", "inf", "-inf")}[action.type])
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail a test that reaches training or refinement: its flags should have been refused first."""
+    for name in ("train", "refine", "generate_proposals"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("flags passed validation"))
+
+
+class TestFlagSweep:
+    def test_sweep_covers_every_command(self):
+        assert {command for command, _, _ in SWEEP} == {"train", "refine", "propose", "eval"}
+        flags = {flag for _, flag, _ in SWEEP}
+        assert {"--seed", "--synth-seed", "--noise", "--short-side", "--lr", "--iters", "--stride", "--iou"} <= flags
+
+    @pytest.mark.parametrize("command,flag,value", SWEEP, ids=lambda v: str(v))
+    def test_refused_before_any_load_or_stopped_by_the_missing_input(self, tmp_path, capsys, no_work,
+                                                                     command, flag, value):
+        out = tmp_path / "o"
+        code = run_cli([command, "--out-dir", str(out)] + missing_inputs(tmp_path, command) + [f"{flag}={value}"])
+        assert code in (1, 2)
+        msg = one_line_error(capsys, "error: " if code == 1 else "data error: ")
+        if code == 2:
+            assert "missing." in msg
+        assert not out.exists()
+
+
+class TestValidation:
+    @pytest.mark.parametrize("flag", [
+        ["--noise", "nan"], ["--noise", "inf"], ["--short-side", "nan"], ["--short-side", "inf"],
+        ["--short-side", "-1"], ["--seed", "-1"], ["--synth-seed", "-5"],
+    ], ids="=".join)
+    @pytest.mark.parametrize("command", ["train", "propose"])
+    def test_bad_scene_value_exits_1(self, tmp_path, capsys, no_work, command, flag):
+        extra = [] if command == "train" else ["--model", str(tmp_path / "missing.ubbr")]
+        code = run_cli([command, "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1"]
+                       + extra + [f"{flag[0]}={flag[1]}"])
+        assert code == 1
+        one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_short_side_zero_disables_rescaling(self, tmp_path, capsys):
+        ann = tmp_path / "one.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": 100, "height": 50}],
+            "annotations": [{"image_id": 1, "bbox": [10, 10, 30, 20]}],
+        }))
+        code = run_cli(["eval", "--out-dir", str(tmp_path / "o"), "--annotations", str(ann), "--short-side", "0",
+                        "--proposals", str(tmp_path / "missing.csv")])
+        assert code == 2
+        assert "missing.csv" in one_line_error(capsys, "data error: ")
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth_count = 1\nseed = -1\n")
+        code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg)])
+        assert code == 1
+        assert "seed must be" in one_line_error(capsys, "error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,flag,kind", [
+        ("propose", ["--scales", "a,b"], "floats"),
+        ("propose", ["--ratios", "1,x"], "floats"),
+        ("eval", ["--ks", "a,b"], "ints"),
+        ("train", ["--hidden", "8,x"], "ints"),
+        ("train", ["--exclude-categories", "1,x"], "ints"),
+    ], ids=lambda v: "=".join(v) if isinstance(v, list) else v)
+    def test_list_flag_names_itself(self, tmp_path, capsys, command, flag, kind):
+        code = run_cli([command, "--out-dir", str(tmp_path / "o")] + missing_inputs(tmp_path, command) + flag)
+        assert code == 1
+        msg = one_line_error(capsys, "error: ")
+        assert f"{flag[0]} must be a comma-separated list of {kind}, got {flag[1]!r}" in msg
+
+
+class TestSizeCaps:
+    # Every case names a missing scene cache: a value within the caps passes
+    # validation and stops there with exit 2, so no grid is ever allocated.
+    @pytest.mark.parametrize("command,flags,code", [
+        ("train", ["--image-size", "100000"], 1),
+        ("train", ["--image-size", str(MAX_IMAGE_SIDE + 1)], 1),
+        ("train", ["--image-size", str(MAX_IMAGE_SIDE)], 2),
+        ("eval", ["--short-side", "100000"], 1),
+        ("eval", ["--short-side", str(MAX_IMAGE_SIDE + 0.5)], 1),
+        ("eval", ["--short-side", str(MAX_IMAGE_SIDE)], 2),
+        ("propose", ["--stride", "1e-4"], 1),
+        ("propose", ["--stride", "5e-324"], 1),
+        # One scale and ratio: ceil(1 / stride)^2 seeds, at most 256^2 = MAX_SEEDS.
+        ("propose", ["--scales", "0.5", "--ratios", "1", "--stride", "0.0039"], 1),
+        ("propose", ["--scales", "0.5", "--ratios", "1", "--stride", "0.00390625"], 2),
+        # The default 12 scale/ratio pairs allow up to 73 positions a side.
+        ("propose", ["--stride", "0.0135"], 1),
+        ("propose", ["--stride", "0.0137"], 2),
+    ], ids=lambda v: "=".join(v) if isinstance(v, list) else str(v))
+    def test_cap(self, tmp_path, capsys, no_work, command, flags, code):
+        extra = {"train": [], "propose": ["--model", str(tmp_path / "m.ubbr")],
+                 "eval": ["--proposals", str(tmp_path / "p.csv")]}[command]
+        got = run_cli([command, "--out-dir", str(tmp_path / "o"), "--scene-cache", str(tmp_path / "missing.bin")]
+                      + extra + flags)
+        assert got == code
+        msg = one_line_error(capsys, "error: " if code == 1 else "data error: ")
+        assert ("missing.bin" in msg) == (code == 2)
+        assert not (tmp_path / "o").exists()
+
+    def test_caps_are_the_documented_values(self):
+        assert MAX_SEEDS == 65536 and MAX_IMAGE_SIDE == 1024
+
+
+class TestConfigTokens:
+    FLAGS = ["--synth", "--synth-count", "2", "--hidden", "4,4", "--boxes-per-gt", "4", "--max-epochs", "1"]
+
+    def test_config_file_equals_flags(self, tmp_path):
+        by_flags = tmp_path / "flags"
+        assert run_cli(["train", "--out-dir", str(by_flags)] + self.FLAGS) == 0
+        by_config = tmp_path / "config"
+        cfg = tmp_path / "run.cfg"
+        # --out-dir is required and may come from the file too.
+        cfg.write_text(f"out_dir = {by_config}\nsynth = yes\nsynth-count = 2\nhidden = 4,4\n"
+                       "boxes_per_gt = 4\nmax_epochs = 1\nadjacent_pairs = no\n")
+        assert run_cli(["train", "--config", str(cfg)]) == 0
+
+        def config_lines(d):
+            return [line for line in (d / "config.txt").read_text().splitlines() if not line.startswith("out_dir =")]
+
+        assert config_lines(by_flags) == config_lines(by_config)
+        assert (by_flags / "model.ubbr").read_bytes() == (by_config / "model.ubbr").read_bytes()
+
+    @pytest.mark.parametrize("text,words", [
+        ("loss = foo\n", ["line 1", "'loss'", "invalid choice"]),
+        ("synth_c = 5\n", ["line 1", "unknown key 'synth_c'"]),
+        ("func = x\n", ["line 1", "unknown key 'func'"]),
+        ("help = x\n", ["line 1", "bad value for 'help'"]),
+        ("\n# only a comment\nsynth\n", ["line 3", "expected 'key = value'"]),
+    ], ids=["choice", "abbreviation", "internal-default", "help", "no-equals"])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, no_work, text, words):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(cfg)])
+        assert code == 1
+        msg = one_line_error(capsys, "error: ")
+        assert str(cfg) in msg and all(w in msg for w in words), msg
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--synth", "--config", str(tmp_path / "no.cfg")])
+        assert code == 2
+        assert "no.cfg" in one_line_error(capsys, "data error: ")
+
+
+def write_file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def no_gts_annotations(d):
+    return write_file(d / "empty.json", json.dumps({"images": [{"id": 1, "width": 64, "height": 64}], "annotations": []}))
+
+
+def saved_model(d, channels=3):
+    path = str(d / f"m{channels}.ubbr")
+    save_model(path, init_model(channels, 7, (8, 8), rng=np.random.default_rng(0)))
+    return path
+
+
+def config_run(d, text):
+    return ["train", "--out-dir", str(d / "o"), "--synth", "--config", write_file(d / "run.cfg", text)]
+
+
+# Every raise in cli.py, keyed by (function, exception, longest literal part of
+# its message), with a command line that reaches it: (argv of a directory,
+# exit code, text the one stderr line must also hold).
+EXIT_PATHS = {
+    ("error", "UsageError", None): (
+        lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--bogus"], 1, "unrecognized arguments: --bogus"),
+    ("main", "UsageError", None): (
+        lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--t", "1.5"], 1, "t must be in [0, 1)"),
+    ("_list", "ValueError", " must be a comma-separated list of "): (
+        lambda d: ["propose", "--out-dir", str(d / "o"), "--synth", "--model", "m", "--scales", "a"], 1, "--scales"),
+    ("_check_scenes", "UsageError", "the following arguments are required: "): (
+        lambda d: ["refine", "--synth", "--boxes", "b.csv"], 1, "--out-dir, --model"),
+    ("_check_scenes", "UsageError", "exactly one of --synth, --annotations, --scene-cache is required"): (
+        lambda d: ["train", "--out-dir", str(d / "o")], 1, ""),
+    ("_check_scenes", "ValueError", "--synth-count must be >= 1, got "): (
+        lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--synth-count", "0"], 1, "got 0"),
+    ("_check_scenes", "ValueError", "--short-side must be in [0, "): (
+        lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--short-side", "nan"], 1, "got nan"),
+    ("_check_eval", "ValueError", " must be in [0, 1], got "): (
+        lambda d: ["eval", "--out-dir", str(d / "o"), "--synth", "--proposals", "p.csv", "--corloc-iou", "2"], 1,
+        "--corloc-iou"),
+    ("_config_tokens", "DataFormatError", ": "): (
+        lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--config", str(d / "no.cfg")], 2, "no.cfg"),
+    ("_config_tokens", "UsageError", ": expected 'key = value'"): (
+        lambda d: config_run(d, "synth\n"), 1, "line 1"),
+    ("_config_tokens", "UsageError", " (expected true/false/yes/no/1/0)"): (
+        lambda d: config_run(d, "adjacent_pairs = 2\n"), 1, "'adjacent_pairs'"),
+    ("_config_tokens", "UsageError", ": bad value for "): (
+        lambda d: config_run(d, "max_epochs = 1.5\n"), 1, "'max_epochs'"),
+    ("_config_tokens", "UsageError", ": unknown key "): (
+        lambda d: config_run(d, "epochs = 2\n"), 1, "'epochs'"),
+    ("cmd_train", "DataFormatError", "no scenes with ground truths to train on"): (
+        lambda d: ["train", "--out-dir", str(d / "o"), "--annotations", no_gts_annotations(d)], 2, ""),
+    ("cmd_refine", "DataFormatError", ": unknown image ids: "): (
+        lambda d: ["refine", "--out-dir", str(d / "o"), "--synth", "--synth-count", "1", "--model", saved_model(d),
+                   "--boxes", write_file(d / "b.csv", "nowhere,1,1,5,5\n")], 2, "nowhere"),
+    ("_check_channels", "DataFormatError", " feature channels, scene "): (
+        lambda d: ["propose", "--out-dir", str(d / "o"), "--synth", "--synth-count", "1",
+                   "--model", saved_model(d, channels=5)], 2, "model expects 5"),
+    ("cmd_eval", "DataFormatError", "no scenes with ground truths to evaluate"): (
+        lambda d: ["eval", "--out-dir", str(d / "o"), "--annotations", no_gts_annotations(d),
+                   "--proposals", write_file(d / "p.csv", "")], 2, ""),
+}
+
+
+def cli_raise_sites():
+    """(innermost function, exception, longest literal part of the message) of each raise in cli.py."""
+    tree = ast.parse(inspect.getsource(cli))
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            func = min((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                       key=lambda f: f.end_lineno - f.lineno)
+            parts = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            yield func.name, node.exc.func.id, max(parts, key=len) if parts else None
+
+
+class TestExitPaths:
+    def test_every_raise_has_a_case(self):
+        sites = list(cli_raise_sites())
+        assert len(sites) == len(set(sites))
+        assert set(sites) == set(EXIT_PATHS)
+
+    @pytest.mark.parametrize("site", sorted(EXIT_PATHS, key=str), ids=lambda s: f"{s[0]}:{s[2]}")
+    def test_case_reaches_its_raise(self, tmp_path, capsys, no_work, site):
+        argv, code, text = EXIT_PATHS[site]
+        assert run_cli(argv(tmp_path)) == code
+        msg = one_line_error(capsys, "error: " if code == 1 else "data error: ")
+        assert (site[2] or "") in msg and text in msg, msg
+        assert not (tmp_path / "o").exists()
