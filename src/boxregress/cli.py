@@ -17,8 +17,9 @@ import numpy as np
 from .boxes import boxes_to_array
 from .errors import DataFormatError
 from .ioutil import atomic_write
-from .losses import LossConfig
+from .losses import LOSS_KINDS, LossConfig
 from .metrics import (
+    DEFAULT_K_GRID,
     EvalRecord,
     check_budgets,
     corloc,
@@ -56,6 +57,11 @@ def _list(text: str, flag: str, kind: type) -> list:
         raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {text!r}") from None
 
 
+def _joined(values) -> str:
+    """A list flag's text for a default tuple: its values, comma-separated."""
+    return ",".join(map(str, values))
+
+
 def _add_scene_options(p: _Parser):
     src = p.add_argument_group("scene source")
     src.add_argument("--synth", action="store_true", help="generate synthetic scenes")
@@ -63,12 +69,13 @@ def _add_scene_options(p: _Parser):
     src.add_argument("--scene-cache", help="binary scene cache file")
     src.add_argument("--synth-count", type=int, default=200)
     src.add_argument("--synth-seed", type=int, default=None, help="defaults to --seed")
-    src.add_argument("--image-size", type=int, default=128)
-    src.add_argument("--min-objects", type=int, default=1)
+    src.add_argument("--image-size", type=int, default=SynthConfig.image_size)
+    src.add_argument("--min-objects", type=int, default=SynthConfig.min_objects)
+    # The acceptance recipe's objects per scene, on purpose below SynthConfig's 4.
     src.add_argument("--max-objects", type=int, default=3)
-    src.add_argument("--min-size-frac", type=float, default=0.15)
-    src.add_argument("--max-size-frac", type=float, default=0.55)
-    src.add_argument("--noise", type=float, default=0.0)
+    src.add_argument("--min-size-frac", type=float, default=SynthConfig.min_size_frac)
+    src.add_argument("--max-size-frac", type=float, default=SynthConfig.max_size_frac)
+    src.add_argument("--noise", type=float, default=SynthConfig.noise)
     src.add_argument("--adjacent-pairs", action="store_true")
     src.add_argument("--short-side", type=float, default=600.0,
                      help="rescale annotation scenes to this short side; 0 disables")
@@ -83,6 +90,12 @@ def _check_scenes(args, *required: str) -> tuple[SynthConfig, set[int]]:
     missing = [flag for flag in ("--out-dir", *required) if not getattr(args, flag[2:].replace("-", "_"))]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    # Refuse an out-dir that could not be made once the work is done.
+    existing = os.path.abspath(args.out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValueError(f"--out-dir {args.out_dir}: {existing} is not a directory")
     if sum(1 for v in (args.synth, args.annotations, args.scene_cache) if v) != 1:
         raise UsageError("exactly one of --synth, --annotations, --scene-cache is required")
     if args.synth_count < 1:
@@ -147,7 +160,7 @@ def _check_train(args):
         pool_size=args.pool_size,
         max_epochs=args.max_epochs,
     )
-    return _check_scenes(args), sampler_cfg, train_cfg, LossConfig(epsilon=args.epsilon)
+    return _check_scenes(args), sampler_cfg, train_cfg, LossConfig(kind=args.loss, epsilon=args.epsilon)
 
 
 def cmd_train(args, scene_source, sampler_cfg, train_cfg, loss_cfg) -> int:
@@ -155,7 +168,7 @@ def cmd_train(args, scene_source, sampler_cfg, train_cfg, loss_cfg) -> int:
     if not scenes:
         raise DataFormatError("no scenes with ground truths to train on")
     _check_channels(scenes, scenes[0].feature_map().channels, f"scene {scenes[0].id} provides")
-    model, log = train(scenes, train_cfg, sampler_cfg, loss_cfg, loss=args.loss)
+    model, log = train(scenes, train_cfg, sampler_cfg, loss_cfg)
     _make_out_dir(args)
     model_path = os.path.join(args.out_dir, "model.ubbr")
     save_model(model_path, model)
@@ -317,27 +330,27 @@ def build_parser() -> _Parser:
     def common(p: _Parser):
         p.add_argument("--config", help="key = value config file; flags override")
         p.add_argument("--out-dir", help="required")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=SynthConfig.seed)
         _add_scene_options(p)
 
     p_train = sub.add_parser("train", help="train a regression head")
     common(p_train)
-    p_train.add_argument("--loss", choices=("iou", "smooth_l1"), default="iou")
-    p_train.add_argument("--alpha", type=float, default=0.35)
-    p_train.add_argument("--beta", type=float, default=0.5)
-    p_train.add_argument("--t", type=float, default=0.3)
-    p_train.add_argument("--boxes-per-gt", type=int, default=50)
-    p_train.add_argument("--epsilon", type=float, default=1e-6)
-    p_train.add_argument("--momentum", type=float, default=0.9)
-    p_train.add_argument("--weight-decay", type=float, default=0.0005)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--patience", type=int, default=3)
-    p_train.add_argument("--stop-lr", type=float, default=1e-6)
-    p_train.add_argument("--minibatch", type=int, default=128)
-    p_train.add_argument("--init-std", type=float, default=0.001)
-    p_train.add_argument("--hidden", default="256,256")
-    p_train.add_argument("--pool-size", type=int, default=7)
-    p_train.add_argument("--max-epochs", type=int, default=200)
+    p_train.add_argument("--loss", choices=LOSS_KINDS, default=LossConfig.kind)
+    p_train.add_argument("--alpha", type=float, default=SamplerConfig.alpha)
+    p_train.add_argument("--beta", type=float, default=SamplerConfig.beta)
+    p_train.add_argument("--t", type=float, default=SamplerConfig.t)
+    p_train.add_argument("--boxes-per-gt", type=int, default=SamplerConfig.boxes_per_gt)
+    p_train.add_argument("--epsilon", type=float, default=LossConfig.epsilon)
+    p_train.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p_train.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.initial_lr)
+    p_train.add_argument("--patience", type=int, default=TrainConfig.plateau_patience)
+    p_train.add_argument("--stop-lr", type=float, default=TrainConfig.stop_lr)
+    p_train.add_argument("--minibatch", type=int, default=TrainConfig.minibatch_size)
+    p_train.add_argument("--init-std", type=float, default=TrainConfig.init_std)
+    p_train.add_argument("--hidden", default=_joined(TrainConfig.hidden))
+    p_train.add_argument("--pool-size", type=int, default=TrainConfig.pool_size)
+    p_train.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p_train.set_defaults(check=_check_train, func=cmd_train)
 
     p_refine = sub.add_parser("refine", help="iteratively refine boxes from a file")
@@ -351,9 +364,9 @@ def build_parser() -> _Parser:
     common(p_prop)
     p_prop.add_argument("--model", help="required")
     p_prop.add_argument("--iters", type=int, default=1)
-    p_prop.add_argument("--scales", default="0.125,0.25,0.5,0.75")
-    p_prop.add_argument("--ratios", default="0.5,1.0,2.0")
-    p_prop.add_argument("--stride", type=float, default=0.0625)
+    p_prop.add_argument("--scales", default=_joined(SeedGridConfig.scales))
+    p_prop.add_argument("--ratios", default=_joined(SeedGridConfig.aspect_ratios))
+    p_prop.add_argument("--stride", type=float, default=SeedGridConfig.stride)
     p_prop.add_argument("--nms-iou", type=float, default=0.6)
     p_prop.add_argument("--decay", type=float, default=10.0)
     p_prop.set_defaults(check=_check_propose, func=cmd_propose)
@@ -363,7 +376,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--proposals", help="required")
     p_eval.add_argument("--baseline-proposals", help="second proposals file for curve comparison")
     p_eval.add_argument("--iou", type=float, default=0.7)
-    p_eval.add_argument("--ks", default="1,2,5,10,20,50,100,200,500,1000")
+    p_eval.add_argument("--ks", default=_joined(DEFAULT_K_GRID))
     p_eval.add_argument("--corloc-iou", type=float, default=0.5)
     p_eval.set_defaults(check=_check_eval, func=cmd_eval)
     return parser

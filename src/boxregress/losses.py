@@ -18,31 +18,39 @@ import numpy as np
 from .boxes import apply_offsets_array, encode_offsets_array
 
 
+# The loss kinds train can use: the IoU loss, or the smooth-L1 baseline on offsets.
+LOSS_KINDS = ("iou", "smooth_l1")
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    epsilon: float = 1e-6          # stabilizer inside the logarithm
-    smooth_l1_delta: float = 1.0   # quadratic/linear switch point
-    fallback_weight: float = 1.0   # scale on the zero-overlap gradient fallback
+    kind: str = "iou"      # one of LOSS_KINDS
+    epsilon: float = 1e-6  # stabilizer inside the logarithm
 
     def __post_init__(self):
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not (math.isfinite(self.smooth_l1_delta) and self.smooth_l1_delta > 0):
-            raise ValueError(f"smooth_l1_delta must be finite and positive, got {self.smooth_l1_delta}")
-        if not (math.isfinite(self.fallback_weight) and self.fallback_weight >= 0):
-            raise ValueError(f"fallback_weight must be finite and >= 0, got {self.fallback_weight}")
 
 
-def smooth_l1_terms_batch(
-    preds: np.ndarray, targets: np.ndarray, cfg: LossConfig = LossConfig()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise smooth-L1 loss and gradient between (N, 4) offset arrays."""
-    delta = cfg.smooth_l1_delta
+def smooth_l1_terms_batch(preds: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise smooth-L1 loss and gradient between (N, 4) offset arrays, quadratic below |d| = 1."""
     d = preds - targets
-    quad = np.abs(d) < delta
-    loss = np.where(quad, 0.5 * d * d / delta, np.abs(d) - 0.5 * delta).sum(axis=1)
-    grad = np.where(quad, d / delta, np.sign(d))
+    quad = np.abs(d) < 1.0
+    loss = np.where(quad, 0.5 * d * d, np.abs(d) - 0.5).sum(axis=1)
+    grad = np.where(quad, d, np.sign(d))
     return loss, grad
+
+
+def loss_terms(
+    preds: np.ndarray, input_boxes: np.ndarray, gts: np.ndarray, cfg: LossConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, grad, fallback) of cfg.kind, shaped as iou_loss_terms_batch returns them; smooth-L1 never falls back."""
+    if cfg.kind == "iou":
+        return iou_loss_terms_batch(preds, input_boxes, gts, cfg)
+    loss, grad = smooth_l1_terms_batch(preds, encode_offsets_array(input_boxes, gts))
+    return loss, grad, np.zeros(len(preds), dtype=bool)
 
 
 def _edge_weight(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,7 +71,7 @@ def iou_loss_terms_batch(
     boxes. Returns (loss, grad, fallback) of shapes (N,), (N, 4), (N,).
     Rows whose refined box is disjoint from its target get the zero IoU
     loss value but the smooth-L1 gradient toward the encoded target,
-    scaled by cfg.fallback_weight, with the fallback flag set.
+    with the fallback flag set.
     """
     refined = apply_offsets_array(input_boxes, preds)
     if not np.isfinite(refined).all():
@@ -116,6 +124,5 @@ def iou_loss_terms_batch(
     fallback = ~overlap
     if fallback.any():
         targets = encode_offsets_array(input_boxes[fallback], gts[fallback])
-        _, fb_grad = smooth_l1_terms_batch(preds[fallback], targets, cfg)
-        grad[fallback] = cfg.fallback_weight * fb_grad
+        grad[fallback] = smooth_l1_terms_batch(preds[fallback], targets)[1]
     return loss, grad, fallback

@@ -16,15 +16,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boxes import apply_offsets_array, boxes_to_array, encode_offsets_array, iou
+from .boxes import apply_offsets_array, boxes_to_array, iou
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, plane_buffer, roi_align_many
-from .losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
+from .losses import LossConfig, loss_terms
 from .sampling import SamplerConfig, generate_training_boxes_many
 
 MODEL_MAGIC = b"UBBR1"
 
-LOSS_KINDS = ("iou", "smooth_l1")
+# Widest hidden layer and largest pooling grid a TrainConfig may ask for: at both,
+# a 3-channel head holds 5.8 million weights (46 MB), and training keeps six copies.
+MAX_HIDDEN = 2048
+MAX_POOL_SIZE = 16
+
+# Fixed parts of the recipe: train's held-out share of its scenes, boxes per held-out ground
+# truth (dense, for a stable plateau signal), and the divisor of the learning rate at a plateau.
+VAL_FRACTION = 0.04
+VAL_BOXES_PER_GT = 150
+LR_DECAY_FACTOR = 10.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,7 +89,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     initial_lr: float = 1e-3
-    lr_decay_factor: float = 10.0
     plateau_patience: int = 3      # epochs without held-out improvement before decay
     stop_lr: float = 1e-6
     minibatch_size: int = 128
@@ -88,24 +96,23 @@ class TrainConfig:
     seed: int = 0
     hidden: tuple[int, int] = (256, 256)
     pool_size: int = 7
-    val_fraction: float = 0.04
-    val_boxes_per_gt: int = 150            # held-out pool density; high for a stable plateau signal
     plateau_rel_improvement: float = 2e-4  # smaller relative gains count as no improvement
     max_epochs: int = 200
 
     def __post_init__(self):
         if len(self.hidden) != 2:
             raise ValueError(f"TrainConfig hidden must be two widths, got {self.hidden}")
+        for name, v, cap in (("hidden", max(self.hidden), MAX_HIDDEN), ("pool_size", self.pool_size, MAX_POOL_SIZE)):
+            if v > cap:
+                raise ValueError(f"TrainConfig {name} must be at most {cap}, got {v}")
         # Plain SGD has no momentum or weight decay, and seeds start at 0; every
         # other field scales or counts something that must exist.
         nonnegative = {"momentum": self.momentum, "weight_decay": self.weight_decay, "seed": self.seed}
         positive = {
-            "initial_lr": self.initial_lr, "lr_decay_factor": self.lr_decay_factor,
-            "plateau_patience": self.plateau_patience, "stop_lr": self.stop_lr,
-            "minibatch_size": self.minibatch_size, "init_std": self.init_std,
-            "pool_size": self.pool_size, "val_fraction": self.val_fraction,
-            "val_boxes_per_gt": self.val_boxes_per_gt, "plateau_rel_improvement": self.plateau_rel_improvement,
-            "max_epochs": self.max_epochs, "hidden": min(self.hidden),
+            "initial_lr": self.initial_lr, "plateau_patience": self.plateau_patience, "stop_lr": self.stop_lr,
+            "minibatch_size": self.minibatch_size, "init_std": self.init_std, "pool_size": self.pool_size,
+            "plateau_rel_improvement": self.plateau_rel_improvement, "max_epochs": self.max_epochs,
+            "hidden": min(self.hidden),
         }
         for name, v in (*nonnegative.items(), *positive.items()):
             if not (math.isfinite(v) and (v > 0 if name in positive else v >= 0)):
@@ -125,21 +132,14 @@ class EpochStats:
 
 
 def init_model(
-    channels: int,
-    pool_size: int = 7,
-    hidden: tuple[int, int] = (256, 256),
-    init_std: float = 0.001,
-    rng: np.random.Generator | None = None,
+    channels: int, pool_size: int, hidden: tuple[int, int], init_std: float, rng: np.random.Generator
 ) -> RegressorModel:
-    """Fresh head: Gaussian weights with the given std, zero biases.
+    """Fresh head: Gaussian weights drawn from rng, zero biases.
 
-    The output layer always uses init_std, so a new model's refinement
-    is near-identity. Hidden layers are drawn at fan-in scale so the
-    gradient signal survives the two rectifier stages; pass None for rng
-    to get an unseeded draw.
+    The output layer uses init_std, so a new model's refinement is
+    near-identity. Hidden layers are drawn at fan-in scale so the
+    gradient signal survives the two rectifier stages.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     in_dim = channels * pool_size * pool_size
     h1, h2 = hidden
     w1 = rng.normal(0.0, math.sqrt(2.0 / in_dim), size=(h1, in_dim))
@@ -175,26 +175,16 @@ def loss_and_weight_grads(
     input_boxes: np.ndarray,
     gt_boxes: np.ndarray,
     loss_cfg: LossConfig = LossConfig(),
-    loss: str = "iou",
 ) -> tuple[float, dict[str, np.ndarray], int]:
-    """Mean loss over a minibatch and its gradient in every head weight.
+    """Mean loss of loss_cfg's kind over a minibatch and its gradient in every head weight.
 
     Features x are (N, in_dim) and are treated as constants; input_boxes
     and gt_boxes are matched (N, 4) center-form arrays. Returns (loss,
     grads keyed like params(), fallback count).
     """
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
     n = x.shape[0]
     pred, h1, h2 = _forward(model, x)
-
-    if loss == "iou":
-        losses, dpred, fallback = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
-        fallbacks = int(fallback.sum())
-    else:
-        targets = encode_offsets_array(input_boxes, gt_boxes)
-        losses, dpred = smooth_l1_terms_batch(pred, targets, loss_cfg)
-        fallbacks = 0
+    losses, dpred, fallback = loss_terms(pred, input_boxes, gt_boxes, loss_cfg)
 
     dz3 = dpred / n
     dh2 = dz3 @ model.w3
@@ -206,7 +196,7 @@ def loss_and_weight_grads(
         "w2": dz2.T @ h1, "b2": dz2.sum(axis=0),
         "w1": dz1.T @ x, "b1": dz1.sum(axis=0),
     }
-    return float(losses.mean()), grads, fallbacks
+    return float(losses.mean()), grads, int(fallback.sum())
 
 
 def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator):
@@ -279,18 +269,15 @@ def _predict(model: RegressorModel, n: int, features) -> np.ndarray:
     return pred
 
 
-def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
+def _evaluate(model, x, input_boxes, gt_boxes, loss_cfg):
     """Held-out loss and mean IoU of one-step refinement."""
     pred = _predict(model, len(x), lambda a, b: x[a:b])
-    if loss == "iou":
-        losses, _, _ = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
-    else:
-        losses, _ = smooth_l1_terms_batch(pred, encode_offsets_array(input_boxes, gt_boxes), loss_cfg)
+    losses = loss_terms(pred, input_boxes, gt_boxes, loss_cfg)[0]
     refined = apply_offsets_array(input_boxes, pred)
     return float(losses.mean()), float(iou(refined, gt_boxes).mean())
 
 
-def _train_epoch(model, velocity, scenes, buf, rng, lr, cfg, sampler_cfg, loss_cfg, loss) -> float:
+def _train_epoch(model, velocity, scenes, buf, rng, lr, cfg, sampler_cfg, loss_cfg) -> float:
     """One epoch of SGD on freshly sampled boxes; returns its mean training loss.
 
     Samples the boxes from rng, then draws the minibatch order from it.
@@ -316,7 +303,7 @@ def _train_epoch(model, velocity, scenes, buf, rng, lr, cfg, sampler_cfg, loss_c
         for start in range(0, len(span_idx), mb):
             idx = span_idx[start : start + mb]
             mb_loss, grads, _ = loss_and_weight_grads(
-                model, x[start : start + mb], in_boxes[idx], gt_boxes[idx], loss_cfg, loss
+                model, x[start : start + mb], in_boxes[idx], gt_boxes[idx], loss_cfg
             )
             running += mb_loss * len(idx)
             for name, p in params.items():
@@ -337,17 +324,14 @@ def train(
     cfg: TrainConfig = TrainConfig(),
     sampler_cfg: SamplerConfig = SamplerConfig(),
     loss_cfg: LossConfig = LossConfig(),
-    loss: str = "iou",
 ) -> tuple[RegressorModel, list[EpochStats]]:
     """Train a head on the given scenes; returns (best model, epoch log).
 
     Scenes must each carry at least one ground truth. The tail of the
-    scene list (about val_fraction of it) is held out to drive the
+    scene list (about VAL_FRACTION of it) is held out to drive the
     plateau schedule; the returned model is the best-validation one.
     Fixed seed and a single thread give bitwise-reproducible results.
     """
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
     if not scenes:
         raise ValueError("train requires at least one scene")
     for s in scenes:
@@ -355,7 +339,7 @@ def train(
             raise ValueError(f"scene {s.id} has no ground-truth boxes")
 
     if len(scenes) >= 2:
-        n_val = max(1, round(cfg.val_fraction * len(scenes)))
+        n_val = max(1, round(VAL_FRACTION * len(scenes)))
         train_scenes, val_scenes = scenes[:-n_val], scenes[-n_val:]
     else:
         train_scenes = val_scenes = list(scenes)
@@ -367,7 +351,7 @@ def train(
 
     # The held-out features are pooled once; the training scenes' planes
     # stay in one buffer that every epoch pools from.
-    val_sampler = replace(sampler_cfg, boxes_per_gt=cfg.val_boxes_per_gt)
+    val_sampler = replace(sampler_cfg, boxes_per_gt=VAL_BOXES_PER_GT)
     val_boxes, val_gts, val_of = _build_pool(val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]))
     val_x = roi_align_many(
         plane_buffer([s.feature_map() for s in val_scenes]), val_boxes / FEATURE_STRIDE, cfg.pool_size, val_of
@@ -385,9 +369,9 @@ def train(
         try:
             train_loss = _train_epoch(
                 model, velocity, train_scenes, buf, np.random.default_rng([cfg.seed, 1, epoch]),
-                lr, cfg, sampler_cfg, loss_cfg, loss,
+                lr, cfg, sampler_cfg, loss_cfg,
             )
-            val_loss, val_miou = _evaluate(model, val_x, val_boxes, val_gts, loss_cfg, loss)
+            val_loss, val_miou = _evaluate(model, val_x, val_boxes, val_gts, loss_cfg)
         except (OverflowError, ValueError) as e:
             raise TrainingDiverged(f"epoch {epoch}: {e}", model=checkpoint, log=log) from None
 
@@ -410,7 +394,7 @@ def train(
                 best_model = model.copy()
             stall += 1
             if stall >= cfg.plateau_patience:
-                lr /= cfg.lr_decay_factor
+                lr /= LR_DECAY_FACTOR
                 stall = 0
         if lr < cfg.stop_lr:
             break

@@ -16,6 +16,11 @@ import numpy as np
 from .boxes import apply_offsets_array, iou
 
 
+# Most boxes per ground truth a SamplerConfig may ask for. Each ground truth's
+# chunk of 4 * boxes_per_gt offsets is then at most 4 MB.
+MAX_BOXES_PER_GT = 1 << 15
+
+
 class SampleBudgetWarning(RuntimeWarning):
     """Rejection sampling ran out of attempts before filling its quota."""
 
@@ -42,8 +47,8 @@ class SamplerConfig:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
         if not 0 <= self.t < 1:
             raise ValueError(f"t must be in [0, 1), got {self.t}")
-        if self.boxes_per_gt < 1:
-            raise ValueError(f"boxes_per_gt must be >= 1, got {self.boxes_per_gt}")
+        if not 1 <= self.boxes_per_gt <= MAX_BOXES_PER_GT:
+            raise ValueError(f"boxes_per_gt must be in [1, {MAX_BOXES_PER_GT}], got {self.boxes_per_gt}")
         if self.max_attempts_per_box < 1:
             raise ValueError(f"max_attempts_per_box must be >= 1, got {self.max_attempts_per_box}")
 

@@ -79,28 +79,15 @@ def _feature_grid_shape(width: float, height: float) -> tuple[int, int]:
     return max(1, math.ceil(height / FEATURE_STRIDE)), max(1, math.ceil(width / FEATURE_STRIDE))
 
 
-def build_feature_map(
-    width: float,
-    height: float,
-    gts: list[Box],
-    noise: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> FeatureMap:
-    """Synthesize the 3-channel backbone stand-in for a set of boxes.
+def build_feature_map(width: float, height: float, gts: list[Box]) -> FeatureMap:
+    """Synthesize the noise-free 3-channel backbone stand-in for a set of boxes.
 
     Cells sample their center point. With no ground truths all channels
-    are zero. Gaussian noise of the given standard deviation is added to
-    every channel when noise > 0.
+    are zero.
     """
     if gts:
-        data = _feature_data(width, height, [boxes_to_array(gts)])[0]
-    else:
-        data = np.zeros((3, *_feature_grid_shape(width, height)), dtype=np.float64)
-    if noise > 0.0:
-        if rng is None:
-            raise ValueError("noise > 0 requires an rng")
-        data += rng.normal(0.0, noise, size=data.shape)
-    return FeatureMap(data)
+        return FeatureMap(_feature_data(width, height, [boxes_to_array(gts)])[0])
+    return FeatureMap(np.zeros((3, *_feature_grid_shape(width, height)), dtype=np.float64))
 
 
 def _feature_data(width: float, height: float, gts: list[np.ndarray]) -> np.ndarray:
@@ -385,7 +372,7 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
 
 
 def load_scenes(path: str) -> list[Scene]:
-    """Read a scene cache written by save_scenes."""
+    """Read a scene cache written by save_scenes; a scene id listed twice is a DataFormatError."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -414,7 +401,7 @@ def load_scenes(path: str) -> list[Scene]:
     if bytes(take(len(SCENE_CACHE_MAGIC))) != SCENE_CACHE_MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a scene cache")
     (count,) = struct.unpack("<I", take(4))
-    scenes = []
+    scenes, seen = [], set()
     for _ in range(count):
         start = pos
         (id_len,) = struct.unpack("<H", take(2))
@@ -422,6 +409,9 @@ def load_scenes(path: str) -> list[Scene]:
             ident = bytes(take(id_len)).decode("utf-8")
         except UnicodeDecodeError:
             raise DataFormatError(f"{path}: byte {start + 2}: scene id is not valid UTF-8") from None
+        if ident in seen:
+            raise DataFormatError(f"{path}: byte {start}: duplicate scene id {ident!r}")
+        seen.add(ident)
         width, height, n_gts = struct.unpack("<ddI", take(20))
         gts = []
         for _ in range(n_gts):

@@ -65,14 +65,14 @@ def bench():
     baseline_mean_iou = float(np.mean(np.concatenate(per_scene_base)))
 
     t0 = time.time()
-    model_t03, log_t03 = train(train_scenes, TRAIN_CFG, SAMPLER, LOSS_CFG, loss="iou")
+    model_t03, log_t03 = train(train_scenes, TRAIN_CFG, SAMPLER, LOSS_CFG)
     seconds_t03 = time.time() - t0
     print(f"[bench] t=0.3 IoU-loss model: {len(log_t03)} epochs in {seconds_t03:.0f}s, "
           f"val mean IoU {log_t03[-1].val_mean_iou:.4f}")
 
-    model_t05, log_t05 = train(train_scenes, TRAIN_CFG, replace(SAMPLER, t=0.5), LOSS_CFG, loss="iou")
+    model_t05, log_t05 = train(train_scenes, TRAIN_CFG, replace(SAMPLER, t=0.5), LOSS_CFG)
     print(f"[bench] t=0.5 IoU-loss model: {len(log_t05)} epochs")
-    model_sl1, log_sl1 = train(train_scenes, TRAIN_CFG, SAMPLER, LOSS_CFG, loss="smooth_l1")
+    model_sl1, log_sl1 = train(train_scenes, TRAIN_CFG, SAMPLER, replace(LOSS_CFG, kind="smooth_l1"))
     print(f"[bench] t=0.3 smooth-L1 model: {len(log_sl1)} epochs")
 
     def scene_trajectories(model, iterations=3):

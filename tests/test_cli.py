@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 from boxregress import cli
 from boxregress.boxes import Box
 from boxregress.features import FeatureMap
-from boxregress.model import MODEL_MAGIC, init_model, save_model
+from boxregress.model import MAX_HIDDEN, MAX_POOL_SIZE, MODEL_MAGIC, init_model, save_model
 from boxregress.proposals import MAX_SEEDS
+from boxregress.sampling import MAX_BOXES_PER_GT
 from boxregress.scenes import MAX_IMAGE_SIDE, SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
 
 
@@ -239,7 +241,7 @@ class TestDataErrors:
         assert where in one_line_error(capsys, "data error: ")
 
     def test_nonfinite_model_weights(self, tmp_path, capsys):
-        model = init_model(3, 7, (8, 8), rng=np.random.default_rng(0))
+        model = init_model(3, 7, (8, 8), init_std=0.001, rng=np.random.default_rng(0))
         model.w2[1, 2] = np.nan
         path = str(tmp_path / "nan.ubbr")
         save_model(path, model)
@@ -269,7 +271,7 @@ class TestDataErrors:
     def test_model_channel_mismatch(self, tmp_path, capsys, command):
         # Synthetic scenes have 3 feature channels; the model expects 5.
         path = str(tmp_path / "five.ubbr")
-        save_model(path, init_model(5, 7, (8, 8), rng=np.random.default_rng(0)))
+        save_model(path, init_model(5, 7, (8, 8), init_std=0.001, rng=np.random.default_rng(0)))
         boxes = tmp_path / "boxes.csv"
         boxes.write_text("synth-0000,10,10,30,30\n")
         extra = ["--boxes", str(boxes)] if command == "refine" else []
@@ -307,7 +309,7 @@ class TestNumericErrors:
     @pytest.mark.parametrize("command", ["refine", "propose"])
     def test_refine_overflow_exit_code(self, tmp_path, capsys, command):
         # Finite weights whose width offset overflows exp on every box.
-        model = init_model(3, 7, (8, 8), rng=np.random.default_rng(0))
+        model = init_model(3, 7, (8, 8), init_std=0.001, rng=np.random.default_rng(0))
         model.b3[2] = 800.0
         path = str(tmp_path / "big.ubbr")
         save_model(path, model)
@@ -323,7 +325,7 @@ class TestNumericErrors:
     def test_propose_collapsed_boxes_exit_code(self, tmp_path, capsys):
         # A width offset of -60 keeps every side positive but below the
         # resolution of its center, so no refined box overlaps itself.
-        model = init_model(3, 7, (8, 8), rng=np.random.default_rng(0))
+        model = init_model(3, 7, (8, 8), init_std=0.001, rng=np.random.default_rng(0))
         model.b3[2] = -60.0
         path = str(tmp_path / "tiny.ubbr")
         save_model(path, model)
@@ -576,6 +578,15 @@ class TestSizeCaps:
         # The default 12 scale/ratio pairs allow up to 73 positions a side.
         ("propose", ["--stride", "0.0135"], 1),
         ("propose", ["--stride", "0.0137"], 2),
+        # Head and sampler sizes, refused before a weight or an offset is drawn.
+        ("train", ["--hidden", "100000,100000"], 1),
+        ("train", ["--hidden", f"8,{MAX_HIDDEN + 1}"], 1),
+        ("train", ["--hidden", f"{MAX_HIDDEN},{MAX_HIDDEN}"], 2),
+        ("train", ["--pool-size", str(MAX_POOL_SIZE + 1)], 1),
+        ("train", ["--pool-size", str(MAX_POOL_SIZE)], 2),
+        ("train", ["--boxes-per-gt", "1000000"], 1),
+        ("train", ["--boxes-per-gt", str(MAX_BOXES_PER_GT + 1)], 1),
+        ("train", ["--boxes-per-gt", str(MAX_BOXES_PER_GT)], 2),
     ], ids=lambda v: "=".join(v) if isinstance(v, list) else str(v))
     def test_cap(self, tmp_path, capsys, no_work, command, flags, code):
         extra = {"train": [], "propose": ["--model", str(tmp_path / "m.ubbr")],
@@ -589,6 +600,45 @@ class TestSizeCaps:
 
     def test_caps_are_the_documented_values(self):
         assert MAX_SEEDS == 65536 and MAX_IMAGE_SIDE == 1024
+        assert (MAX_HIDDEN, MAX_POOL_SIZE, MAX_BOXES_PER_GT) == (2048, 16, 32768)
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_refused_before_any_load(self, tmp_path, capsys, no_work, under):
+        # The scene cache is missing: a check after the load would exit 2.
+        afile = write_file(tmp_path / "afile", "text")
+        out = os.path.join(afile, "sub", "o") if under else afile
+        code = run_cli(["train", "--out-dir", out, "--scene-cache", str(tmp_path / "missing.bin")])
+        assert code == 1
+        assert f"{afile} is not a directory" in one_line_error(capsys, "error: ")
+        assert (tmp_path / "afile").read_text() == "text"
+
+
+# sha256 of each command's config.txt at default flags, without its path
+# lines: the defaults the parser reads from the config classes, as the
+# resolved flags every run echoes.
+CONFIG_DIGESTS = {
+    "train": "47ce55af21b5ffc2893d2916691933dc62c290d43db7d3cbf432bd9aff314520",
+    "refine": "c0abb9373d1b2a02d913f4a060e66cb1e251c4c24d57e85f67adee5f63ef1cd5",
+    "propose": "be81a86f229527f6c017069dfb5c00d28ba33b091b61d63f97fb855139a6ee23",
+    "eval": "9d3810fd9396584150bed0464af4523d7f11589d4fa1cab9010f5c11ea38b109",
+}
+PATH_KEYS = {"out_dir", "model", "boxes", "proposals"}
+
+
+class TestDefaultConfigDigest:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--synth"], ["refine", "--synth", "--model", "m", "--boxes", "b"],
+        ["propose", "--synth", "--model", "m"], ["eval", "--synth", "--proposals", "p"],
+    ], ids=lambda v: v[0])
+    def test_config_txt(self, tmp_path, argv):
+        args = cli.build_parser().parse_args(argv + ["--out-dir", str(tmp_path / "o")])
+        args.check(args)
+        cli._make_out_dir(args)
+        lines = (tmp_path / "o" / "config.txt").read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if line.split(b" = ")[0].decode() not in PATH_KEYS)
+        assert hashlib.sha256(kept).hexdigest() == CONFIG_DIGESTS[argv[0]], kept.decode()
 
 
 class TestConfigTokens:
@@ -643,7 +693,7 @@ def no_gts_annotations(d):
 
 def saved_model(d, channels=3):
     path = str(d / f"m{channels}.ubbr")
-    save_model(path, init_model(channels, 7, (8, 8), rng=np.random.default_rng(0)))
+    save_model(path, init_model(channels, 7, (8, 8), init_std=0.001, rng=np.random.default_rng(0)))
     return path
 
 
@@ -667,6 +717,8 @@ EXIT_PATHS = {
         lambda d: ["train", "--out-dir", str(d / "o")], 1, ""),
     ("_check_scenes", "ValueError", "--synth-count must be >= 1, got "): (
         lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--synth-count", "0"], 1, "got 0"),
+    ("_check_scenes", "ValueError", " is not a directory"): (
+        lambda d: ["eval", "--out-dir", write_file(d / "afile", ""), "--synth", "--proposals", "p.csv"], 1, "afile"),
     ("_check_scenes", "ValueError", "--short-side must be in [0, "): (
         lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--short-side", "nan"], 1, "got nan"),
     ("_check_eval", "ValueError", " must be in [0, 1], got "): (

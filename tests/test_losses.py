@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxregress.boxes import apply_offsets_array, encode_offsets_array, iou
-from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
+from boxregress.losses import LOSS_KINDS, LossConfig, iou_loss_terms_batch, loss_terms, smooth_l1_terms_batch
 from boxregress.model import _build_pool
 from boxregress.sampling import SamplerConfig
 
@@ -62,8 +62,8 @@ def smooth_sample(rng, cfg):
             return pred, b, g
 
 
-def smooth_l1(pred, target, cfg=CFG):
-    loss, grad = smooth_l1_terms_batch(rows(pred), rows(target), cfg)
+def smooth_l1(pred, target):
+    loss, grad = smooth_l1_terms_batch(rows(pred), rows(target))
     return loss[0], grad[0]
 
 
@@ -113,7 +113,7 @@ class TestSmoothL1:
             pred = rng.uniform(-2, 2, 4)
             target = rng.uniform(-2, 2, 4)
             diffs = pred - target
-            if np.any(np.abs(np.abs(diffs) - CFG.smooth_l1_delta) < 1e-4):
+            if np.any(np.abs(np.abs(diffs) - 1.0) < 1e-4):
                 continue
             grad = smooth_l1(pred, target)[1]
             for i in range(4):
@@ -161,16 +161,8 @@ class TestIouLossGrad:
         pred = np.zeros(4)  # refined box = b, disjoint from g
         _, grad, fb = terms(pred, b, g)
         assert fb
-        expected = CFG.fallback_weight * smooth_l1(pred, encode_offsets_array(rows(b), rows(g))[0])[1]
+        expected = smooth_l1(pred, encode_offsets_array(rows(b), rows(g))[0])[1]
         assert np.array_equal(grad, expected)
-
-    def test_fallback_weight_scales(self):
-        cfg = LossConfig(fallback_weight=0.25)
-        b, g = (0, 0, 2, 2), (50, 50, 2, 2)
-        _, grad, fb = terms(np.zeros(4), b, g, cfg)
-        assert fb
-        _, base, _ = terms(np.zeros(4), b, g, LossConfig(fallback_weight=1.0))
-        assert np.allclose(grad, 0.25 * base)
 
     def test_batch_matches_scalar(self):
         # Rows are independent: a batch equals its rows run one at a time.
@@ -257,10 +249,39 @@ class TestBatchIouLoss:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"epsilon": 0}, {"smooth_l1_delta": 0}, {"fallback_weight": -1},
-        {"epsilon": math.nan}, {"epsilon": math.inf}, {"smooth_l1_delta": math.nan}, {"smooth_l1_delta": math.inf},
-        {"fallback_weight": math.nan}, {"fallback_weight": math.inf},
+        {"epsilon": 0}, {"epsilon": math.nan}, {"epsilon": math.inf},
+        {"kind": "huber"}, {"kind": "IOU"}, {"kind": ""},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LossConfig(**kwargs)
+
+    def test_kinds(self):
+        assert LOSS_KINDS == ("iou", "smooth_l1") and LossConfig().kind == "iou"
+
+
+class TestLossTerms:
+    # loss_terms against the two kernels it picks between, on rows with
+    # overlapping, disjoint and exactly matching refined boxes.
+    def sample(self):
+        rng = np.random.default_rng(5)
+        boxes = np.column_stack([rng.uniform(0, 50, (30, 2)), rng.uniform(2, 20, (30, 2))])
+        gts = boxes * rng.uniform(0.8, 1.2, (30, 4))
+        gts[:3, :2] += 500.0
+        preds = rng.normal(0, 0.3, (30, 4))
+        preds[3] = encode_offsets_array(boxes[3:4], gts[3:4])[0]
+        return preds, boxes, gts
+
+    def test_iou(self):
+        preds, boxes, gts = self.sample()
+        got = loss_terms(preds, boxes, gts, LossConfig(kind="iou", epsilon=1e-4))
+        want = iou_loss_terms_batch(preds, boxes, gts, LossConfig(epsilon=1e-4))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert want[2][:3].all()
+
+    def test_smooth_l1(self):
+        preds, boxes, gts = self.sample()
+        loss, grad, fallback = loss_terms(preds, boxes, gts, LossConfig(kind="smooth_l1"))
+        want_loss, want_grad = smooth_l1_terms_batch(preds, encode_offsets_array(boxes, gts))
+        assert loss.tobytes() == want_loss.tobytes() and grad.tobytes() == want_grad.tobytes()
+        assert fallback.dtype == bool and fallback.shape == (30,) and not fallback.any()

@@ -17,7 +17,6 @@ from boxregress.boxes import Box, apply_offsets_array, boxes_to_array, encode_of
 from boxregress.features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from boxregress.model import (
-    LOSS_KINDS,
     EpochStats,
     RegressorModel,
     TrainConfig,
@@ -110,7 +109,7 @@ class TestModelValidation:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        m = init_model(3, 7, (16, 12), rng=np.random.default_rng(1))
+        m = init_model(3, 7, (16, 12), init_std=0.001, rng=np.random.default_rng(1))
         path = str(tmp_path / "model.ubbr")
         save_model(path, m)
         loaded = load_model(path)
@@ -127,7 +126,7 @@ class TestSerialization:
             load_model(str(path))
 
     def test_truncated(self, tmp_path):
-        m = init_model(2, 3, (4, 4), rng=np.random.default_rng(2))
+        m = init_model(2, 3, (4, 4), init_std=0.001, rng=np.random.default_rng(2))
         path = str(tmp_path / "model.ubbr")
         save_model(path, m)
         blob = open(path, "rb").read()
@@ -168,7 +167,7 @@ def gradcheck_sample(seed, loss, coords_per_param=1, h=1e-5):
     differences to be trustworthy.
     """
     rng = np.random.default_rng(seed)
-    m = init_model(1, 3, (10, 10), rng=rng)
+    m = init_model(1, 3, (10, 10), init_std=0.001, rng=rng)
     for name, p in m.params().items():
         if name.startswith("w"):
             p += rng.normal(0, 0.2, p.shape)
@@ -194,10 +193,11 @@ def gradcheck_sample(seed, loss, coords_per_param=1, h=1e-5):
             return None
     else:
         d = pred - encode_offsets_array(boxes, gts)
-        if np.abs(np.abs(d) - LOSS_CFG.smooth_l1_delta).min() < 1e-3:
+        if np.abs(np.abs(d) - 1.0).min() < 1e-3:
             return None
 
-    _, grads, fallbacks = loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
+    loss_cfg = LossConfig(kind=loss)
+    _, grads, fallbacks = loss_and_weight_grads(m, x, boxes, gts, loss_cfg)
     assert fallbacks == 0
     coord_rng = np.random.default_rng(10_000 + seed)
     checked = 0
@@ -206,9 +206,9 @@ def gradcheck_sample(seed, loss, coords_per_param=1, h=1e-5):
         for idx in coord_rng.integers(0, flat.size, size=coords_per_param):
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _, _ = loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
+            lp, _, _ = loss_and_weight_grads(m, x, boxes, gts, loss_cfg)
             flat[idx] = orig - h
-            lm, _, _ = loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
+            lm, _, _ = loss_and_weight_grads(m, x, boxes, gts, loss_cfg)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             an = grads[name].reshape(-1)[idx]
@@ -380,7 +380,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig(), SamplerConfig(), LOSS_CFG)
         with pytest.raises(ValueError):
-            train(scenes, TrainConfig(), SamplerConfig(), LOSS_CFG, loss="huber")
+            train(scenes, TrainConfig(), SamplerConfig(), LossConfig(kind="huber"))
         from boxregress.scenes import Scene
 
         empty = Scene(id="x", width=64, height=64, gts=[])
@@ -390,7 +390,7 @@ class TestTrain:
     def test_smooth_l1_training_runs(self):
         scenes = synth_scenes(SynthConfig(seed=8), 3)
         cfg = TrainConfig(seed=0, max_epochs=2, hidden=(12, 12))
-        model, log = train(scenes, cfg, SamplerConfig(boxes_per_gt=10), LOSS_CFG, loss="smooth_l1")
+        model, log = train(scenes, cfg, SamplerConfig(boxes_per_gt=10), LossConfig(kind="smooth_l1"))
         assert len(log) == 2
         assert all(math.isfinite(r.val_loss) for r in log)
 
@@ -409,8 +409,7 @@ class TestTrainConfigValidation:
         assert cfg.momentum == cfg.weight_decay == 0.0
 
     @pytest.mark.parametrize("field", [
-        "momentum", "weight_decay", "initial_lr", "lr_decay_factor", "stop_lr", "init_std", "val_fraction",
-        "plateau_rel_improvement",
+        "momentum", "weight_decay", "initial_lr", "stop_lr", "init_std", "plateau_rel_improvement",
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_float_fields_must_be_finite(self, field, value):
@@ -469,8 +468,10 @@ class TestBuildPoolOracle:
 
 # Reference training loop: the forward pass, gradients, held-out
 # evaluation and train as they were before the single in-place forward
-# and the epoch function, verbatim but for their names. train must
-# reproduce them bit for bit.
+# and the epoch function, verbatim but for their names, the loss kind read
+# from LossConfig and the recipe's fixed values (held-out fraction 0.04,
+# 150 held-out boxes per ground truth, learning rate divided by 10)
+# written out. train must reproduce them bit for bit.
 
 
 def oracle_forward_batch(model: RegressorModel, x: np.ndarray):
@@ -488,19 +489,16 @@ def oracle_loss_and_weight_grads(
     input_boxes: np.ndarray,
     gt_boxes: np.ndarray,
     loss_cfg: LossConfig = LossConfig(),
-    loss: str = "iou",
 ) -> tuple[float, dict[str, np.ndarray], int]:
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
     n = x.shape[0]
     pred, (z1, h1, z2, h2) = oracle_forward_batch(model, x)
 
-    if loss == "iou":
+    if loss_cfg.kind == "iou":
         losses, dpred, fallback = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
         fallbacks = int(fallback.sum())
     else:
         targets = encode_offsets_array(input_boxes, gt_boxes)
-        losses, dpred = smooth_l1_terms_batch(pred, targets, loss_cfg)
+        losses, dpred = smooth_l1_terms_batch(pred, targets)
         fallbacks = 0
 
     dz3 = dpred / n
@@ -537,12 +535,12 @@ def reference_build_pool(scenes, sampler_cfg, rng, pool_size):
     return feats, rows, matched
 
 
-def oracle_evaluate(model, x, input_boxes, gt_boxes, loss_cfg, loss):
+def oracle_evaluate(model, x, input_boxes, gt_boxes, loss_cfg):
     pred, _ = oracle_forward_batch(model, x)
-    if loss == "iou":
+    if loss_cfg.kind == "iou":
         losses, _, _ = iou_loss_terms_batch(pred, input_boxes, gt_boxes, loss_cfg)
     else:
-        losses, _ = smooth_l1_terms_batch(pred, encode_offsets_array(input_boxes, gt_boxes), loss_cfg)
+        losses, _ = smooth_l1_terms_batch(pred, encode_offsets_array(input_boxes, gt_boxes))
     refined = apply_offsets_array(input_boxes, pred)
     return float(losses.mean()), float(iou(refined, gt_boxes).mean())
 
@@ -552,10 +550,7 @@ def oracle_train(
     cfg: TrainConfig = TrainConfig(),
     sampler_cfg: SamplerConfig = SamplerConfig(),
     loss_cfg: LossConfig = LossConfig(),
-    loss: str = "iou",
 ) -> tuple[RegressorModel, list[EpochStats]]:
-    if loss not in LOSS_KINDS:
-        raise ValueError(f"loss must be one of {LOSS_KINDS}, got {loss!r}")
     if not scenes:
         raise ValueError("train requires at least one scene")
     for s in scenes:
@@ -563,7 +558,7 @@ def oracle_train(
             raise ValueError(f"scene {s.id} has no ground-truth boxes")
 
     if len(scenes) >= 2:
-        n_val = max(1, round(cfg.val_fraction * len(scenes)))
+        n_val = max(1, round(0.04 * len(scenes)))
         train_scenes, val_scenes = scenes[:-n_val], scenes[-n_val:]
     else:
         train_scenes = val_scenes = list(scenes)
@@ -573,7 +568,7 @@ def oracle_train(
                        np.random.default_rng([cfg.seed, 0]))
     velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
 
-    val_sampler = replace(sampler_cfg, boxes_per_gt=cfg.val_boxes_per_gt)
+    val_sampler = replace(sampler_cfg, boxes_per_gt=150)
     val_x, val_boxes, val_gts = reference_build_pool(
         val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]), cfg.pool_size
     )
@@ -594,7 +589,7 @@ def oracle_train(
             for start in range(0, len(perm), cfg.minibatch_size):
                 idx = perm[start : start + cfg.minibatch_size]
                 mb_loss, grads, _ = oracle_loss_and_weight_grads(
-                    model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss
+                    model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg
                 )
                 running += mb_loss * len(idx)
                 params = model.params()
@@ -606,7 +601,7 @@ def oracle_train(
                     p -= lr * velocity[name]
             train_loss = running / len(perm)
             del x, in_boxes, gt_boxes  # free this epoch's pool before the next one is built
-            val_loss, val_miou = oracle_evaluate(model, val_x, val_boxes, val_gts, loss_cfg, loss)
+            val_loss, val_miou = oracle_evaluate(model, val_x, val_boxes, val_gts, loss_cfg)
         except (OverflowError, ValueError) as e:
             raise TrainingDiverged(f"epoch {epoch}: {e}", model=checkpoint, log=log) from None
 
@@ -629,7 +624,7 @@ def oracle_train(
                 best_model = model.copy()
             stall += 1
             if stall >= cfg.plateau_patience:
-                lr /= cfg.lr_decay_factor
+                lr /= 10.0
                 stall = 0
         if lr < cfg.stop_lr:
             break
@@ -677,7 +672,7 @@ TRAIN_CASES = {
 }
 
 
-def reference_train_epoch(model, velocity, scenes, rng, lr, cfg, sampler_cfg, loss_cfg, loss):
+def reference_train_epoch(model, velocity, scenes, rng, lr, cfg, sampler_cfg, loss_cfg):
     """_train_epoch as it was when it pooled the whole epoch before the first step."""
     x, in_boxes, gt_boxes = reference_build_pool(scenes, sampler_cfg, rng, cfg.pool_size)
     perm = rng.permutation(len(in_boxes))
@@ -686,7 +681,7 @@ def reference_train_epoch(model, velocity, scenes, rng, lr, cfg, sampler_cfg, lo
     running = 0.0
     for start in range(0, len(perm), cfg.minibatch_size):
         idx = perm[start : start + cfg.minibatch_size]
-        mb_loss, grads, _ = loss_and_weight_grads(model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg, loss)
+        mb_loss, grads, _ = loss_and_weight_grads(model, x[idx], in_boxes[idx], gt_boxes[idx], loss_cfg)
         running += mb_loss * len(idx)
         for name, p in params.items():
             g, v, s = grads[name], velocity[name], scratch[name]
@@ -730,9 +725,9 @@ class TestTrainEpochOracle:
         buf = plane_buffer([s.feature_map() for s in scenes])
         for epoch in range(2):
             got = model_module._train_epoch(model, velocity, scenes, buf, np.random.default_rng([3, 1, epoch]),
-                                            cfg.initial_lr, cfg, sampler, LOSS_CFG, loss)
+                                            cfg.initial_lr, cfg, sampler, LossConfig(kind=loss))
             want = reference_train_epoch(ref, ref_velocity, scenes, np.random.default_rng([3, 1, epoch]),
-                                         cfg.initial_lr, cfg, sampler, LOSS_CFG, loss)
+                                         cfg.initial_lr, cfg, sampler, LossConfig(kind=loss))
             assert got.hex() == want.hex()
             assert weight_bytes(model) == weight_bytes(ref)
             assert {k: v.tobytes() for k, v in velocity.items()} == {k: v.tobytes() for k, v in ref_velocity.items()}
@@ -762,7 +757,7 @@ class TestTrainMemory:
         rows = len(model_module._build_pool(scenes, sampler, np.random.default_rng(4))[0])
         pool_bytes = rows * model.in_dim * 8
         peak = traced_peak(model_module._train_epoch, model, velocity, scenes, buf, np.random.default_rng(4),
-                           1e-3, cfg, sampler, LOSS_CFG, "iou")
+                           1e-3, cfg, sampler, LOSS_CFG)
         assert peak < pool_bytes, f"{rows} rows: epoch peak {peak / 1e6:.2f} MB, pool {pool_bytes / 1e6:.2f} MB"
 
     def test_evaluate_runs_the_head_in_chunks(self):
@@ -773,7 +768,7 @@ class TestTrainMemory:
         x = rng.normal(size=(4096, model.in_dim))
         boxes = np.column_stack([rng.uniform(20, 100, (4096, 2)), rng.uniform(4, 40, (4096, 2))])
         gts = boxes * rng.uniform(0.9, 1.1, (4096, 4))
-        peak = traced_peak(model_module._evaluate, model, x, boxes, gts, LOSS_CFG, "iou")
+        peak = traced_peak(model_module._evaluate, model, x, boxes, gts, LOSS_CFG)
         assert peak <= 4_000_000, f"_evaluate on 4096 rows peaked at {peak / 1e6:.2f} MB"
 
 
@@ -782,8 +777,8 @@ class TestTrainOracle:
     def test_bitwise_equal(self, case):
         cfg, sampler, loss = TRAIN_CASES[case]
         scenes = synth_scenes(SynthConfig(seed=20 + len(case), max_objects=3), 6)
-        got = run_train(train, scenes, cfg, sampler, LOSS_CFG, loss=loss)
-        want = run_train(oracle_train, scenes, cfg, sampler, LOSS_CFG, loss=loss)
+        got = run_train(train, scenes, cfg, sampler, LossConfig(kind=loss))
+        want = run_train(oracle_train, scenes, cfg, sampler, LossConfig(kind=loss))
         assert got == want
         _, log, message = got
         assert (message is not None) == case.startswith("diverges")
@@ -795,7 +790,7 @@ class TestTrainOracle:
         cfg, sampler, loss = TRAIN_CASES["diverges_late"]
         scenes = synth_scenes(SynthConfig(seed=20 + len("diverges_late"), max_objects=3), 6)
         with pytest.raises(TrainingDiverged) as exc:
-            train(scenes, cfg, sampler, LOSS_CFG, loss=loss)
+            train(scenes, cfg, sampler, LossConfig(kind=loss))
         assert len(exc.value.log) >= 2
 
     @pytest.mark.parametrize("loss", ["iou", "smooth_l1"])
@@ -805,8 +800,8 @@ class TestTrainOracle:
         x = rng.normal(size=(40, m.in_dim))
         boxes = np.column_stack([rng.uniform(0, 50, (40, 2)), rng.uniform(2, 20, (40, 2))])
         gts = boxes * rng.uniform(0.8, 1.2, (40, 4))
-        got = loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
-        want = oracle_loss_and_weight_grads(m, x, boxes, gts, LOSS_CFG, loss)
+        got = loss_and_weight_grads(m, x, boxes, gts, LossConfig(kind=loss))
+        want = oracle_loss_and_weight_grads(m, x, boxes, gts, LossConfig(kind=loss))
         assert got[0].hex() == want[0].hex() and got[2] == want[2]
         assert {k: v.tobytes() for k, v in got[1].items()} == {k: v.tobytes() for k, v in want[1].items()}
 

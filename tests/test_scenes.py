@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -211,13 +212,6 @@ class TestFeatureMapBuild:
             fm = build_feature_map(128, 128, [g])
             measured = fm.data[0].sum() * 16.0  # cells are 4x4 raster units
             assert abs(measured - g.area) <= 4 * (g.w + g.h) + 32
-
-    def test_noise_requires_rng_and_is_deterministic(self):
-        with pytest.raises(ValueError):
-            build_feature_map(64, 64, [Box(32, 32, 10, 10)], noise=0.1)
-        a = build_feature_map(64, 64, [Box(32, 32, 10, 10)], 0.1, np.random.default_rng(5))
-        b = build_feature_map(64, 64, [Box(32, 32, 10, 10)], 0.1, np.random.default_rng(5))
-        assert np.array_equal(a.data, b.data)
 
 
 class TestSynthScenes:
@@ -484,6 +478,43 @@ class TestSceneCache:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match=f"byte {at}: scene s: has-{flag} flag must be 0 or 1, got {value}"):
             load_scenes(str(path))
+
+    def test_repeated_scene_id(self, tmp_path, capsys):
+        # A second record with the first one's id: propose would keep one of
+        # the two scenes, and eval would score both against one id's rows.
+        scenes = synth_scenes(SynthConfig(seed=4), 2)
+        path = tmp_path / "scenes.bin"
+        save_scenes(str(path), scenes[:1])
+        second = len(path.read_bytes())
+        save_scenes(str(path), scenes)
+        blob = path.read_bytes()
+        assert blob.count(b"synth-0001") == 1
+        path.write_bytes(blob.replace(b"synth-0001", b"synth-0000"))
+        with pytest.raises(DataFormatError, match=f"byte {second}: duplicate scene id 'synth-0000'"):
+            load_scenes(str(path))
+        proposals = tmp_path / "p.csv"
+        proposals.write_text("")
+        for argv in (["propose", "--model", str(tmp_path / "m.ubbr")], ["eval", "--proposals", str(proposals)]):
+            assert cli.main(argv + ["--out-dir", str(tmp_path / "o"), "--scene-cache", str(path)]) == 2
+            assert f"byte {second}: duplicate scene id" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # sha256 of the cache of the first 3 noise-free synth scenes of each seed.
+    # Placement draws from numpy's PCG64 streams, and the feature maps use
+    # only correctly rounded IEEE operations, so the bytes hold on any CPU.
+    DIGESTS = {
+        0: "fb6776a3d1f78bb6f9119cd1f8a4ef08ba2c3d00a013d4715d8be2bdf6e96989",
+        3: "a9b1f10f6c879dde22817a8c66c3f571f7af665565be0576a86c9155a38d3d42",
+        11: "a675d26c0f6b79337713278ad945f3963d0921b67d06dfd1e4ee3dc78bf2bc67",
+        12: "2d914a3f50f454ac133445c4eade42e28de21e87985198036f579f308185135e",
+        99: "deb9ec54b10dc16336ac74291c21e77bf52f64da905e509ba0c929d22192b467",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_synth_cache_digest(self, tmp_path, seed):
+        path = tmp_path / "scenes.bin"
+        save_scenes(str(path), synth_scenes(SynthConfig(seed=seed), 3))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[seed]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
