@@ -262,7 +262,8 @@ def cmd_eval(args, scene_source, ks) -> int:
     no_rows = np.zeros((0, 5))
 
     def load_records(path: str) -> list[EvalRecord]:
-        by_image = read_corner_csv(path)
+        # recall_at scores an image's first k rows and corloc its first, so no more are kept.
+        by_image = read_corner_csv(path, limit=max(ks))
         return [EvalRecord(image_id, by_image.get(image_id, no_rows)[:, :4], g) for image_id, g in gts]
 
     records = load_records(args.proposals)

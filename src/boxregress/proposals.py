@@ -380,7 +380,23 @@ def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int)
     return ids, rows
 
 
-def read_corner_csv(path: str, scored: bool = True) -> dict[str, np.ndarray]:
+def _first_rows(code: np.ndarray, seen: np.ndarray, limit: int) -> np.ndarray:
+    """Mask of a block's rows that are among their image's first `limit` rows in the file.
+
+    `code` holds each row's image code and `seen[c]` the rows of image c
+    in earlier blocks, capped at `limit`; the block's rows are added to it.
+    """
+    counts = np.bincount(code, minlength=len(seen))
+    # A row's rank within its image in this block, from a stable sort by image.
+    order = np.argsort(code, kind="stable")
+    rank = np.empty(len(code), dtype=np.intp)
+    rank[order] = np.arange(len(code)) - (np.cumsum(counts) - counts)[code[order]]
+    keep = rank < (limit - seen)[code]
+    np.minimum(seen + counts, limit, out=seen)
+    return keep
+
+
+def read_corner_csv(path: str, scored: bool = True, limit: int | None = None) -> dict[str, np.ndarray]:
     """Read a corner-form CSV into per-image arrays, in file order.
 
     Each non-blank line is `image_id,xmin,ymin,xmax,ymax,score` when
@@ -391,11 +407,17 @@ def read_corner_csv(path: str, scored: bool = True) -> dict[str, np.ndarray]:
     it; every box must be finite with positive sides, and every score
     finite and >= 0. The first bad line in file order raises a
     DataFormatError naming it. Lines are streamed in fixed-size blocks,
-    so memory beyond the result does not grow with the file.
+    so memory beyond the result does not grow with the file. With a
+    `limit`, each image keeps only its first `limit` rows in file order:
+    every row is still checked, and each block drops the rows past their
+    image's limit before the next block is read.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     width, counts = (6, (6,)) if scored else (5, (5, 6))
     expected = "6 fields" if scored else "5 or 6 fields"
     index: dict[str, int] = {}  # image id -> code, by first appearance
+    seen = np.zeros(0, dtype=np.intp)  # rows per image code so far, capped at limit
     codes: list[np.ndarray] = []
     blocks: list[np.ndarray] = []
     done = 0  # lines in earlier blocks
@@ -415,7 +437,13 @@ def read_corner_csv(path: str, scored: bool = True) -> dict[str, np.ndarray]:
                     ids, rows = _block_rows(path, lines[:cut], linenos[:cut], width)
                     for image_id in dict.fromkeys(ids):
                         index.setdefault(image_id, len(index))
-                    codes.append(np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids)))
+                    code = np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+                    if limit is not None:
+                        seen = np.pad(seen, (0, len(index) - len(seen)))
+                        keep = _first_rows(code, seen, limit)
+                        if not keep.all():
+                            code, rows = code[keep], rows[keep]
+                    codes.append(code)
                     blocks.append(rows)
                 if wrong.size:
                     raise DataFormatError(f"{path}: line {linenos[cut]}: expected {expected}, got {n[cut]}")

@@ -245,8 +245,9 @@ class SynthConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-# Scenes per feature-data batch in synth_scenes: bounds its temporaries.
-_SYNTH_BATCH = 256
+# Feature cells per feature-data batch in synth_scenes: bounds its (S, G, H, W)
+# temporaries at any image size. 256 scenes of 128 x 128 pixels (32 x 32 cells).
+_SYNTH_CELLS = 1 << 18
 
 
 def synth_scenes(cfg: SynthConfig, count: int) -> list[Scene]:
@@ -254,12 +255,15 @@ def synth_scenes(cfg: SynthConfig, count: int) -> list[Scene]:
 
     Each scene draws from its own (seed, index) stream, so the result
     does not depend on generation order or batching. Feature maps are
-    computed for a batch of scenes at once.
+    computed for a batch of scenes at once, of at most _SYNTH_CELLS cells
+    in all (one scene at least).
     """
     size = float(cfg.image_size)
+    cells_h, cells_w = _feature_grid_shape(size, size)
+    batch = max(1, _SYNTH_CELLS // (cells_h * cells_w))
     scenes = []
-    for start in range(0, count, _SYNTH_BATCH):
-        placed = [_synth_gts(cfg, i) for i in range(start, min(start + _SYNTH_BATCH, count))]
+    for start in range(0, count, batch):
+        placed = [_synth_gts(cfg, i) for i in range(start, min(start + batch, count))]
         maps = _feature_data(size, size, [boxes_to_array(gts) for gts, _ in placed])
         for index, ((gts, rng), data) in enumerate(zip(placed, maps), start):
             if cfg.noise > 0.0:
@@ -335,11 +339,23 @@ def _cacheable(label) -> bool:
 def save_scenes(path: str, scenes: list[Scene]) -> None:
     """Write scenes to the versioned binary cache format.
 
-    Raises DataFormatError for a label the cache cannot read back: one
-    that is not an int32, or that equals NO_LABEL.
+    Raises DataFormatError, before anything is written, for what the
+    cache cannot read back: a scene id listed twice, which load_scenes
+    refuses, or a label that is not an int32 or that equals NO_LABEL.
     """
     from .ioutil import atomic_write
 
+    seen = set()
+    for i, s in enumerate(scenes):
+        if s.id in seen:
+            raise DataFormatError(f"{path}: scenes[{i}]: duplicate scene id {s.id!r}")
+        seen.add(s.id)
+        bad = [lbl for lbl in s.labels or () if not _cacheable(lbl)]
+        if bad:
+            raise DataFormatError(
+                f"{path}: scene {s.id}: label {bad[0]!r} cannot be cached: "
+                f"labels are int32 and {NO_LABEL} stands for none"
+            )
     with atomic_write(path, "wb") as f:
         f.write(SCENE_CACHE_MAGIC)
         f.write(struct.pack("<I", len(scenes)))
@@ -353,12 +369,6 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
             if s.labels is None:
                 f.write(struct.pack("<B", 0))
             else:
-                bad = [lbl for lbl in s.labels if not _cacheable(lbl)]
-                if bad:
-                    raise DataFormatError(
-                        f"{path}: scene {s.id}: label {bad[0]!r} cannot be cached: "
-                        f"labels are int32 and {NO_LABEL} stands for none"
-                    )
                 f.write(struct.pack("<B", 1))
                 for lbl in s.labels:
                     f.write(struct.pack("<i", NO_LABEL if lbl is None else lbl))

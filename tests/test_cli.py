@@ -641,6 +641,95 @@ class TestDefaultConfigDigest:
         assert hashlib.sha256(kept).hexdigest() == CONFIG_DIGESTS[argv[0]], kept.decode()
 
 
+# Golden eval tables. Ground truths are corner boxes on 64 x 64 images. A
+# proposals file gives each image a row count and the rows at some ranks:
+# a hit (IoU 15/17 with its ground truth) or a near miss (IoU 0.6, a CorLoc
+# hit only). Every other row misses everything. Rows of the images
+# interleave in the file. All values are dyadic, so the IoUs, recalls and
+# percentages are correctly rounded IEEE results on any CPU.
+EVAL_GTS = {"i0": [(8, 8, 24, 24), (40, 40, 56, 56)], "i1": [(0, 0, 32, 32)], "i2": [(16, 16, 48, 32)], "i3": []}
+
+
+def shifted(image_id, g, frac):
+    x0, y0, x1, y1 = EVAL_GTS[image_id][g]
+    d = frac * (x1 - x0)
+    return x0 + d, y0, x1 + d, y1
+
+
+def hit(image_id, g):
+    return shifted(image_id, g, 1 / 16)
+
+
+def near(image_id, g):
+    return shifted(image_id, g, 1 / 4)
+
+
+# One case per --ks grid; a rank-(max(ks) - 1) hit decides its last recall.
+EVAL_CASES = {
+    "default-ks": ([], {
+        "i0": (1000, {0: near("i0", 0), 1: hit("i0", 0), 999: hit("i0", 1)}),
+        "i1": (1001, {9: hit("i1", 0), 1000: hit("i1", 0)}),
+        "i2": (3, {0: hit("i2", 0)}),
+        "i3": (2, {}),
+    }, None),
+    "ks-past-row-counts": (["--ks", "1,3,7"], {
+        "i0": (7, {0: hit("i0", 0), 6: hit("i0", 1)}),
+        "i1": (2, {1: hit("i1", 0)}),
+        "i2": (5, {4: near("i2", 0)}),
+    }, None),
+    "baseline": (["--ks", "1,4"], {
+        "i0": (4, {3: hit("i0", 0)}),
+        "i1": (6, {0: hit("i1", 0)}),
+        "i2": (4, {}),
+    }, {
+        "i0": (4, {2: hit("i0", 0), 3: hit("i0", 1)}),
+        "i1": (1, {}),
+        "i2": (4, {3: near("i2", 0), 0: near("i2", 0)}),
+    }),
+}
+
+# sha256 of (recall.csv, corloc.csv) per case.
+EVAL_DIGESTS = {
+    "default-ks": ("899c0b02875fcb8c7a1c3b2a3e86a048b76a83b8f945dc6f6bcfff708e66b117",
+                   "4f6590378f40f86f31c79029193d83f616fde69cd3c3a2ab2d0926283f08a8c2"),
+    "ks-past-row-counts": ("7ce023fc725953344597e518c4a258fbf16f85c55f5f41ee38f79d2fb5310290",
+                           "2c70f77abf68267778c5e6eaa56b4bc75dbf2279edc42417963b31227f37f53e"),
+    "baseline": ("cc5d2444c737e4c56c0bfe2f2d584373df2897b62d23c1abce48f364a0506026",
+                 "2c70f77abf68267778c5e6eaa56b4bc75dbf2279edc42417963b31227f37f53e"),
+}
+
+
+def write_eval_proposals(path, spec):
+    """One row per image in turn, ranks ascending, scores falling by 1/8."""
+    lines = []
+    for rank in range(max(n for n, _ in spec.values())):
+        for image_id, (n, rows) in spec.items():
+            if rank < n:
+                fields = map(repr, map(float, (*rows.get(rank, (60, 0, 64, 4)), (n - rank) / 8)))
+                lines.append(f"{image_id},{','.join(fields)}")
+    write_file(path, "\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestEvalTableDigest:
+    @pytest.mark.parametrize("case", sorted(EVAL_CASES))
+    def test_eval_tables(self, tmp_path, case):
+        flags, spec, baseline = EVAL_CASES[case]
+        doc = {
+            "images": [{"id": i, "width": 64, "height": 64} for i in EVAL_GTS],
+            "annotations": [{"image_id": i, "bbox": [x0, y0, x1 - x0, y1 - y0]}
+                            for i, boxes in EVAL_GTS.items() for x0, y0, x1, y1 in boxes],
+        }
+        ann = write_file(tmp_path / "ann.json", json.dumps(doc))
+        argv = ["eval", "--out-dir", str(tmp_path / "o"), "--annotations", ann, "--short-side", "0",
+                "--proposals", write_eval_proposals(tmp_path / "p.csv", spec)] + flags
+        if baseline:
+            argv += ["--baseline-proposals", write_eval_proposals(tmp_path / "b.csv", baseline)]
+        assert run_cli(argv) == 0
+        tables = [(tmp_path / "o" / name).read_bytes() for name in ("recall.csv", "corloc.csv")]
+        assert tuple(hashlib.sha256(t).hexdigest() for t in tables) == EVAL_DIGESTS[case], b"".join(tables).decode()
+
+
 class TestConfigTokens:
     FLAGS = ["--synth", "--synth-count", "2", "--hidden", "4,4", "--boxes-per-gt", "4", "--max-epochs", "1"]
 

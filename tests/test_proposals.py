@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -636,8 +637,14 @@ def oracle_outcome(path, scored):
     return outcome(lambda p: {i: [(b.x, b.y, b.w, b.h) for b in boxes] for i, boxes in oracle_load_boxes(p).items()}, path)
 
 
-def reader_outcome(path, scored):
-    return outcome(lambda p: {i: rows.tolist() for i, rows in read_corner_csv(p, scored).items()}, path)
+def reader_outcome(path, scored, limit=None):
+    return outcome(lambda p: {i: rows.tolist() for i, rows in read_corner_csv(p, scored, limit).items()}, path)
+
+
+def first_rows(result, limit):
+    """A reader outcome cut to each image's first `limit` rows; errors pass through."""
+    kind, value = result
+    return (kind, [(image_id, rows[:limit]) for image_id, rows in value]) if kind == "ok" else result
 
 
 IDS = st.sampled_from(["img-1", "a", "synth-0003", "x y", "\u00e9t\u00e9", "7"])
@@ -744,6 +751,73 @@ class TestCornerCsvOracle:
         want = oracle_outcome(str(path), scored)
         assert got == want
         assert want[0] == "error" or not scored
+
+    @IO_PROPERTY
+    @given(st.data(), st.booleans(), st.booleans(), READ_BYTES, st.integers(1, 40))
+    def test_limit_keeps_each_images_first_rows(self, tmp_path, data, scored, final_newline, read_bytes, limit):
+        # Ids interleave at random and files hold up to 30 rows, so limits
+        # fall inside, at and beyond an image's rows, counted across blocks.
+        lines = data.draw(csv_lines(scored))
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, "\n", final_newline)
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            got = reader_outcome(str(path), scored, limit)
+            full = reader_outcome(str(path), scored)
+        assert got == first_rows(full, limit)
+        assert got[0] == "ok"
+
+    @IO_PROPERTY
+    @given(st.data(), st.booleans(), READ_BYTES, st.integers(1, 4))
+    def test_limit_reports_the_same_first_bad_line(self, tmp_path, data, scored, read_bytes, limit):
+        lines = data.draw(csv_lines(scored, min_rows=1))
+        rows = [i for i, line in enumerate(lines) if not isinstance(line, str)]
+        for i in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2, unique=True)):
+            lines[i] = corrupt(data.draw, lines[i], scored)
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, "\n")
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            assert reader_outcome(str(path), scored, limit) == first_rows(reader_outcome(str(path), scored), limit)
+
+    @pytest.mark.parametrize("read_bytes", [1, 60, 150, proposals._READ_BYTES])
+    @pytest.mark.parametrize("bad, message", [
+        (["b", "0", "0", "1", "1", "-2"], "line 5: proposal score must be finite and >= 0, got -2.0"),
+        (["a", "0", "0", "nan", "1", "1"], "line 5: box fields must be finite"),
+        (["b", "0", "0", "1"], "line 5: expected 6 fields, got 4"),
+    ])
+    def test_bad_line_past_every_limit_is_reported(self, tmp_path, read_bytes, bad, message):
+        # Each image's first row is its last kept one; line 5 is still checked.
+        lines = [["a", "0", "0", "1", "1", "3"], ["b", "0", "0", "2", "2", "2"], ["a", "1", "1", "2", "2", "1"],
+                 ["b", "1", "1", "3", "3", "1"], bad, ["a", "0", "0", "1", "1", "0"]]
+        path = tmp_path / "rows.csv"
+        write_lines(path, lines, "\n")
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            got = reader_outcome(str(path), True, 1)
+            assert got == reader_outcome(str(path), True) == oracle_outcome(str(path), True)
+        assert got[0] == "error" and message in got[1]
+
+    def test_limit_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="limit must be >= 1, got 0"):
+            read_corner_csv(str(tmp_path / "rows.csv"), limit=0)
+
+    @pytest.mark.parametrize("images", [8, 40])
+    def test_limited_read_memory_does_not_grow_with_rows(self, tmp_path, images):
+        # 3,072 rows per image, as propose writes, of which 10 are kept: the
+        # traced peak is the kept rows plus one block's parsing, whatever
+        # the rows per image. An unlimited read holds every row twice.
+        path = tmp_path / "rows.csv"
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(images):
+                f.write(f"img-{i},{i}.5,2.25,{i + 3}.75,40.0,{i}.125\n" * 3072)
+        read_bytes = 1 << 16
+        with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
+            tracemalloc.start()
+            try:
+                kept = read_corner_csv(str(path), limit=10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert [len(rows) for rows in kept.values()] == [10] * images
+        assert peak < sum(rows.nbytes for rows in kept.values()) + 32 * read_bytes
 
     @pytest.mark.parametrize("token", ["1_0", "\uff11\uff12", "\u0661\u0662", "+.5", "5.", " 7 ", "1e-400", "-0"])
     def test_float_spellings_match_oracle(self, tmp_path, token):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -499,6 +500,15 @@ class TestSceneCache:
             assert f"byte {second}: duplicate scene id" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_save_refuses_repeated_scene_id(self, tmp_path):
+        # load_scenes refuses a repeated id, so save_scenes must not write one.
+        scenes = synth_scenes(SynthConfig(seed=4), 2)
+        scenes[1].id = scenes[0].id
+        path = tmp_path / "scenes.bin"
+        with pytest.raises(DataFormatError, match=r"scenes\[1\]: duplicate scene id 'synth-0000'"):
+            save_scenes(str(path), scenes)
+        assert list(tmp_path.iterdir()) == []
+
     # sha256 of the cache of the first 3 noise-free synth scenes of each seed.
     # Placement draws from numpy's PCG64 streams, and the feature maps use
     # only correctly rounded IEEE operations, so the bytes hold on any CPU.
@@ -515,6 +525,18 @@ class TestSceneCache:
         path = tmp_path / "scenes.bin"
         save_scenes(str(path), synth_scenes(SynthConfig(seed=seed), 3))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[seed]
+
+    @pytest.mark.parametrize("count", [8, 16])
+    def test_synth_memory_does_not_grow_with_scene_count(self, count):
+        # At 1024 px a scene's feature-data temporaries take about 5 MB, so a
+        # batch is sized by feature cells: 4 such scenes at once, not 256.
+        tracemalloc.start()
+        try:
+            scenes = synth_scenes(SynthConfig(image_size=1024, seed=3), count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(s.feature_map().data.nbytes for s in scenes) < 24e6
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
