@@ -16,9 +16,10 @@ import numpy as np
 
 from .boxes import boxes_to_array
 from .errors import DataFormatError
-from .ioutil import atomic_write
+from .ioutil import atomic_write, open_input
 from .losses import LOSS_KINDS, LossConfig
 from .metrics import (
+    CORLOC_IOU,
     DEFAULT_K_GRID,
     EvalRecord,
     check_budgets,
@@ -28,8 +29,10 @@ from .metrics import (
     write_recall_curve_svg,
     write_table,
 )
-from .model import TrainConfig, TrainingDiverged, check_iterations, load_model, refine, save_model, train
-from .proposals import SeedGridConfig, check_nms_args, generate_proposals, read_corner_csv, write_corner_csv
+from .model import (PROPOSE_ITERATIONS, TrainConfig, TrainingDiverged, check_iterations, load_model, refine, save_model,
+                    train)
+from .proposals import (NMS_DECAY, NMS_IOU, SeedGridConfig, check_nms_args, generate_proposals, read_corner_csv,
+                        write_corner_csv)
 from .sampling import SamplerConfig
 from .scenes import (MAX_IMAGE_SIDE, SynthConfig, filter_categories, load_annotations, load_scenes, save_scenes,
                      synth_scenes)
@@ -293,11 +296,8 @@ def _config_tokens(parser: _Parser, args) -> list[str]:
 
     A line gives `--key=value`; a switch (a flag with a bool value) `--key` if true, nothing if false.
     """
-    try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise DataFormatError(f"{args.config}: {e}") from None
+    with open_input(args.config) as f:
+        lines = f.readlines()
     tokens = []
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -364,12 +364,12 @@ def build_parser() -> _Parser:
     p_prop = sub.add_parser("propose", help="generate ranked proposals")
     common(p_prop)
     p_prop.add_argument("--model", help="required")
-    p_prop.add_argument("--iters", type=int, default=1)
+    p_prop.add_argument("--iters", type=int, default=PROPOSE_ITERATIONS)
     p_prop.add_argument("--scales", default=_joined(SeedGridConfig.scales))
     p_prop.add_argument("--ratios", default=_joined(SeedGridConfig.aspect_ratios))
     p_prop.add_argument("--stride", type=float, default=SeedGridConfig.stride)
-    p_prop.add_argument("--nms-iou", type=float, default=0.6)
-    p_prop.add_argument("--decay", type=float, default=10.0)
+    p_prop.add_argument("--nms-iou", type=float, default=NMS_IOU)
+    p_prop.add_argument("--decay", type=float, default=NMS_DECAY)
     p_prop.set_defaults(check=_check_propose, func=cmd_propose)
 
     p_eval = sub.add_parser("eval", help="score a proposals file against ground truth")
@@ -378,7 +378,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--baseline-proposals", help="second proposals file for curve comparison")
     p_eval.add_argument("--iou", type=float, default=0.7)
     p_eval.add_argument("--ks", default=_joined(DEFAULT_K_GRID))
-    p_eval.add_argument("--corloc-iou", type=float, default=0.5)
+    p_eval.add_argument("--corloc-iou", type=float, default=CORLOC_IOU)
     p_eval.set_defaults(check=_check_eval, func=cmd_eval)
     return parser
 

@@ -13,6 +13,9 @@ from .ioutil import atomic_write
 
 DEFAULT_K_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
+# A top-1 proposal localizes its image above this IoU (eval --corloc-iou).
+CORLOC_IOU = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class EvalRecord:
@@ -42,7 +45,7 @@ def recall_at(records: Sequence[EvalRecord], iou_thresh: float, k: int) -> float
     return covered / total
 
 
-def corloc(records: Sequence[EvalRecord], iou_thresh: float = 0.5) -> float:
+def corloc(records: Sequence[EvalRecord], iou_thresh: float = CORLOC_IOU) -> float:
     """Percentage of images whose top-1 proposal hits some ground truth.
 
     A hit requires IoU strictly above iou_thresh (the boundary value

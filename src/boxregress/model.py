@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .boxes import apply_offsets_array, boxes_to_array, iou
-from .errors import DataFormatError
 from .features import FEATURE_STRIDE, plane_buffer, roi_align_many
+from .ioutil import BinaryReader, atomic_write
 from .losses import LossConfig, loss_terms
 from .sampling import SamplerConfig, generate_training_boxes_many
 
@@ -34,6 +35,9 @@ MAX_POOL_SIZE = 16
 VAL_FRACTION = 0.04
 VAL_BOXES_PER_GT = 150
 LR_DECAY_FACTOR = 10.0
+
+# Refinement steps of refine and generate_proposals when not given, and propose's --iters.
+PROPOSE_ITERATIONS = 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -407,7 +411,9 @@ def check_iterations(iterations: int, name: str = "iterations") -> None:
         raise ValueError(f"{name} must be >= 1, got {iterations}")
 
 
-def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1) -> list[np.ndarray]:
+def refine(
+    model: RegressorModel, scene, boxes: np.ndarray, iterations: int = PROPOSE_ITERATIONS
+) -> list[np.ndarray]:
     """Iteratively refine (N, 4) center-form boxes against one scene.
 
     The scene's feature map is computed once and reused. Boxes are
@@ -435,8 +441,6 @@ def refine(model: RegressorModel, scene, boxes: np.ndarray, iterations: int = 1)
 
 def save_model(path: str, model: RegressorModel) -> None:
     """Write the flat binary model container."""
-    from .ioutil import atomic_write
-
     h1 = model.w1.shape[0]
     h2 = model.w2.shape[0]
     with atomic_write(path, "wb") as f:
@@ -448,40 +452,31 @@ def save_model(path: str, model: RegressorModel) -> None:
 
 def load_model(path: str) -> RegressorModel:
     """Read a model container; dimensions, length and finite weights are validated."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataFormatError(f"{path}: {e}") from None
-    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise DataFormatError(f"{path}: bad magic, not a model container")
-    header_end = len(MODEL_MAGIC) + 24
-    if len(blob) < header_end:
-        raise DataFormatError(f"{path}: truncated header")
-    header = struct.unpack("<6i", blob[len(MODEL_MAGIC) : header_end])
+    r = BinaryReader(path)
+    if r.take(min(len(MODEL_MAGIC), r.left())) != MODEL_MAGIC:
+        raise r.error("bad magic, not a model container")
+    if r.left() < 24:
+        raise r.error("truncated header")
+    header = r.unpack("<6i")
     for name, value in zip(("pool size", "channels", "input width", "hidden width 1", "hidden width 2",
                             "output width"), header):
         if value < 1:
-            raise DataFormatError(f"{path}: {name} must be >= 1, got {value}")
+            raise r.error(f"{name} must be >= 1, got {value}")
     pool_size, channels, in_dim, h1, h2, out_dim = header
     if in_dim != channels * pool_size * pool_size:
-        raise DataFormatError(f"{path}: input width {in_dim} does not match {channels}x{pool_size}^2")
+        raise r.error(f"input width {in_dim} does not match {channels}x{pool_size}^2")
     if out_dim != 4:
-        raise DataFormatError(f"{path}: output width must be 4, got {out_dim}")
+        raise r.error(f"output width must be 4, got {out_dim}")
     # Python ints: every count is a product of positive header fields, exact at any size.
     shapes = [(h1, in_dim), (h1,), (h2, h1), (h2,), (4, h2), (4,)]
-    sizes = [math.prod(s) for s in shapes]
-    need = sum(sizes)
-    body = np.frombuffer(blob[header_end:], dtype="<f8")
-    if body.size != need:
-        raise DataFormatError(f"{path}: expected {need} weights, found {body.size}")
-    # min and max propagate NaN and expose +-inf without a temporary array.
-    if not (np.isfinite(body.min()) and np.isfinite(body.max())):
-        first = int(np.flatnonzero(~np.isfinite(body))[0])
-        raise DataFormatError(f"{path}: weight {first} is not finite ({body[first]})")
-    arrays = []
-    pos = 0
-    for s, size in zip(shapes, sizes):
-        arrays.append(body[pos : pos + size].reshape(s).copy())
-        pos += size
+    need = sum(map(math.prod, shapes))
+    found, extra = divmod(r.left(), 8)
+    if (found, extra) != (need, 0):
+        raise r.error(f"expected {need} weights, found {found}" + (f" and a {extra}-byte remainder" if extra else ""))
+    arrays = [r.array("<f8", s) for s in shapes]
+    for a, done in zip(arrays, accumulate((a.size for a in arrays), initial=0)):
+        # min and max propagate NaN and expose +-inf without a temporary array.
+        if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            first = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise r.error(f"weight {done + first} is not finite ({a.flat[first]})")
     return RegressorModel(pool_size, channels, *arrays)

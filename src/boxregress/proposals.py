@@ -18,11 +18,16 @@ import numpy as np
 
 from .boxes import Box, _extents, _iou_of_extents
 from .errors import DataFormatError
-from .ioutil import atomic_write
-from .model import RegressorModel, refine
+from .ioutil import atomic_write, open_input
+from .model import PROPOSE_ITERATIONS, RegressorModel, refine
 
 # A refined box counts toward a seed's score above this overlap.
 NEIGHBOR_IOU = 0.7
+
+# Decay NMS defaults: a box's score is divided by NMS_DECAY for each emitted
+# box it overlaps with IoU above NMS_IOU (propose --nms-iou and --decay).
+NMS_IOU = 0.6
+NMS_DECAY = 10.0
 
 # Most seeds, |scales| * |ratios| * ceil(1 / stride)^2, a grid may place on a
 # square image: 21 times the default grid's 3072.
@@ -267,7 +272,7 @@ def _decay_ranking(start, stop, cols, scores: np.ndarray, decay: float) -> tuple
 
 
 def decay_nms(
-    boxes: np.ndarray, scores: np.ndarray, iou_thresh: float = 0.6, decay: float = 10.0
+    boxes: np.ndarray, scores: np.ndarray, iou_thresh: float = NMS_IOU, decay: float = NMS_DECAY
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank (N, 4) center-form boxes, dividing overlapping neighbors' scores by `decay`.
 
@@ -297,9 +302,9 @@ def generate_proposals(
     model: RegressorModel,
     scene,
     grid_cfg: SeedGridConfig = SeedGridConfig(),
-    iterations: int = 1,
-    nms_iou: float = 0.6,
-    decay: float = 10.0,
+    iterations: int = PROPOSE_ITERATIONS,
+    nms_iou: float = NMS_IOU,
+    decay: float = NMS_DECAY,
 ) -> np.ndarray:
     """Full pipeline: seed, refine, score, rank; output boxes clipped.
 
@@ -421,8 +426,8 @@ def read_corner_csv(path: str, scored: bool = True, limit: int | None = None) ->
     codes: list[np.ndarray] = []
     blocks: list[np.ndarray] = []
     done = 0  # lines in earlier blocks
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    with open_input(path) as f:
+        try:
             while raw := f.readlines(_READ_BYTES):
                 lines = list(map(str.strip, raw))
                 nonblank = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
@@ -448,14 +453,14 @@ def read_corner_csv(path: str, scored: bool = True, limit: int | None = None) ->
                 if wrong.size:
                     raise DataFormatError(f"{path}: line {linenos[cut]}: expected {expected}, got {n[cut]}")
                 done += len(raw)
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not valid UTF-8 after line {done}: {e.reason}") from None
-    except OSError as e:
-        raise DataFormatError(f"{path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not valid UTF-8 after line {done}: {e.reason}") from None
     if not blocks:
         return {}
     code = np.concatenate(codes)
-    rows = np.concatenate(blocks)[np.argsort(code, kind="stable")]
+    rows = np.concatenate(blocks)
+    del codes, blocks  # freed before the permuted copy is made: two copies of the rows at most
+    rows = rows[np.argsort(code, kind="stable")]
     return dict(zip(index, np.split(rows, np.cumsum(np.bincount(code))[:-1])))
 
 

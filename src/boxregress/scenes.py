@@ -20,6 +20,7 @@ import numpy as np
 from .boxes import Box, boxes_to_array, iou
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, FeatureMap
+from .ioutil import BinaryReader, atomic_write, open_input
 
 SCENE_CACHE_MAGIC = b"UBBRSCN1"
 
@@ -125,23 +126,29 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
     Expects top-level "images" (id, width, height) and "annotations"
     (image_id, bbox as top-left [x, y, w, h], optional category_id)
     arrays. Boxes are converted to center form and grouped by image; an
-    image id listed twice is a DataFormatError. Annotations referencing unknown images, with non-positive extents,
-    or placed too far outside their image are skipped with a warning.
+    image id listed twice, or two ids with one text (1 and "1"), is a
+    DataFormatError. Annotations referencing unknown images, with
+    non-positive extents, or placed too far outside their image are
+    skipped with a warning.
     With short_side set, each scene's coordinates are rescaled so the
     shorter image side matches it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_input(path) as f:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise DataFormatError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from None
-    except OSError as e:
-        raise DataFormatError(f"{path}: {e}") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}: arrays or objects nested too deeply") from None
 
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
         raise DataFormatError(f"{path}: missing 'images' or 'annotations' array")
+    for key in ("images", "annotations"):
+        if not isinstance(doc[key], list):
+            raise DataFormatError(f"{path}: {key} must be an array, got {type(doc[key]).__name__}")
 
     scenes: dict[object, Scene] = {}
+    names: set[str] = set()  # scene ids: ids 1 and "1" are distinct keys but one scene id
     for i, img in enumerate(doc["images"]):
         try:
             scene = Scene(
@@ -151,18 +158,21 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
                 gts=[],
                 labels=[],
             )
-            if img["id"] in scenes:
+            if img["id"] in scenes or scene.id in names:
                 raise ValueError(f"duplicate image id {img['id']!r}")
+            scene.id.encode("utf-8")  # a lone surrogate from a JSON escape could not be written out
+            names.add(scene.id)
             scenes[img["id"]] = scene
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"{path}: images[{i}]: {e}") from None
 
     for i, ann in enumerate(doc["annotations"]):
         try:
             image_id = ann["image_id"]
+            scene = scenes.get(image_id)
             x, y, w, h = (float(v) for v in ann["bbox"])
             label = ann.get("category_id")
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"{path}: annotations[{i}]: {e}") from None
         if label is not None and type(label) is not int:
             raise DataFormatError(
@@ -170,7 +180,6 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
             )
         if not all(map(math.isfinite, (x, y, w, h))):
             raise DataFormatError(f"{path}: annotations[{i}]: bbox values must be finite, got {[x, y, w, h]}")
-        scene = scenes.get(image_id)
         if scene is None:
             warnings.warn(f"{path}: annotations[{i}] references unknown image {image_id!r}; skipped", stacklevel=2)
             continue
@@ -341,121 +350,83 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
 
     Raises DataFormatError, before anything is written, for what the
     cache cannot read back: a scene id listed twice, which load_scenes
-    refuses, or a label that is not an int32 or that equals NO_LABEL.
+    refuses, an id of more than 65,535 UTF-8 bytes, or a label that is
+    not an int32 or that equals NO_LABEL.
     """
-    from .ioutil import atomic_write
-
     seen = set()
     for i, s in enumerate(scenes):
         if s.id in seen:
             raise DataFormatError(f"{path}: scenes[{i}]: duplicate scene id {s.id!r}")
         seen.add(s.id)
+        if len(s.id.encode("utf-8")) > 0xFFFF:
+            raise DataFormatError(f"{path}: scenes[{i}]: scene id is longer than 65535 UTF-8 bytes")
         bad = [lbl for lbl in s.labels or () if not _cacheable(lbl)]
         if bad:
-            raise DataFormatError(
-                f"{path}: scene {s.id}: label {bad[0]!r} cannot be cached: "
-                f"labels are int32 and {NO_LABEL} stands for none"
-            )
+            raise DataFormatError(f"{path}: scene {s.id}: label {bad[0]!r} cannot be cached: "
+                                  f"labels are int32 and {NO_LABEL} stands for none")
     with atomic_write(path, "wb") as f:
-        f.write(SCENE_CACHE_MAGIC)
-        f.write(struct.pack("<I", len(scenes)))
+        f.write(SCENE_CACHE_MAGIC + struct.pack("<I", len(scenes)))
         for s in scenes:
             ident = s.id.encode("utf-8")
-            f.write(struct.pack("<H", len(ident)))
-            f.write(ident)
-            f.write(struct.pack("<ddI", s.width, s.height, len(s.gts)))
-            for g in s.gts:
-                f.write(struct.pack("<dddd", g.x, g.y, g.w, g.h))
-            if s.labels is None:
-                f.write(struct.pack("<B", 0))
-            else:
-                f.write(struct.pack("<B", 1))
-                for lbl in s.labels:
-                    f.write(struct.pack("<i", NO_LABEL if lbl is None else lbl))
-            if s._fm is None:
-                f.write(struct.pack("<B", 0))
-            else:
-                f.write(struct.pack("<B", 1))
-                c, h, w = s._fm.data.shape
-                f.write(struct.pack("<III", c, h, w))
+            f.write(struct.pack(f"<H{len(ident)}sddI", len(ident), ident, s.width, s.height, len(s.gts)))
+            f.write(boxes_to_array(s.gts).astype("<f8").tobytes())
+            f.write(struct.pack("<B", s.labels is not None))
+            if s.labels is not None:
+                f.write(np.array([NO_LABEL if lbl is None else lbl for lbl in s.labels], dtype="<i4").tobytes())
+            f.write(struct.pack("<B", s._fm is not None))
+            if s._fm is not None:
+                f.write(struct.pack("<III", *s._fm.data.shape))
                 f.write(s._fm.data.astype("<f8").tobytes())
 
 
 def load_scenes(path: str) -> list[Scene]:
     """Read a scene cache written by save_scenes; a scene id listed twice is a DataFormatError."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise DataFormatError(f"{path}: {e}") from None
-
-    view = memoryview(blob)
-    pos = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise DataFormatError(f"{path}: truncated at byte {pos}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    def flag(name: str, ident: str) -> bool:
-        # save_scenes writes 0 or 1; any other byte would not save back the same.
-        at = pos
-        (value,) = take(1)
-        if value > 1:
-            raise DataFormatError(f"{path}: byte {at}: scene {ident}: has-{name} flag must be 0 or 1, got {value}")
-        return value == 1
-
-    if bytes(take(len(SCENE_CACHE_MAGIC))) != SCENE_CACHE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic, not a scene cache")
-    (count,) = struct.unpack("<I", take(4))
+    r = BinaryReader(path)
+    if r.take(len(SCENE_CACHE_MAGIC)) != SCENE_CACHE_MAGIC:
+        raise r.error("bad magic, not a scene cache")
     scenes, seen = [], set()
-    for _ in range(count):
-        start = pos
-        (id_len,) = struct.unpack("<H", take(2))
+    for _ in range(r.unpack("<I")[0]):
+        start = r.pos
+        (id_len,) = r.unpack("<H")
         try:
-            ident = bytes(take(id_len)).decode("utf-8")
+            ident = bytes(r.take(id_len)).decode("utf-8")
         except UnicodeDecodeError:
-            raise DataFormatError(f"{path}: byte {start + 2}: scene id is not valid UTF-8") from None
+            raise r.error("scene id is not valid UTF-8", start + 2) from None
         if ident in seen:
-            raise DataFormatError(f"{path}: byte {start}: duplicate scene id {ident!r}")
+            raise r.error(f"duplicate scene id {ident!r}", start)
         seen.add(ident)
-        width, height, n_gts = struct.unpack("<ddI", take(20))
+        width, height, n_gts = r.unpack("<ddI")
+        # The whole boxes come first, each checked, so a cut inside the
+        # block is reported at the first incomplete box.
+        at = r.pos
         gts = []
-        for _ in range(n_gts):
-            at = pos
-            x, y, w, h = struct.unpack("<dddd", take(32))
+        for i, row in enumerate(r.array("<f8", (min(n_gts, r.left() // 32), 4)).tolist()):
             try:
-                gts.append(Box(x, y, w, h))
+                gts.append(Box(*row))
             except ValueError as e:
-                raise DataFormatError(f"{path}: byte {at}: scene {ident}: {e}") from None
+                raise r.error(f"scene {ident}: {e}", at + 32 * i) from None
+        if len(gts) < n_gts:
+            r.take(32)
         labels = None
-        if flag("labels", ident):
-            raw = struct.unpack(f"<{n_gts}i", take(4 * n_gts))
-            labels = [None if v == NO_LABEL else v for v in raw]
+        if r.flag(f"scene {ident}: has-labels"):
+            labels = [None if v == NO_LABEL else v for v in r.array("<i4", (n_gts,)).tolist()]
         fm = None
-        if flag("feature-map", ident):
-            at = pos
-            c, h, w = struct.unpack("<III", take(12))
-            data = np.frombuffer(take(8 * c * h * w), dtype="<f8").reshape(c, h, w).copy()
+        if r.flag(f"scene {ident}: has-feature-map"):
+            at = r.pos
+            c, h, w = r.unpack("<III")
             try:
-                fm = FeatureMap(data)
+                fm = FeatureMap(r.array("<f8", (c, h, w)))
             except ValueError as e:
-                raise DataFormatError(f"{path}: byte {at}: scene {ident}: {e}") from None
+                raise r.error(f"scene {ident}: {e}", at) from None
             # A non-finite or non-positive extent is refused with the scene below.
             if math.isfinite(width) and math.isfinite(height) and width > 0 and height > 0:
                 expect = _feature_grid_shape(width, height)
                 if (h, w) != expect:
-                    raise DataFormatError(
-                        f"{path}: byte {at}: scene {ident}: feature map is {h} x {w} cells, "
-                        f"a {width:g} x {height:g} image has {expect[0]} x {expect[1]}"
-                    )
+                    raise r.error(f"scene {ident}: feature map is {h} x {w} cells, a {width:g} x {height:g} image "
+                                  f"has {expect[0]} x {expect[1]}", at)
         try:
             scenes.append(Scene(id=ident, width=width, height=height, gts=gts, labels=labels, _fm=fm))
         except ValueError as e:
-            raise DataFormatError(f"{path}: byte {start}: {e}") from None
-    if pos != len(view):
-        raise DataFormatError(f"{path}: {len(view) - pos} trailing bytes")
+            raise r.error(str(e), start) from None
+    r.end()
     return scenes

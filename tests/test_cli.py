@@ -240,6 +240,53 @@ class TestDataErrors:
         assert code == 2
         assert where in one_line_error(capsys, "data error: ")
 
+    def test_model_cut_mid_weight(self, tmp_path, capsys):
+        path = saved_model(tmp_path)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-3])
+        code = run_cli(["propose", "--out-dir", str(tmp_path / "o"), "--synth", "--synth-count", "1", "--model", path])
+        assert code == 2
+        msg = one_line_error(capsys, "data error: ")
+        weights = (len(blob) - len(MODEL_MAGIC) - 24) // 8
+        assert f"{path}: expected {weights} weights, found {weights - 1} and a 5-byte remainder" in msg
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["config", "annotations"])
+    def test_text_file_not_utf8(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad"
+        if kind == "config":
+            path.write_bytes(b"seed = 1\n\xff\n")
+            argv = ["train", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--synth"]
+        else:
+            path.write_bytes(b'{"images": [], "annotations": [], "x": "\xff"}')
+            argv = ["train", "--out-dir", str(tmp_path / "o"), "--annotations", str(path)]
+        assert run_cli(argv) == 2
+        assert f"{path}: not valid UTF-8" in one_line_error(capsys, "data error: ")
+        assert not (tmp_path / "o").exists()
+
+    IMAGE = {"id": 1, "width": 64, "height": 64}
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"images": 5, "annotations": []}, ": images must be an array, got int"),
+        ({"images": [], "annotations": 3}, ": annotations must be an array, got int"),
+        ({"images": {"1": IMAGE}, "annotations": []}, ": images must be an array, got dict"),
+        ({"images": [IMAGE], "annotations": [{"image_id": [1], "bbox": [1, 1, 5, 5]}]},
+         ": annotations[0]: unhashable type: 'list'"),
+        ("[" * 100_000 + "]" * 100_000, ": arrays or objects nested too deeply"),
+        ({"images": [{"id": 1, "width": 10**400, "height": 64}], "annotations": []},
+         ": images[0]: int too large to convert to float"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": [1, 1, 10**400, 5]}]},
+         ": annotations[0]: int too large to convert to float"),
+        ({"images": [IMAGE, {**IMAGE, "id": "1"}], "annotations": []}, ": images[1]: duplicate image id '1'"),
+        ({"images": [{**IMAGE, "id": "\ud800"}], "annotations": []}, ": images[0]: 'utf-8' codec can't encode"),
+    ], ids=["images-int", "annotations-int", "images-object", "image-id-list", "nested", "huge-width", "huge-bbox",
+            "ids-1-and-'1'", "lone-surrogate-id"])
+    def test_malformed_annotation_document(self, tmp_path, capsys, doc, where):
+        path = write_file(tmp_path / "ann.json", doc if isinstance(doc, str) else json.dumps(doc))
+        assert run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", path]) == 2
+        assert path + where in one_line_error(capsys, "data error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_nonfinite_model_weights(self, tmp_path, capsys):
         model = init_model(3, 7, (8, 8), init_std=0.001, rng=np.random.default_rng(0))
         model.w2[1, 2] = np.nan
@@ -813,8 +860,6 @@ EXIT_PATHS = {
     ("_check_eval", "ValueError", " must be in [0, 1], got "): (
         lambda d: ["eval", "--out-dir", str(d / "o"), "--synth", "--proposals", "p.csv", "--corloc-iou", "2"], 1,
         "--corloc-iou"),
-    ("_config_tokens", "DataFormatError", ": "): (
-        lambda d: ["train", "--out-dir", str(d / "o"), "--synth", "--config", str(d / "no.cfg")], 2, "no.cfg"),
     ("_config_tokens", "UsageError", ": expected 'key = value'"): (
         lambda d: config_run(d, "synth\n"), 1, "line 1"),
     ("_config_tokens", "UsageError", " (expected true/false/yes/no/1/0)"): (

@@ -509,6 +509,18 @@ class TestSceneCache:
             save_scenes(str(path), scenes)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_refuses_id_longer_than_its_length_field(self, tmp_path):
+        # The id length is a uint16; 21,845 three-byte characters are 65,535 bytes.
+        path = tmp_path / "scenes.bin"
+        fits = Scene(id="€" * 21845, width=64, height=64, gts=[Box(20, 20, 10, 10)])
+        save_scenes(str(path), [fits])
+        assert load_scenes(str(path))[0].id == fits.id
+        path.unlink()
+        fits.id += "a"
+        with pytest.raises(DataFormatError, match=r"scenes\[0\]: scene id is longer than 65535 UTF-8 bytes"):
+            save_scenes(str(path), [fits])
+        assert list(tmp_path.iterdir()) == []
+
     # sha256 of the cache of the first 3 noise-free synth scenes of each seed.
     # Placement draws from numpy's PCG64 streams, and the feature maps use
     # only correctly rounded IEEE operations, so the bytes hold on any CPU.
