@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -16,6 +17,7 @@ from boxregress.proposals import (
     SeedGridConfig,
     _check_row,
     _clip_array,
+    _decay_ranking,
     _neighbor_graph,
     decay_nms,
     generate_proposals,
@@ -560,6 +562,101 @@ class TestDenseOracle:
         for cfg in (SeedGridConfig(), SeedGridConfig(scales=(0.3,), aspect_ratios=(3.0,), stride=0.07)):
             got, want = seed_grid(*shape, cfg), oracle_seed_grid(*shape, cfg)
             assert bits([(Box(*r), 0.0) for r in got.tolist()]) == bits([(b, 0.0) for b in want])
+
+
+
+def dyadic_scenes():
+    """Refined-box fixtures of dyadic values, as {id: ((N, 4) center rows, image_w, image_h)}.
+
+    "clusters" piles jittered boxes on a few spots, as refinement does,
+    with some of them past the image border; "tail" scatters small boxes,
+    so most scores are 0 and the ranking ends in a long zero-score tail;
+    "shapes" mixes thin, crossed and sub-pixel boxes over the whole range
+    of sides. Every value is a multiple of 1/64 and exact in float64.
+    """
+    rng = np.random.default_rng(2019)
+
+    def clusters(k, n, spread, image):
+        base = np.column_stack([rng.integers(0, image * 8, (k, 2)), rng.integers(40, 400, (k, 2))]) / 8
+        rows = np.repeat(base, n, axis=0)
+        rows[:, :2] += rng.integers(-spread, spread + 1, (k * n, 2)) / 8
+        rows[:, 2:] += rng.integers(-spread, spread + 1, (k * n, 2)) / 16
+        return rows
+
+    tail = np.column_stack([rng.integers(0, 1024, (300, 2)) / 8, rng.integers(8, 48, (300, 2)) / 8])
+    shapes = np.column_stack([rng.integers(0, 8192, (400, 2)) / 64, rng.integers(1, 4096, (400, 2)) / 64])
+    shapes[::4, 3] = shapes[::4, 2] / 4  # thin boxes, and their crossed twins on one center
+    shapes[1::4] = shapes[::4][:, [0, 1, 3, 2]]
+    return {
+        "clusters": (clusters(8, 60, 12, 96), 96.0, 80.0),
+        "tail": (np.concatenate([tail, clusters(2, 20, 4, 128)]), 128.0, 128.0),
+        "shapes": (shapes, 128.0, 100.5),
+    }
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(a.astype("<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_NMS_IOUS = (0.3, 0.6, 0.85)
+GOLDEN_DECAYS = (1.5, 10.0, 1e15)
+
+
+class TestProposalDigests:
+    """sha256 of the proposal stage's outputs on dyadic fixtures: bitwise unchanged, with no parent checkout.
+
+    These stages use only +, -, *, /, min, max and comparisons, which
+    IEEE 754 fixes on every CPU, so the constants hold on any machine.
+    The graph is hashed with each row's neighbor list sorted, since the
+    order within a row is free.
+    """
+
+    DIGESTS = {
+        "graph": "588d3de4eb4827dcf51335ffec7b180afe623832fc91cde40672c9d3dfce7928",
+        "ranking": "bdd17e8362d79d62df32969a8ed68d92560d9b9a03e5661bc8f7d7e7879583ec",
+        "clip": "2ef6d2056d1b4973dbae44c82e44429cc4463c19240cc9bcab70613421cb9587",
+        "write": "4034ffe16ac011ab760fbffb4747549e74c67fef15fcf0126f9dde2732e1444b",
+    }
+
+    def outputs(self, stage, tmp_path):
+        for name, (boxes, image_w, image_h) in dyadic_scenes().items():
+            if stage == "clip":
+                for min_side in (1.0, 0.25):
+                    yield _clip_array(boxes, image_w, image_h, min_side)
+                continue
+            for nms_iou in GOLDEN_NMS_IOUS:
+                start, stop, cols, counts = _neighbor_graph(boxes, nms_iou, NEIGHBOR_IOU)
+                if stage == "graph":
+                    yield stop - start
+                    yield counts
+                    yield np.concatenate([np.sort(cols[a:b]) for a, b in zip(start, stop)])
+                    continue
+                for decay in GOLDEN_DECAYS:
+                    order, emitted = _decay_ranking(start, stop, cols, (counts - 1).astype(np.float64), decay)
+                    if stage == "ranking":
+                        yield order
+                        yield emitted
+                        continue
+                    path = tmp_path / "proposals.csv"
+                    rows = np.column_stack([_clip_array(boxes[order], image_w, image_h), emitted])
+                    write_corner_csv(str(path), {name: rows, f"{name}-top": rows[:5]})
+                    yield np.frombuffer(path.read_bytes(), dtype=np.uint8)
+
+    @pytest.mark.parametrize("stage", ["graph", "ranking", "clip", "write"])
+    def test_stage_digest(self, tmp_path, stage):
+        assert digest(*self.outputs(stage, tmp_path)) == self.DIGESTS[stage]
+
+    def test_fixture_covers_the_early_exit_and_dense_rows(self):
+        boxes = dyadic_scenes()["tail"][0]
+        start, stop, cols, counts = _neighbor_graph(boxes, 0.6, NEIGHBOR_IOU)
+        _, emitted = _decay_ranking(start, stop, cols, (counts - 1).astype(np.float64), 10.0)
+        assert (emitted == 0.0).sum() >= 200 and emitted[0] > 0
+        boxes = dyadic_scenes()["clusters"][0]
+        assert (_neighbor_graph(boxes, 0.3, NEIGHBOR_IOU)[3] > 20).any()
 
 
 # Reference readers: the corner-CSV loaders as they were before the
