@@ -115,6 +115,9 @@ _SLACK = 1e-9
 # Upper bound on rows x columns per IoU block.
 _BLOCK = 1 << 15
 
+# Blocks of _neighbor_graph are placed in batches of at least this many pairs.
+_BATCH = 1 << 13
+
 
 def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Neighbor lists at IoU > t and neighbor counts at IoU > count_t, self included.
@@ -169,12 +172,13 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
         if a < b
     }
 
-    # Each unordered pair is computed once and entered in both directions:
-    # a bucket meets the adjacent buckets on one side only, and itself from
-    # each row chunk onwards. Entries are gathered as sorted positions
-    # (int32), then sorted by row and mapped back to box indices.
-    rows_out = [np.zeros(0, np.int32)]
-    cols_out = [np.zeros(0, np.int32)]
+    # Each unordered pair is computed once: a bucket meets the adjacent
+    # buckets on one side only, and itself from each row chunk onwards. A
+    # block keeps its neighbor entries once, as sorted positions (int32),
+    # with the column from which they are also entered mirrored; deg sums
+    # each position's entries in both directions.
+    blocks = []
+    deg = np.zeros(m, dtype=np.intp)
     counts_p = np.zeros(m, dtype=np.intp)
     for (gw, gh), (a, b, wmax) in groups.items():
         for dw, dh in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
@@ -205,31 +209,42 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
                         nr, nc = r[hi], c[hi]
                     else:
                         cr, cc = r[hi], c[hi]
-                i, j = nr + r0, nc + c0
-                if same:
-                    # Columns from r1 on are not rows of this chunk: enter them mirrored.
-                    back = j >= r1
-                    rows_out += [i, j[back]]
-                    cols_out += [j, i[back]]
-                    cc = cc[cc >= r1 - c0]
-                else:
-                    rows_out += [i, j]
-                    cols_out += [j, i]
+                # Columns from r1 on are not rows of this chunk: they are mirrored.
+                lim = r1 - c0 if same else 0
+                back = nc[nc >= lim]
+                deg[r0:r1] += np.bincount(nr, minlength=r1 - r0)
+                deg[c0:c1] += np.bincount(back, minlength=c1 - c0)
                 counts_p[r0:r1] += np.bincount(cr, minlength=r1 - r0)
-                counts_p[c0:c1] += np.bincount(cc, minlength=c1 - c0)
-    # Each temporary is freed as soon as it is used: with up to a million
-    # entries, this tail sets the graph's peak memory.
-    rows = np.concatenate(rows_out)
-    del rows_out
+                counts_p[c0:c1] += np.bincount(cc[cc >= lim], minlength=c1 - c0)
+                blocks.append((nr + r0, nc + c0, lim + c0))
+    # CSR by a counting fill: batches of blocks holding about _BATCH pairs
+    # are keyed row << 32 | col (int64), mirrored entries included, and
+    # sorted; each row's run is placed at that row's fill pointer as box
+    # indices. A block is freed once keyed, so the entries are held about
+    # once beyond the result.
     indptr = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    perm = np.argsort(rows)
-    del rows
-    cols = np.concatenate(cols_out)
-    del cols_out
-    cols = cols[perm]
-    del perm
-    cols = order.astype(np.int32)[cols]
+    np.cumsum(deg, out=indptr[1:])
+    fill = indptr[:-1].copy()
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    ids = order.astype(np.int32)
+    blocks.reverse()
+    while blocks:
+        parts, size = [], 0
+        while blocks and size < _BATCH:
+            i, j, lim = blocks.pop()
+            back = j >= lim
+            parts += [i.astype(np.int64) << 32 | j, j[back].astype(np.int64) << 32 | i[back]]
+            size += len(i)
+        keys = np.concatenate(parts)
+        del parts
+        keys.sort()
+        rows = keys >> 32
+        keys &= 0xFFFFFFFF
+        in_batch = np.bincount(rows, minlength=m)
+        dest = (fill - np.cumsum(in_batch) + in_batch)[rows]
+        dest += np.arange(len(keys))
+        cols[dest] = ids[keys]
+        fill += in_batch
     start = np.zeros(n, dtype=np.intp)
     stop = np.zeros(n, dtype=np.intp)
     counts = np.zeros(n, dtype=np.intp)

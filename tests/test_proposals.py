@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, boxes_to_array, iou
+from boxregress.boxes import Box, _iou_of_extents, boxes_to_array, iou
 from boxregress.errors import DataFormatError
 from boxregress import proposals
 from boxregress.model import init_model, refine
@@ -439,6 +439,13 @@ def box_sets(draw, thresholds=st.sampled_from([0.6, 0.7])):
     return draw(st.permutations([Box(b.x + dx, b.y + dy, b.w, b.h) for b in boxes]))
 
 
+def jittered_clusters(rng, k, n, side, spread):
+    """(k * n, 4) rows: n boxes around each of k random spots, centers and sides jittered by `spread` of `side`."""
+    rows = np.repeat(np.column_stack([rng.uniform(0, 1000, (k, 2)), np.full((k, 2), side)]), n, axis=0)
+    rows[:, :2] += side * rng.uniform(-spread, spread, (k * n, 2))
+    rows[:, 2:] *= 1 + rng.uniform(-spread, spread, (k * n, 2))
+    return rows
+
 SCORES = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e3))
 DECAYS = st.one_of(st.sampled_from([1.5, 2.0, 10.0, 1e15]), st.floats(1.0001, 100.0))
 NMS_IOUS = st.one_of(st.sampled_from([0.0, 0.6, 1.0]), st.floats(0.0, 1.0))
@@ -526,6 +533,49 @@ class TestDenseOracle:
             s.id: oracle_generate_proposals(model, s, grid, 1, nms_iou, decay) for s in scenes
         })
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("block, batch", [(64, 1), (256, 1), (4096, 40)])
+    def test_neighbor_graph_fill_batches_match_dense(self, block, batch):
+        # Small blocks and batches: a cluster of 300 boxes splits into row
+        # chunks whose same-bucket blocks have mirrored columns, its sides
+        # straddle a bucket edge so adjacent-bucket blocks hold entries, and
+        # the entries are placed over many fill batches (one per block at
+        # batch 1).
+        arr = np.concatenate([jittered_clusters(np.random.default_rng(block), 1, 300, 36.0, 0.05),
+                              jittered_clusters(np.random.default_rng(batch), 30, 3, 20.0, 0.3)])
+        seen = []
+
+        def kernel(rows, cols):
+            q = _iou_of_extents(rows, cols)
+            seen.append((rows[0][:, 0], cols[0], q > 0.6))
+            return q
+
+        with mock.patch.object(proposals, "_BLOCK", block), mock.patch.object(proposals, "_BATCH", batch), \
+                mock.patch.object(proposals, "_iou_of_extents", kernel):
+            start, stop, cols, counts = _neighbor_graph(arr, 0.6, NEIGHBOR_IOU)
+        dense = oracle_iou_pairwise(arr, arr)
+        for i in range(len(arr)):
+            assert sorted(cols[start[i] : stop[i]].tolist()) == np.flatnonzero(dense[i] > 0.6).tolist()
+            assert counts[i] == int((dense[i] > NEIGHBOR_IOU).sum())
+        # A same-bucket block's columns start with its rows; entries past them are mirrored.
+        same = [len(c) >= len(r) and np.array_equal(c[: len(r)], r) for r, c, _ in seen]
+        assert sum(hit.any() for _, _, hit in seen) >= 3
+        assert any(s and hit[:, len(r):].any() for s, (r, _, hit) in zip(same, seen))
+        assert any(not s and hit.any() for s, (_, _, hit) in zip(same, seen))
+
+    def test_neighbor_graph_memory_per_entry(self):
+        # Tight clusters hold 640,000 entries. Beyond the arrays it returns,
+        # the graph holds each block's entries once while the rows fill.
+        arr = jittered_clusters(np.random.default_rng(5), 4, 400, 36.0, 0.05)
+        tracemalloc.start()
+        try:
+            graph = _neighbor_graph(arr, 0.6, NEIGHBOR_IOU)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = len(graph[2])
+        assert entries == 4 * 400 * 400
+        assert peak - sum(a.nbytes for a in graph) <= 8 * entries
 
     @pytest.mark.parametrize("case", ["all_zero", "underflow", "zero_ties"])
     def test_decay_early_exit_matches_dense(self, case):
