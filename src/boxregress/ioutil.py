@@ -39,6 +39,13 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
+def check_id(image_id: str) -> None:
+    """Refuse (ValueError) an image id a corner-CSV field cannot carry unchanged, since the reader strips it."""
+    image_id.encode("utf-8")
+    if not image_id or image_id != image_id.strip() or any(c in image_id for c in ",\r\n"):
+        raise ValueError(f"image id {image_id!r} is empty or has a comma, a line break or whitespace at an end")
+
+
 @contextlib.contextmanager
 def open_input(path: str, mode: str = "r"):
     """Open an input file, as UTF-8 text unless mode is binary.

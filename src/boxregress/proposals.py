@@ -18,7 +18,7 @@ import numpy as np
 
 from .boxes import Box, _extents, _iou_of_extents
 from .errors import DataFormatError
-from .ioutil import atomic_write, open_input
+from .ioutil import atomic_write, check_id, open_input
 from .model import PROPOSE_ITERATIONS, RegressorModel, refine
 
 # A refined box counts toward a seed's score above this overlap.
@@ -112,11 +112,8 @@ def seed_grid(image_w: float, image_h: float, cfg: SeedGridConfig = SeedGridConf
 # computes it with a relative error of a few ulps, exceeds the threshold.
 _SLACK = 1e-9
 
-# Upper bound on rows x columns per IoU block.
-_BLOCK = 1 << 15
-
-# Blocks of _neighbor_graph are placed in batches of at least this many pairs.
-_BATCH = 1 << 13
+# Upper bound on rows x columns per IoU block, and least pairs per fill batch.
+_BLOCK, _BATCH = 1 << 15, 1 << 13
 
 
 def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -211,23 +208,19 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
                         cr, cc = r[hi], c[hi]
                 # Columns from r1 on are not rows of this chunk: they are mirrored.
                 lim = r1 - c0 if same else 0
-                back = nc[nc >= lim]
-                deg[r0:r1] += np.bincount(nr, minlength=r1 - r0)
-                deg[c0:c1] += np.bincount(back, minlength=c1 - c0)
-                counts_p[r0:r1] += np.bincount(cr, minlength=r1 - r0)
-                counts_p[c0:c1] += np.bincount(cc[cc >= lim], minlength=c1 - c0)
+                for acc, er, ec in ((deg, nr, nc), (counts_p, cr, cc)):
+                    acc[r0:r1] += np.bincount(er, minlength=r1 - r0)
+                    acc[c0:c1] += np.bincount(ec[ec >= lim], minlength=c1 - c0)
                 blocks.append((nr + r0, nc + c0, lim + c0))
-    # CSR by a counting fill: batches of blocks holding about _BATCH pairs
-    # are keyed row << 32 | col (int64), mirrored entries included, and
-    # sorted; each row's run is placed at that row's fill pointer as box
-    # indices. A block is freed once keyed, so the entries are held about
-    # once beyond the result.
+    # CSR by a counting fill: each batch of blocks is keyed row << 32 | col,
+    # mirrored entries included, and sorted; each row's run goes to that
+    # row's fill pointer. A block is freed once keyed.
     indptr = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
     fill = indptr[:-1].copy()
     cols = np.empty(indptr[-1], dtype=np.int32)
     ids = order.astype(np.int32)
-    blocks.reverse()
+    blocks.reverse()  # the last blocks are the densest: place them once others are freed
     while blocks:
         parts, size = [], 0
         while blocks and size < _BATCH:
@@ -241,8 +234,7 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
         rows = keys >> 32
         keys &= 0xFFFFFFFF
         in_batch = np.bincount(rows, minlength=m)
-        dest = (fill - np.cumsum(in_batch) + in_batch)[rows]
-        dest += np.arange(len(keys))
+        dest = (fill - np.cumsum(in_batch) + in_batch)[rows] + np.arange(len(keys))
         cols[dest] = ids[keys]
         fill += in_batch
     start = np.zeros(n, dtype=np.intp)
@@ -484,10 +476,12 @@ def write_corner_csv(path: str, by_image: dict[str, np.ndarray]) -> None:
 
     Rows are (x, y, w, h) or (x, y, w, h, score); each line is the image
     id, xmin, ymin, xmax, ymax and the score if present. Floats keep full
-    double precision.
+    double precision. An id the file cannot carry (ioutil.check_id) is a
+    ValueError, and the file is then not written.
     """
     with atomic_write(path) as f:
         for image_id, rows in by_image.items():
+            check_id(image_id)
             x, y, w, h = rows[:, :4].T
             corners = np.column_stack([x - 0.5 * w, y - 0.5 * h, x + 0.5 * w, y + 0.5 * h, rows[:, 4:]])
             f.write("".join(f"{image_id},{','.join(map(repr, r))}\n" for r in corners.tolist()))

@@ -20,7 +20,7 @@ import numpy as np
 from .boxes import Box, boxes_to_array, iou
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, FeatureMap
-from .ioutil import BinaryReader, atomic_write, open_input
+from .ioutil import BinaryReader, atomic_write, check_id, open_input
 
 SCENE_CACHE_MAGIC = b"UBBRSCN1"
 
@@ -51,6 +51,7 @@ class Scene:
     _fm: FeatureMap | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        check_id(self.id)
         if not (math.isfinite(self.width) and math.isfinite(self.height) and self.width > 0 and self.height > 0):
             raise ValueError(f"scene {self.id}: image dims must be finite and positive, got {self.width} x {self.height}")
         for g in self.gts:
@@ -151,16 +152,10 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
     names: set[str] = set()  # scene ids: ids 1 and "1" are distinct keys but one scene id
     for i, img in enumerate(doc["images"]):
         try:
-            scene = Scene(
-                id=str(img["id"]),
-                width=float(img["width"]),
-                height=float(img["height"]),
-                gts=[],
-                labels=[],
-            )
+            width, height = _json_numbers([img["width"], img["height"]], 2, "width and height must be JSON numbers")
+            scene = Scene(id=str(img["id"]), width=width, height=height, gts=[], labels=[])
             if img["id"] in scenes or scene.id in names:
                 raise ValueError(f"duplicate image id {img['id']!r}")
-            scene.id.encode("utf-8")  # a lone surrogate from a JSON escape could not be written out
             names.add(scene.id)
             scenes[img["id"]] = scene
         except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -170,7 +165,7 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
         try:
             image_id = ann["image_id"]
             scene = scenes.get(image_id)
-            x, y, w, h = (float(v) for v in ann["bbox"])
+            x, y, w, h = _json_numbers(ann["bbox"], 4, "bbox must be an array of 4 JSON numbers")
             label = ann.get("category_id")
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"{path}: annotations[{i}]: {e}") from None
@@ -197,6 +192,13 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
     if short_side is not None:
         out = [_rescale_scene(s, short_side) for s in out]
     return out
+
+
+def _json_numbers(values, n: int, what: str) -> list[float]:
+    """values as floats, if they are a list of n JSON numbers: ints or floats, not bools or strings."""
+    if type(values) is not list or len(values) != n or any(type(v) not in (int, float) for v in values):
+        raise ValueError(f"{what}, got {values!r}")
+    return [float(v) for v in values]
 
 
 def _rescale_scene(s: Scene, short_side: float) -> Scene:
@@ -414,6 +416,8 @@ def load_scenes(path: str) -> list[Scene]:
         if r.flag(f"scene {ident}: has-feature-map"):
             at = r.pos
             c, h, w = r.unpack("<III")
+            if 0 in (c, h, w):
+                raise r.error(f"scene {ident}: feature map has 0 {['channels', 'rows', 'columns'][(c, h, w).index(0)]}", at)
             try:
                 fm = FeatureMap(r.array("<f8", (c, h, w)))
             except ValueError as e:

@@ -279,12 +279,58 @@ class TestDataErrors:
          ": annotations[0]: int too large to convert to float"),
         ({"images": [IMAGE, {**IMAGE, "id": "1"}], "annotations": []}, ": images[1]: duplicate image id '1'"),
         ({"images": [{**IMAGE, "id": "\ud800"}], "annotations": []}, ": images[0]: 'utf-8' codec can't encode"),
+        # Each value must be a JSON number (not a bool or a string), and bbox an array of four.
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": {"10": 0, "12": 0, "20": 0, "22": 0}}]},
+         ": annotations[0]: bbox must be an array of 4 JSON numbers, got {'10': 0, '12': 0, '20': 0, '22': 0}"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": "1234"}]},
+         ": annotations[0]: bbox must be an array of 4 JSON numbers, got '1234'"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": [1, 1, 5]}]},
+         ": annotations[0]: bbox must be an array of 4 JSON numbers, got [1, 1, 5]"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": [1, True, 5, 5]}]},
+         ": annotations[0]: bbox must be an array of 4 JSON numbers, got [1, True, 5, 5]"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": [1, 1, "30", 5]}]},
+         ": annotations[0]: bbox must be an array of 4 JSON numbers, got [1, 1, '30', 5]"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1, "bbox": [1, 1, [5], 5]}]},
+         ": annotations[0]: bbox must be an array of 4 JSON numbers, got [1, 1, [5], 5]"),
+        ({"images": [{**IMAGE, "width": True}], "annotations": []},
+         ": images[0]: width and height must be JSON numbers, got [True, 64]"),
+        ({"images": [{**IMAGE, "height": "50"}], "annotations": []},
+         ": images[0]: width and height must be JSON numbers, got [64, '50']"),
+        # Image ids the corner CSV cannot carry.
+        ({"images": [{**IMAGE, "id": " a"}], "annotations": []}, ": images[0]: image id ' a' is empty or has a comma"),
+        ({"images": [{**IMAGE, "id": "a\t"}], "annotations": []}, ": images[0]: image id 'a\\t' is empty"),
+        ({"images": [{**IMAGE, "id": "a,b"}], "annotations": []}, ": images[0]: image id 'a,b' is empty"),
+        ({"images": [{**IMAGE, "id": "a\nb"}], "annotations": []}, ": images[0]: image id 'a\\nb' is empty"),
+        ({"images": [{**IMAGE, "id": "a\rb"}], "annotations": []}, ": images[0]: image id 'a\\rb' is empty"),
+        ({"images": [{**IMAGE, "id": ""}], "annotations": []}, ": images[0]: image id '' is empty"),
     ], ids=["images-int", "annotations-int", "images-object", "image-id-list", "nested", "huge-width", "huge-bbox",
-            "ids-1-and-'1'", "lone-surrogate-id"])
+            "ids-1-and-'1'", "lone-surrogate-id", "bbox-object", "bbox-string", "bbox-three", "bbox-bool",
+            "bbox-string-value", "bbox-nested-value", "width-bool", "height-string", "id-leading-space",
+            "id-trailing-tab", "id-comma", "id-line-feed", "id-carriage-return", "id-empty"])
     def test_malformed_annotation_document(self, tmp_path, capsys, doc, where):
         path = write_file(tmp_path / "ann.json", doc if isinstance(doc, str) else json.dumps(doc))
         assert run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", path]) == 2
         assert path + where in one_line_error(capsys, "data error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ident", [b" a", b"a ", b"a,b", b"a\nb", b"a\rb", b""])
+    def test_scene_cache_id_the_corner_csv_cannot_carry(self, tmp_path, capsys, ident):
+        path = tmp_path / "bad.scenes"
+        path.write_bytes(SCENE_CACHE_MAGIC + struct.pack(f"<IH{len(ident)}sddIBB", 1, len(ident), ident, 64.0, 64.0,
+                                                         0, 0, 0))
+        assert run_cli(["eval", "--out-dir", str(tmp_path / "o"), "--scene-cache", str(path),
+                        "--proposals", str(path)]) == 2
+        msg = one_line_error(capsys, "data error: ")
+        assert f"{path}: byte {len(SCENE_CACHE_MAGIC) + 4}: image id {ident.decode()!r} is empty or" in msg
+        assert not (tmp_path / "o").exists()
+
+    def test_scene_cache_zero_sized_map_dimension(self, tmp_path, capsys):
+        path = tmp_path / "zero.scenes"
+        path.write_bytes(SCENE_CACHE_MAGIC + struct.pack("<IH1sddIBBIII", 1, 1, b"a", 64.0, 64.0, 0, 0, 1,
+                                                         3, 2**31, 0))
+        assert run_cli(["eval", "--out-dir", str(tmp_path / "o"), "--scene-cache", str(path),
+                        "--proposals", str(path)]) == 2
+        assert one_line_error(capsys, "data error: ").endswith("scene a: feature map has 0 columns")
         assert not (tmp_path / "o").exists()
 
     def test_nonfinite_model_weights(self, tmp_path, capsys):

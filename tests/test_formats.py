@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from boxregress.boxes import Box
 from boxregress.errors import DataFormatError
+from boxregress.ioutil import check_id
 from boxregress.model import MODEL_MAGIC, init_model, load_model, save_model
+from boxregress.proposals import read_corner_csv, write_corner_csv
 from boxregress.scenes import SCENE_CACHE_MAGIC, Scene, SynthConfig, load_scenes, save_scenes, synth_scenes
 
 
@@ -161,6 +163,57 @@ def test_huge_declared_array_is_refused_without_allocating_it(tmp_path, case):
     assert traced_peak(refuse) < 1e6
 
 
+
+@pytest.mark.parametrize("shape, name", [((0, 2**31, 2**31), "channels"), ((3, 0, 2**31), "rows"),
+                                         ((3, 2**31, 0), "columns"), ((0, 0, 0), "channels")])
+def test_zero_sized_feature_map_dimension_is_named(tmp_path, shape, name):
+    # The other sides' product overflows numpy's size, so reshaping the 0 bytes would fail with numpy's own text.
+    path = tmp_path / "zero"
+    fm_at = len(cache_header(0)) + 2
+    path.write_bytes(cache_header(0) + b"\x00\x01" + np.array(shape, "<u4").tobytes())
+    with pytest.raises(DataFormatError, match=f"^{path}: byte {fm_at}: scene a: feature map has 0 {name}$"):
+        load_scenes(str(path))
+
+
+def valid_id(image_id: str) -> bool:
+    try:
+        check_id(image_id)
+    except ValueError:
+        return False
+    return True
+
+
+def cache_with_id(ident: bytes) -> bytes:
+    """A one-scene cache: the raw id bytes, a 64 x 64 image, no boxes, labels or map."""
+    return SCENE_CACHE_MAGIC + struct.pack(f"<IH{len(ident)}sddIBB", 1, len(ident), ident, 64.0, 64.0, 0, 0, 0)
+
+
+# Ids near every rule: commas, line breaks, Unicode whitespace at either end, inner spaces, and the empty id.
+IDS = st.one_of(st.text(st.sampled_from(" ,\r\n\t\x85\u3000ab\u00e9"), max_size=5), st.text(max_size=5))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(IDS)
+def test_image_id_round_trips_or_is_refused_everywhere(tmp_path_factory, image_id):
+    d = tmp_path_factory.mktemp("ids")
+    rows = np.array([[2.0, 2.0, 2.0, 2.0, 1.0]])
+    cache, csv = d / "c.bin", str(d / "p.csv")
+    if valid_id(image_id):
+        write_corner_csv(csv, {image_id: rows})
+        assert list(read_corner_csv(csv)) == [image_id]
+        cache.write_bytes(cache_with_id(image_id.encode("utf-8")))
+        assert [s.id for s in load_scenes(str(cache))] == [image_id]
+        return
+    with pytest.raises(ValueError):
+        write_corner_csv(csv, {image_id: rows})
+    assert not (d / "p.csv").exists()
+    with pytest.raises(ValueError, match="image id"):
+        Scene(id=image_id, width=64, height=64, gts=[])
+    cache.write_bytes(cache_with_id(image_id.encode("utf-8", "surrogatepass")))
+    with pytest.raises(DataFormatError, match="image id|not valid UTF-8"):
+        load_scenes(str(cache))
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -188,7 +241,8 @@ def scene_lists(draw):
         ]
         labels = draw(st.none() | st.lists(st.none() | st.integers(0, 2**31 - 1), min_size=len(gts), max_size=len(gts)))
         # A leading index keeps ids distinct; st.text draws no lone surrogates.
-        scene = Scene(id=f"{k}{draw(st.text(max_size=6))}", width=width, height=height, gts=gts, labels=labels)
+        ident = f"{k}{draw(st.text(max_size=6).filter(lambda t: valid_id(f'{k}{t}')))}"
+        scene = Scene(id=ident, width=width, height=height, gts=gts, labels=labels)
         if draw(st.booleans()):
             scene.feature_map()
             scene._fm.data.flat[0] = draw(FINITE)
