@@ -171,9 +171,8 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
 
     # Each unordered pair is computed once: a bucket meets the adjacent
     # buckets on one side only, and itself from each row chunk onwards. A
-    # block keeps its neighbor entries once, as sorted positions (int32),
-    # with the column from which they are also entered mirrored; deg sums
-    # each position's entries in both directions.
+    # block keeps its entries once, as sorted positions (int32), with the
+    # column from which they are also mirrored; deg counts both directions.
     blocks = []
     deg = np.zeros(m, dtype=np.intp)
     counts_p = np.zeros(m, dtype=np.intp)
@@ -206,8 +205,7 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
                         nr, nc = r[hi], c[hi]
                     else:
                         cr, cc = r[hi], c[hi]
-                # Columns from r1 on are not rows of this chunk: they are mirrored.
-                lim = r1 - c0 if same else 0
+                lim = r1 - c0 if same else 0  # columns from r1 on are not rows of this chunk: mirror them
                 for acc, er, ec in ((deg, nr, nc), (counts_p, cr, cc)):
                     acc[r0:r1] += np.bincount(er, minlength=r1 - r0)
                     acc[c0:c1] += np.bincount(ec[ec >= lim], minlength=c1 - c0)
@@ -222,14 +220,17 @@ def _neighbor_graph(arr: np.ndarray, t: float, count_t: float) -> tuple[np.ndarr
     ids = order.astype(np.int32)
     blocks.reverse()  # the last blocks are the densest: place them once others are freed
     while blocks:
-        parts, size = [], 0
+        batch, size = [], 0
         while blocks and size < _BATCH:
-            i, j, lim = blocks.pop()
-            back = j >= lim
-            parts += [i.astype(np.int64) << 32 | j, j[back].astype(np.int64) << 32 | i[back]]
-            size += len(i)
-        keys = np.concatenate(parts)
-        del parts
+            batch.append(blocks.pop())
+            size += len(batch[-1][0])
+        i, j, lim = zip(*batch)
+        del batch
+        lim = np.repeat(lim, [len(v) for v in i])
+        i, j = np.concatenate(i), np.concatenate(j)
+        back = j >= lim
+        keys = np.concatenate([i.astype(np.int64) << 32 | j, j[back].astype(np.int64) << 32 | i[back]])
+        del i, j, lim, back
         keys.sort()
         rows = keys >> 32
         keys &= 0xFFFFFFFF
@@ -476,8 +477,7 @@ def write_corner_csv(path: str, by_image: dict[str, np.ndarray]) -> None:
 
     Rows are (x, y, w, h) or (x, y, w, h, score); each line is the image
     id, xmin, ymin, xmax, ymax and the score if present. Floats keep full
-    double precision. An id the file cannot carry (ioutil.check_id) is a
-    ValueError, and the file is then not written.
+    double precision. An id that ioutil.check_id refuses is a ValueError.
     """
     with atomic_write(path) as f:
         for image_id, rows in by_image.items():
