@@ -615,14 +615,17 @@ class TestDenseOracle:
 
 
 
-def dyadic_scenes():
-    """Refined-box fixtures of dyadic values, as {id: ((N, 4) center rows, image_w, image_h)}.
+def golden_scenes():
+    """Refined-box fixtures, as {id: ((N, 4) center rows, image_w, image_h)}.
 
     "clusters" piles jittered boxes on a few spots, as refinement does,
     with some of them past the image border; "tail" scatters small boxes,
     so most scores are 0 and the ranking ends in a long zero-score tail;
     "shapes" mixes thin, crossed and sub-pixel boxes over the whole range
-    of sides. Every value is a multiple of 1/64 and exact in float64.
+    of sides. Their values are multiples of 1/64, exact in float64.
+    "rounded" holds clusters scaled by 0.1 and uniform draws on a small
+    image, so its values use every bit and a change in the order of
+    operations shows in the digests.
     """
     rng = np.random.default_rng(2019)
 
@@ -637,10 +640,14 @@ def dyadic_scenes():
     shapes = np.column_stack([rng.integers(0, 8192, (400, 2)) / 64, rng.integers(1, 4096, (400, 2)) / 64])
     shapes[::4, 3] = shapes[::4, 2] / 4  # thin boxes, and their crossed twins on one center
     shapes[1::4] = shapes[::4][:, [0, 1, 3, 2]]
+    rounded = np.column_stack([rng.uniform(-0.5, 7.0, (300, 2)), rng.uniform(0.2, 4.0, (300, 2))])
+    # A 20 x 8 box and one 20t wide inside it: IoU exactly t, so `>` against `>=` shows.
+    ties = [(20.0 * k + x, 60.0, w, 8.0) for k, t in enumerate((0.3, 0.6, 0.7, 0.85)) for x, w in ((0, 20), (1, 20 * t))]
     return {
         "clusters": (clusters(8, 60, 12, 96), 96.0, 80.0),
         "tail": (np.concatenate([tail, clusters(2, 20, 4, 128)]), 128.0, 128.0),
-        "shapes": (shapes, 128.0, 100.5),
+        "shapes": (np.concatenate([shapes, ties]), 128.0, 100.5),
+        "rounded": (np.concatenate([clusters(4, 30, 12, 64) * 0.1, rounded]), 6.4 * 1.01, 4.8 * 1.03),
     }
 
 
@@ -657,23 +664,24 @@ GOLDEN_DECAYS = (1.5, 10.0, 1e15)
 
 
 class TestProposalDigests:
-    """sha256 of the proposal stage's outputs on dyadic fixtures: bitwise unchanged, with no parent checkout.
+    """sha256 of the proposal stage's outputs on fixed fixtures: bitwise unchanged, with no parent checkout.
 
-    These stages use only +, -, *, /, min, max and comparisons, which
-    IEEE 754 fixes on every CPU, so the constants hold on any machine.
+    These stages use only +, -, *, /, min, max and comparisons, each of
+    which IEEE 754 rounds the same way on every CPU, so the constants
+    hold on any machine.
     The graph is hashed with each row's neighbor list sorted, since the
     order within a row is free.
     """
 
     DIGESTS = {
-        "graph": "588d3de4eb4827dcf51335ffec7b180afe623832fc91cde40672c9d3dfce7928",
-        "ranking": "bdd17e8362d79d62df32969a8ed68d92560d9b9a03e5661bc8f7d7e7879583ec",
-        "clip": "2ef6d2056d1b4973dbae44c82e44429cc4463c19240cc9bcab70613421cb9587",
-        "write": "4034ffe16ac011ab760fbffb4747549e74c67fef15fcf0126f9dde2732e1444b",
+        "graph": "c9e9edb18a534d2ac0c1be78e0ba57fa6a6f3c247cf7de06e867c1c79f8cf26b",
+        "ranking": "31401e5d5d5f46811876cbd6300882ec5bcf22b5ee4d4a17d3c59fbce41f260c",
+        "clip": "97a9fecd2157cd3f9d47d8ca4911837dbc86087abcc7e388f744d370a3b66ddd",
+        "write": "514e6b70ef283a6808ea0e5a368a3483cb37fb31e9af64b1b56659d34fb95c79",
     }
 
     def outputs(self, stage, tmp_path):
-        for name, (boxes, image_w, image_h) in dyadic_scenes().items():
+        for name, (boxes, image_w, image_h) in golden_scenes().items():
             if stage == "clip":
                 for min_side in (1.0, 0.25):
                     yield _clip_array(boxes, image_w, image_h, min_side)
@@ -701,11 +709,11 @@ class TestProposalDigests:
         assert digest(*self.outputs(stage, tmp_path)) == self.DIGESTS[stage]
 
     def test_fixture_covers_the_early_exit_and_dense_rows(self):
-        boxes = dyadic_scenes()["tail"][0]
+        boxes = golden_scenes()["tail"][0]
         start, stop, cols, counts = _neighbor_graph(boxes, 0.6, NEIGHBOR_IOU)
         _, emitted = _decay_ranking(start, stop, cols, (counts - 1).astype(np.float64), 10.0)
         assert (emitted == 0.0).sum() >= 200 and emitted[0] > 0
-        boxes = dyadic_scenes()["clusters"][0]
+        boxes = golden_scenes()["clusters"][0]
         assert (_neighbor_graph(boxes, 0.3, NEIGHBOR_IOU)[3] > 20).any()
 
 
