@@ -41,8 +41,7 @@ def atomic_write(path: str, mode: str = "w"):
 
 def check_id(image_id: str) -> None:
     """Refuse (ValueError) an image id a corner-CSV field cannot carry unchanged, since the reader strips it."""
-    image_id.encode("utf-8")
-    if not image_id or image_id != image_id.strip() or any(c in image_id for c in ",\r\n"):
+    if not image_id.encode("utf-8") or image_id != image_id.strip() or any(c in image_id for c in ",\r\n"):
         raise ValueError(f"image id {image_id!r} is empty or has a comma, a line break or whitespace at an end")
 
 

@@ -357,6 +357,7 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
     """
     seen = set()
     for i, s in enumerate(scenes):
+        check_id(s.id)  # a Scene checks its id, but the field can be set again after
         if s.id in seen:
             raise DataFormatError(f"{path}: scenes[{i}]: duplicate scene id {s.id!r}")
         seen.add(s.id)

@@ -209,6 +209,11 @@ def test_image_id_round_trips_or_is_refused_everywhere(tmp_path_factory, image_i
     assert not (d / "p.csv").exists()
     with pytest.raises(ValueError, match="image id"):
         Scene(id=image_id, width=64, height=64, gts=[])
+    scene = Scene(id="a", width=64, height=64, gts=[])
+    scene.id = image_id
+    with pytest.raises(ValueError):
+        save_scenes(str(cache), [scene])
+    assert not cache.exists()
     cache.write_bytes(cache_with_id(image_id.encode("utf-8", "surrogatepass")))
     with pytest.raises(DataFormatError, match="image id|not valid UTF-8"):
         load_scenes(str(cache))
