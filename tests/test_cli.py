@@ -17,6 +17,8 @@ from boxregress.proposals import MAX_SEEDS
 from boxregress.sampling import MAX_BOXES_PER_GT
 from boxregress.scenes import MAX_IMAGE_SIDE, SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
 
+from test_formats import cache_with_id
+
 
 def run_cli(args):
     try:
@@ -316,8 +318,7 @@ class TestDataErrors:
     @pytest.mark.parametrize("ident", [b" a", b"a ", b"a,b", b"a\nb", b"a\rb", b""])
     def test_scene_cache_id_the_corner_csv_cannot_carry(self, tmp_path, capsys, ident):
         path = tmp_path / "bad.scenes"
-        path.write_bytes(SCENE_CACHE_MAGIC + struct.pack(f"<IH{len(ident)}sddIBB", 1, len(ident), ident, 64.0, 64.0,
-                                                         0, 0, 0))
+        path.write_bytes(cache_with_id(ident))
         assert run_cli(["eval", "--out-dir", str(tmp_path / "o"), "--scene-cache", str(path),
                         "--proposals", str(path)]) == 2
         msg = one_line_error(capsys, "data error: ")
