@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import Box, _extents, _iou_of_extents
+from .boxes import _extents, _iou_of_extents
 from .errors import DataFormatError
 from .ioutil import atomic_write, check_id, open_input
 from .model import PROPOSE_ITERATIONS, RegressorModel, refine
@@ -344,30 +344,6 @@ def generate_proposals(
 _READ_BYTES = 1 << 20
 
 
-def _check_row(parts: list[str], scored: bool) -> None:
-    """Check one row by the scalar rules: its Box, then its score.
-
-    Raises ValueError with the message the row is rejected with.
-    """
-    try:
-        xmin, ymin, xmax, ymax, *score = map(float, parts[1:6] if scored else parts[1:5])
-    except ValueError as e:
-        raise ValueError("non-numeric field" if scored else str(e)) from None
-    Box(0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin)
-    if scored and not (math.isfinite(score[0]) and score[0] >= 0):
-        raise ValueError(f"proposal score must be finite and >= 0, got {score[0]}")
-
-
-def _row_error(path: str, lines: list[str], linenos: Sequence[int], scored: bool) -> DataFormatError:
-    """The error of the first of `lines` that breaks the scalar rules."""
-    for line, lineno in zip(lines, linenos):
-        try:
-            _check_row(line.split(","), scored)
-        except ValueError as e:
-            return DataFormatError(f"{path}: line {lineno}: {e}")
-    raise RuntimeError(f"{path}: lines {linenos[0]}-{linenos[-1]}: array checks and scalar rules disagree")
-
-
 def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int) -> tuple[list[str], np.ndarray]:
     """Image ids and (N, 4) center rows, plus a score column if width is 6, of one block of lines.
 
@@ -380,7 +356,13 @@ def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int)
     try:
         corners = np.array(fields, dtype=np.float64).reshape(-1, width - 1)
     except ValueError:
-        raise _row_error(path, lines, linenos, scored) from None
+        for i, line in enumerate(lines):
+            try:
+                list(map(float, line.split(",")[1:]))
+            except ValueError as e:
+                _block_rows(path, lines[:i], linenos[:i], width)  # a bad row before it comes first
+                raise DataFormatError(f"{path}: line {linenos[i]}: {'non-numeric field' if scored else e}") from None
+        raise
     xmin, ymin, xmax, ymax = corners[:, :4].T
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.column_stack([0.5 * (xmin + xmax), 0.5 * (ymin + ymax), xmax - xmin, ymax - ymin, corners[:, 4:]])
@@ -389,7 +371,14 @@ def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int)
         ok &= rows[:, 4] >= 0.0
     if not ok.all():
         first = int(np.argmin(ok))
-        raise _row_error(path, lines[first:], linenos[first:], scored)
+        x, y, w, h, *score = rows[first].tolist()
+        if not all(map(math.isfinite, (x, y, w, h))):
+            why = f"box fields must be finite, got Box(x={x!r}, y={y!r}, w={w!r}, h={h!r})"
+        elif not (w > 0.0 and h > 0.0):
+            why = f"box sides must be positive, got w={w}, h={h}"
+        else:
+            why = f"proposal score must be finite and >= 0, got {score[0]}"
+        raise DataFormatError(f"{path}: line {linenos[first]}: {why}")
     return ids, rows
 
 

@@ -20,6 +20,10 @@ from .boxes import apply_offsets_array, iou
 # chunk of 4 * boxes_per_gt offsets is then at most 4 MB.
 MAX_BOXES_PER_GT = 1 << 15
 
+# Most bytes of offsets one pass of generate_training_boxes_many scans; a
+# pass holds at least one chunk.
+_PASS_BYTES = 1 << 20
+
 
 class SampleBudgetWarning(RuntimeWarning):
     """Rejection sampling ran out of attempts before filling its quota."""
@@ -75,76 +79,53 @@ def generate_training_boxes_many(
     a draw is accepted when its box overlaps the ground truth with
     IoU >= cfg.t, and each output slot gets at most max_attempts_per_box
     draws. A ground truth that runs out of attempts stops early with a
-    SampleBudgetWarning. Since every ground truth takes at least one
-    chunk, one chunk per remaining ground truth is drawn at a time and
-    scanned for all of them at once; a ground truth that its own chunk
-    does not settle continues into the chunks after it, which shifts
-    the ones that follow. The rows, the warnings and the final RNG state
-    are those of sampling the ground truths one at a time.
+    SampleBudgetWarning. The stream of chunks is scanned in passes of at
+    most _PASS_BYTES of offsets, one chunk for each of several ground
+    truths at once. A ground truth that its chunk does not settle is cut
+    short: the chunks of the ones after it go back to the stream, and it
+    carries its state into passes of its own over doubling spans. Since
+    every ground truth takes at least one chunk, no more chunks are drawn
+    than ground truths are left. The rows, the warnings and the final
+    RNG state are those of sampling the ground truths one at a time.
     """
     gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
     q, budget = cfg.boxes_per_gt, cfg.max_attempts_per_box
     chunk = 4 * q
     low, high = cfg._bounds()
-
-    def draw(n_chunks: int) -> np.ndarray:
-        return rng.uniform(low, high, size=(n_chunks * chunk, 4)).reshape(n_chunks, chunk, 4)
-
-    def accepts(g: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Candidate boxes and accept flags for (K, 4) ground truths and (K, L, 4) offsets.
-        boxes = apply_offsets_array(np.broadcast_to(g[:, None], offs.shape), offs)
-        return boxes, iou(boxes, g[:, None]) >= cfg.t
+    per_pass = max(1, _PASS_BYTES // (32 * chunk))  # chunks of float64 offsets one pass may hold
 
     n_gts = len(gts)
     counts = np.zeros(n_gts, dtype=np.int64)
     pieces: list[np.ndarray] = []
-    gave_up: list[int] = []
-    stream = np.empty((0, chunk, 4))
-    k = 0  # next ground truth to sample
-    s = 0  # its first chunk in stream
-    window = n_gts  # ground truths scanned per pass; shrinks after a ground truth spills over
+    stream = np.empty((0, chunk, 4))  # chunks drawn but not yet scanned
+    k = 0  # first ground truth of the pass
+    n0 = run0 = 0  # its accepts and rejection run, carried from the last pass
+    m, span = n_gts, 1  # ground truths in the pass, chunks each; span > 1 only if m == 1
     while k < n_gts:
-        if len(stream) - s < n_gts - k:
-            stream = np.concatenate((stream[s:], draw(n_gts - k - (len(stream) - s))))
-            s = 0
-        m = min(window, n_gts - k)
-        boxes, ok = accepts(gts[k : k + m], stream[s : s + m])
-        stop, n, run = _scan(ok, q, budget, np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
+        m, span = min(m, per_pass, n_gts - k), min(span, per_pass, n_gts - k)
+        if len(stream) < m * span:  # refill to a full pass
+            more = rng.uniform(low, high, size=((min(per_pass, n_gts - k) - len(stream)) * chunk, 4))
+            stream = np.concatenate((stream, more.reshape(-1, chunk, 4)))
+        offs = stream[: m * span].reshape(m, span * chunk, 4)
+        g = gts[k : k + m]
+        boxes = apply_offsets_array(np.broadcast_to(g[:, None], offs.shape), offs)
+        ok = iou(boxes, g[:, None]) >= cfg.t
+        carry = np.zeros((2, m), dtype=np.int64)
+        carry[:, 0] = n0, run0
+        stop, n, run = _scan(ok, q, budget, *carry)
         settled = m if (stop >= 0).all() else int(np.argmin(stop >= 0))
-        keep = ok[:settled] & (np.arange(chunk) <= stop[:settled, None])
-        pieces.append(boxes[:settled][keep])
+        used = min(settled + 1, m)  # the settled ground truths and the one cut short
+        last = np.where(stop[:used] >= 0, stop[:used], span * chunk - 1)
+        pieces.append(boxes[:used][ok[:used] & (np.arange(span * chunk) <= last[:, None])])
         counts[k : k + settled] = n[:settled]
-        gave_up += [k + i for i in np.flatnonzero(~ok[np.arange(settled), stop[:settled]])]
+        stream = stream[int((last // chunk + 1).sum()) :]
         k += settled
-        s += settled
-        window = 2 * (settled + 1)
         if settled == m:
-            continue
-        # Ground truth k continues the one-attempt-at-a-time scan into the
-        # chunks after its own, a doubling span of them at a time.
-        pieces.append(boxes[settled][ok[settled]])
-        n_k, run_k = n[settled : settled + 1], run[settled : settled + 1]
-        s += 1
-        span = 1
-        while True:
-            if s == len(stream):
-                stream, s = draw(n_gts - k), 0
-            ahead = stream[s : s + span]
-            boxes_k, ok_k = accepts(gts[k : k + 1], ahead.reshape(1, -1, 4))
-            stop_k, n_k, run_k = _scan(ok_k, q, budget, n_k, run_k)
-            if stop_k[0] >= 0:
-                break
-            pieces.append(boxes_k[0][ok_k[0]])
-            s += len(ahead)
-            span *= 2
-        stop = int(stop_k[0])
-        pieces.append(boxes_k[0][: stop + 1][ok_k[0, : stop + 1]])
-        counts[k] = n_k[0]
-        if not ok_k[0, stop]:
-            gave_up.append(k)
-        k += 1
-        s += stop // chunk + 1
-    for i in gave_up:
+            m, span, n0, run0 = 2 * (settled + 1), 1, 0, 0
+        else:
+            span = 2 * span if m == 1 else 1
+            m, n0, run0 = 1, n[settled], run[settled]
+    for i in np.flatnonzero(counts < q):  # a ground truth that reaches q settles there
         warnings.warn(
             f"gave up after {budget} attempts per box: kept {counts[i]} of {q} (t={cfg.t})",
             SampleBudgetWarning,

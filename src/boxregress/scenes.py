@@ -126,11 +126,11 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
 
     Expects top-level "images" (id, width, height) and "annotations"
     (image_id, bbox as top-left [x, y, w, h], optional category_id)
-    arrays. Boxes are converted to center form and grouped by image; an
-    image id listed twice, or two ids with one text (1 and "1"), is a
-    DataFormatError. Annotations referencing unknown images, with
-    non-positive extents, or placed too far outside their image are
-    skipped with a warning.
+    arrays. Boxes are converted to center form and grouped by image. An
+    id that is not a JSON string or integer, an image id listed twice,
+    or two ids with one text (1 and "1"), is a DataFormatError.
+    Annotations referencing unknown images, with non-positive extents,
+    or placed too far outside their image are skipped with a warning.
     With short_side set, each scene's coordinates are rescaled so the
     shorter image side matches it.
     """
@@ -153,7 +153,7 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
     for i, img in enumerate(doc["images"]):
         try:
             width, height = _json_numbers([img["width"], img["height"]], 2, "width and height must be JSON numbers")
-            scene = Scene(id=str(img["id"]), width=width, height=height, gts=[], labels=[])
+            scene = Scene(id=str(_json_id(img["id"], "id")), width=width, height=height, gts=[], labels=[])
             if img["id"] in scenes or scene.id in names:
                 raise ValueError(f"duplicate image id {img['id']!r}")
             names.add(scene.id)
@@ -163,7 +163,7 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
 
     for i, ann in enumerate(doc["annotations"]):
         try:
-            image_id = ann["image_id"]
+            image_id = _json_id(ann["image_id"], "image_id")
             scene = scenes.get(image_id)
             x, y, w, h = _json_numbers(ann["bbox"], 4, "bbox must be an array of 4 JSON numbers")
             label = ann.get("category_id")
@@ -199,6 +199,13 @@ def _json_numbers(values, n: int, what: str) -> list[float]:
     if type(values) is not list or len(values) != n or any(type(v) not in (int, float) for v in values):
         raise ValueError(f"{what}, got {values!r}")
     return [float(v) for v in values]
+
+
+def _json_id(value, what: str):
+    """value, if it is a JSON string or integer: not a bool, a float or null."""
+    if type(value) not in (str, int):
+        raise ValueError(f"{what} must be a JSON string or integer, got {value!r}")
+    return value
 
 
 def _rescale_scene(s: Scene, short_side: float) -> Scene:

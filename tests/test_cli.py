@@ -273,7 +273,7 @@ class TestDataErrors:
         ({"images": [], "annotations": 3}, ": annotations must be an array, got int"),
         ({"images": {"1": IMAGE}, "annotations": []}, ": images must be an array, got dict"),
         ({"images": [IMAGE], "annotations": [{"image_id": [1], "bbox": [1, 1, 5, 5]}]},
-         ": annotations[0]: unhashable type: 'list'"),
+         ": annotations[0]: image_id must be a JSON string or integer, got [1]"),
         ("[" * 100_000 + "]" * 100_000, ": arrays or objects nested too deeply"),
         ({"images": [{"id": 1, "width": 10**400, "height": 64}], "annotations": []},
          ": images[0]: int too large to convert to float"),
@@ -305,10 +305,29 @@ class TestDataErrors:
         ({"images": [{**IMAGE, "id": "a\nb"}], "annotations": []}, ": images[0]: image id 'a\\nb' is empty"),
         ({"images": [{**IMAGE, "id": "a\rb"}], "annotations": []}, ": images[0]: image id 'a\\rb' is empty"),
         ({"images": [{**IMAGE, "id": ""}], "annotations": []}, ": images[0]: image id '' is empty"),
+        # Image ids of any other JSON type than a string or an integer.
+        ({"images": [{**IMAGE, "id": None}], "annotations": []},
+         ": images[0]: id must be a JSON string or integer, got None"),
+        ({"images": [{**IMAGE, "id": True}], "annotations": []},
+         ": images[0]: id must be a JSON string or integer, got True"),
+        ({"images": [{**IMAGE, "id": 1.5}], "annotations": []},
+         ": images[0]: id must be a JSON string or integer, got 1.5"),
+        ({"images": [{**IMAGE, "id": 1e20}], "annotations": []},
+         ": images[0]: id must be a JSON string or integer, got 1e+20"),
+        ({"images": [IMAGE], "annotations": [{"image_id": None, "bbox": [1, 1, 5, 5]}]},
+         ": annotations[0]: image_id must be a JSON string or integer, got None"),
+        ({"images": [IMAGE], "annotations": [{"image_id": True, "bbox": [1, 1, 5, 5]}]},
+         ": annotations[0]: image_id must be a JSON string or integer, got True"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1.5, "bbox": [1, 1, 5, 5]}]},
+         ": annotations[0]: image_id must be a JSON string or integer, got 1.5"),
+        ({"images": [IMAGE], "annotations": [{"image_id": 1e20, "bbox": [1, 1, 5, 5]}]},
+         ": annotations[0]: image_id must be a JSON string or integer, got 1e+20"),
     ], ids=["images-int", "annotations-int", "images-object", "image-id-list", "nested", "huge-width", "huge-bbox",
             "ids-1-and-'1'", "lone-surrogate-id", "bbox-object", "bbox-string", "bbox-three", "bbox-bool",
             "bbox-string-value", "bbox-nested-value", "width-bool", "height-string", "id-leading-space",
-            "id-trailing-tab", "id-comma", "id-line-feed", "id-carriage-return", "id-empty"])
+            "id-trailing-tab", "id-comma", "id-line-feed", "id-carriage-return", "id-empty", "id-null", "id-bool",
+            "id-float", "id-float-exponent", "image-id-null", "image-id-bool", "image-id-float",
+            "image-id-float-exponent"])
     def test_malformed_annotation_document(self, tmp_path, capsys, doc, where):
         path = write_file(tmp_path / "ann.json", doc if isinstance(doc, str) else json.dumps(doc))
         assert run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", path]) == 2

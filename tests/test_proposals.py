@@ -15,7 +15,6 @@ from boxregress.model import init_model, refine
 from boxregress.proposals import (
     NEIGHBOR_IOU,
     SeedGridConfig,
-    _check_row,
     _clip_array,
     _decay_ranking,
     _neighbor_graph,
@@ -322,8 +321,6 @@ class TestProposalIo:
             read_corner_csv(str(path))
 
     def test_proposal_score_validation(self, tmp_path):
-        with pytest.raises(ValueError, match=r"proposal score must be finite and >= 0, got -1.0$"):
-            _check_row(["img", "0", "0", "1", "1", "-1"], scored=True)
         path = tmp_path / "bad.csv"
         path.write_text("img,0,0,1,1,1\nimg,0,0,1,1,-1\n")
         with pytest.raises(DataFormatError, match=r"line 2: proposal score must be finite and >= 0, got -1.0$"):

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, apply_offsets_array, encode_offsets_array, iou
+from boxregress import sampling
+from boxregress.boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
 from boxregress.sampling import (
     SampleBudgetWarning,
     SamplerConfig,
     generate_training_boxes_many,
 )
+from boxregress.scenes import SynthConfig, synth_scenes
 
 from test_boxes import oracle_iou_pairwise
 
@@ -147,6 +151,20 @@ def oracle_generate_training_boxes(g: Box, cfg: SamplerConfig, rng: np.random.Ge
     return out
 
 
+# Pass sizes the differential tests run at: the real _PASS_BYTES, under
+# which their ground truths all fit in one pass; three chunks, so passes of
+# several ground truths are cut short and give chunks back, and a head's
+# span is capped; and one byte, which leaves one chunk per pass.
+PASS_SIZES = ["real", "three chunks", "one byte"]
+
+
+def pass_bytes(size, cfg):
+    """Patch sampling._PASS_BYTES to one of PASS_SIZES for cfg's chunks of 4 * boxes_per_gt float64 offsets."""
+    chunk_bytes = 4 * cfg.boxes_per_gt * 4 * 8
+    value = {"real": sampling._PASS_BYTES, "three chunks": 3 * chunk_bytes, "one byte": 1}[size]
+    return mock.patch.object(sampling, "_PASS_BYTES", value)
+
+
 class TestOracle:
     # One ground truth sampled on its own must be the reference's
     # one-attempt-at-a-time result: rows, warnings and final RNG state.
@@ -160,21 +178,29 @@ class TestOracle:
         st.integers(1, 400),
         st.integers(0, 2**32 - 1),
         st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 40), st.floats(0.1, 40)),
+        st.sampled_from(PASS_SIZES),
     )
-    def test_matches_one_attempt_at_a_time(self, alpha, beta, t, boxes_per_gt, max_attempts, seed, g):
+    def test_matches_one_attempt_at_a_time(self, alpha, beta, t, boxes_per_gt, max_attempts, seed, g, pass_size):
         # High thresholds and small budgets make runs of rejections cross
         # block boundaries and give up mid-block; the RNG must end where
         # the old sampler left it, so later draws are unchanged too.
         cfg = SamplerConfig(alpha=alpha, beta=beta, t=t, boxes_per_gt=boxes_per_gt, max_attempts_per_box=max_attempts)
         gts = np.array([g], dtype=np.float64)
-        assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+        with pass_bytes(pass_size, cfg):
+            assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
 
     @pytest.mark.parametrize("t,max_attempts", [(0.3, 1000), (0.9, 3), (0.97, 50), (0.5, 1), (0.99, 7)])
-    def test_matches_on_many_seeds(self, t, max_attempts):
+    def test_matches_on_many_seeds(self, t, max_attempts, pass_size="real"):
         cfg = SamplerConfig(t=t, boxes_per_gt=25, max_attempts_per_box=max_attempts)
         gts = np.array([[50.0, 50.0, 20.0, 30.0]])
-        for seed in range(40):
-            assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+        with pass_bytes(pass_size, cfg):
+            for seed in range(40):
+                assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+
+    @pytest.mark.parametrize("pass_size", PASS_SIZES[1:])
+    @pytest.mark.parametrize("t,max_attempts", [(0.3, 1000), (0.9, 3), (0.97, 50), (0.5, 1), (0.99, 7)])
+    def test_matches_on_many_seeds_in_small_passes(self, t, max_attempts, pass_size):
+        self.test_matches_on_many_seeds(t, max_attempts, pass_size)
 
     def test_integer_box_is_not_truncated(self):
         # The reference sampled an int-valued Box into an int array and
@@ -223,14 +249,16 @@ class TestEpochStream:
         st.integers(1, 400),
         st.integers(0, 2**32 - 1),
         st.lists(box_strategy, min_size=0, max_size=12),
+        st.sampled_from(PASS_SIZES),
     )
-    def test_matches_oracle_in_sequence(self, alpha, beta, t, boxes_per_gt, max_attempts, seed, gts):
+    def test_matches_oracle_in_sequence(self, alpha, beta, t, boxes_per_gt, max_attempts, seed, gts, pass_size):
         # A chunk holds 4 * boxes_per_gt draws, so budgets range from below
         # a chunk to several chunks; at high t a ground truth spills into
         # the chunks of the ones after it, at any place in the sequence.
         cfg = SamplerConfig(alpha=alpha, beta=beta, t=t, boxes_per_gt=boxes_per_gt, max_attempts_per_box=max_attempts)
         gts = np.array(gts, dtype=np.float64).reshape(-1, 4)
-        assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+        with pass_bytes(pass_size, cfg):
+            assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
 
     @pytest.mark.parametrize("t,boxes_per_gt,max_attempts", [
         (0.3, 50, 1000),   # the defaults: every ground truth settles in its own chunk
@@ -240,12 +268,20 @@ class TestEpochStream:
         (0.99, 10, 1000),  # every ground truth gives up after several chunks
         (0.6, 1, 1),       # a single rejection gives up
     ])
-    def test_matches_on_many_seeds(self, t, boxes_per_gt, max_attempts):
+    def test_matches_on_many_seeds(self, t, boxes_per_gt, max_attempts, pass_size="real"):
         cfg = SamplerConfig(t=t, boxes_per_gt=boxes_per_gt, max_attempts_per_box=max_attempts)
         rng = np.random.default_rng(99)
-        for seed in range(15):
-            gts = np.column_stack([rng.uniform(0, 100, (25, 2)), rng.uniform(1, 40, (25, 2))])
-            assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+        with pass_bytes(pass_size, cfg):
+            for seed in range(15):
+                gts = np.column_stack([rng.uniform(0, 100, (25, 2)), rng.uniform(1, 40, (25, 2))])
+                assert run_many(gts, cfg, seed) == run_oracle_in_sequence(gts, cfg, seed)
+
+    @pytest.mark.parametrize("pass_size", PASS_SIZES[1:])
+    @pytest.mark.parametrize("t,boxes_per_gt,max_attempts", [
+        (0.3, 50, 1000), (0.75, 20, 1000), (0.9, 5, 30), (0.97, 1, 3), (0.99, 10, 1000), (0.6, 1, 1),
+    ])
+    def test_matches_on_many_seeds_in_small_passes(self, t, boxes_per_gt, max_attempts, pass_size):
+        self.test_matches_on_many_seeds(t, boxes_per_gt, max_attempts, pass_size)
 
     def test_no_ground_truths_draws_nothing(self):
         rng = np.random.default_rng(0)
@@ -253,3 +289,19 @@ class TestEpochStream:
         rows, counts = generate_training_boxes_many(np.empty((0, 4)), SamplerConfig(), rng)
         assert rows.shape == (0, 4) and counts.shape == (0,)
         assert rng.bit_generator.state == state
+
+    def test_traced_peak_is_bounded_by_the_pass(self):
+        # 388 ground truths at 1,000 boxes each return 12.4 MB of rows, held
+        # twice while they are joined. A pass holds at most _PASS_BYTES of
+        # offsets; drawing one chunk for every ground truth at once peaked
+        # at 201 MB.
+        scenes = synth_scenes(SynthConfig(seed=5, max_objects=3), 192)
+        gts = np.concatenate([boxes_to_array(s.gts) for s in scenes])
+        assert len(gts) == 388
+        tracemalloc.start()
+        try:
+            generate_training_boxes_many(gts, SamplerConfig(boxes_per_gt=1000), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
