@@ -2,7 +2,8 @@
 
 A box is (x, y, w, h) with (x, y) the center, in raster units. Batches
 of boxes are float64 arrays whose last axis holds those four fields;
-the `Box` value exists for ground truths and the public API edges.
+the `Box` value exists only at the public API edges and for the text of
+a refusal.
 Corner form (xmin, ymin, xmax, ymax) exists only at file-format
 boundaries.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,21 +30,6 @@ class Box:
             raise ValueError(f"box fields must be finite, got {self}")
         if self.w <= 0.0 or self.h <= 0.0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-def boxes_to_array(boxes: Sequence[Box]) -> np.ndarray:
-    """(N, 4) center-form rows of a sequence of boxes."""
-    out = np.empty((len(boxes), 4), dtype=np.float64)
-    for i, b in enumerate(boxes):
-        out[i, 0] = b.x
-        out[i, 1] = b.y
-        out[i, 2] = b.w
-        out[i, 3] = b.h
-    return out
 
 
 def _extents(a: np.ndarray):

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .boxes import boxes_to_array
 from .errors import DataFormatError
 from .ioutil import atomic_write, open_input
 from .losses import LOSS_KINDS, LossConfig
@@ -143,7 +142,7 @@ def _make_out_dir(args) -> None:
 def _check_channels(scenes, channels: int, source: str) -> None:
     """Refuse a scene whose feature map has other than the `channels` channels that `source` states."""
     for s in scenes:
-        got = s.feature_map().channels
+        got = s.channels
         if got != channels:
             raise DataFormatError(f"{source} {channels} feature channels, scene {s.id} provides {got}")
 
@@ -167,10 +166,10 @@ def _check_train(args):
 
 
 def cmd_train(args, scene_source, sampler_cfg, train_cfg, loss_cfg) -> int:
-    scenes = [s for s in _build_scenes(args, *scene_source) if s.gts]
+    scenes = [s for s in _build_scenes(args, *scene_source) if len(s.boxes)]
     if not scenes:
         raise DataFormatError("no scenes with ground truths to train on")
-    _check_channels(scenes, scenes[0].feature_map().channels, f"scene {scenes[0].id} provides")
+    _check_channels(scenes, scenes[0].channels, f"scene {scenes[0].id} provides")
     model, log = train(scenes, train_cfg, sampler_cfg, loss_cfg)
     _make_out_dir(args)
     model_path = os.path.join(args.out_dir, "model.ubbr")
@@ -209,11 +208,11 @@ def cmd_refine(args, scene_source) -> int:
             {image_id: traj[k] for image_id, traj in trajectories.items()},
         )
 
-    with_gts = [i for i in boxes_by_image if scenes[i].gts]
+    with_gts = [i for i in boxes_by_image if len(scenes[i].boxes)]
     if with_gts:
         # Each image's mean IoUs, weighted by its box count.
         pooled = sum(
-            np.array(mean_iou_trajectory(boxes_by_image[i], trajectories[i], boxes_to_array(scenes[i].gts)))
+            np.array(mean_iou_trajectory(boxes_by_image[i], trajectories[i], scenes[i].boxes))
             * len(boxes_by_image[i])
             for i in with_gts
         )
@@ -261,7 +260,7 @@ def _check_eval(args):
 
 
 def cmd_eval(args, scene_source, ks) -> int:
-    gts = [(s.id, boxes_to_array(s.gts)) for s in _build_scenes(args, *scene_source) if s.gts]
+    gts = [(s.id, s.boxes) for s in _build_scenes(args, *scene_source) if len(s.boxes)]
     no_rows = np.zeros((0, 5))
 
     def load_records(path: str) -> list[EvalRecord]:

@@ -17,11 +17,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .boxes import apply_offsets_array, boxes_to_array, iou
+from .boxes import apply_offsets_array, iou
 from .features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from .ioutil import BinaryReader, atomic_write
 from .losses import LossConfig, loss_terms
 from .sampling import SamplerConfig, generate_training_boxes_many
+from .scenes import scene_map
 
 MODEL_MAGIC = b"UBBR1"
 
@@ -212,7 +213,7 @@ def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator):
     center-form arrays, in scene order. Features are pooled later, from
     a plane buffer of the scenes' maps.
     """
-    gts = [boxes_to_array(scene.gts) for scene in scenes]
+    gts = [scene.boxes for scene in scenes]
     rows, counts = generate_training_boxes_many(
         np.concatenate(gts) if gts else np.empty((0, 4)), sampler_cfg, rng
     )
@@ -224,8 +225,7 @@ def _build_pool(scenes, sampler_cfg: SamplerConfig, rng: np.random.Generator):
     start = 0
     for gts_arr, end in zip(gts, row_ends):
         if end > start:
-            arr = rows[start:end]
-            matched[start:end] = gts_arr[iou(arr[:, None], gts_arr[None]).argmax(axis=1)]
+            matched[start:end] = gts_arr[iou(rows[start:end, None], gts_arr[None]).argmax(axis=1)]
         start = end
     scene_of = np.repeat(np.arange(len(scenes)), np.diff(row_ends, prepend=0))
     return rows, matched, scene_of
@@ -339,7 +339,7 @@ def train(
     if not scenes:
         raise ValueError("train requires at least one scene")
     for s in scenes:
-        if not s.gts:
+        if not len(s.boxes):
             raise ValueError(f"scene {s.id} has no ground-truth boxes")
 
     if len(scenes) >= 2:
@@ -348,8 +348,7 @@ def train(
     else:
         train_scenes = val_scenes = list(scenes)
 
-    channels = train_scenes[0].feature_map().channels
-    model = init_model(channels, cfg.pool_size, cfg.hidden, cfg.init_std,
+    model = init_model(train_scenes[0].channels, cfg.pool_size, cfg.hidden, cfg.init_std,
                        np.random.default_rng([cfg.seed, 0]))
     velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
 
@@ -358,9 +357,9 @@ def train(
     val_sampler = replace(sampler_cfg, boxes_per_gt=VAL_BOXES_PER_GT)
     val_boxes, val_gts, val_of = _build_pool(val_scenes, val_sampler, np.random.default_rng([cfg.seed, 2]))
     val_x = roi_align_many(
-        plane_buffer([s.feature_map() for s in val_scenes]), val_boxes / FEATURE_STRIDE, cfg.pool_size, val_of
+        plane_buffer([scene_map(s) for s in val_scenes]), val_boxes / FEATURE_STRIDE, cfg.pool_size, val_of
     )
-    buf = plane_buffer([s.feature_map() for s in train_scenes])
+    buf = plane_buffer([scene_map(s) for s in train_scenes])
 
     log: list[EpochStats] = []
     best_val = math.inf
@@ -416,7 +415,7 @@ def refine(
 ) -> list[np.ndarray]:
     """Iteratively refine (N, 4) center-form boxes against one scene.
 
-    The scene's feature map is computed once and reused. Boxes are
+    The scene's map (scene_map) is taken once and reused. Boxes are
     pooled and run through the head in row chunks (see _REFINE_ROWS),
     so working memory beyond the (N, 4) arrays does not grow with N.
     Returns the boxes after each iteration, one (N, 4) array each, so
@@ -424,7 +423,7 @@ def refine(
     refined row is not a box (a non-finite field or a non-positive side).
     """
     check_iterations(iterations)
-    fm = scene.feature_map()
+    fm = scene_map(scene)
     if fm.channels != model.channels:
         raise ValueError(f"model expects {model.channels} channels, scene provides {fm.channels}")
     buf = plane_buffer([fm])

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxes import _extents, _iou_of_extents
+from .boxes import Box, _extents, _iou_of_extents
 from .errors import DataFormatError
 from .ioutil import atomic_write, check_id, open_input
 from .model import PROPOSE_ITERATIONS, RegressorModel, refine
@@ -371,14 +371,12 @@ def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int)
         ok &= rows[:, 4] >= 0.0
     if not ok.all():
         first = int(np.argmin(ok))
-        x, y, w, h, *score = rows[first].tolist()
-        if not all(map(math.isfinite, (x, y, w, h))):
-            why = f"box fields must be finite, got Box(x={x!r}, y={y!r}, w={w!r}, h={h!r})"
-        elif not (w > 0.0 and h > 0.0):
-            why = f"box sides must be positive, got w={w}, h={h}"
-        else:
-            why = f"proposal score must be finite and >= 0, got {score[0]}"
-        raise DataFormatError(f"{path}: line {linenos[first]}: {why}")
+        row = rows[first].tolist()
+        try:
+            Box(*row[:4])
+        except ValueError as e:
+            raise DataFormatError(f"{path}: line {linenos[first]}: {e}") from None
+        raise DataFormatError(f"{path}: line {linenos[first]}: proposal score must be finite and >= 0, got {row[4]}")
     return ids, rows
 
 

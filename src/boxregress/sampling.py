@@ -96,7 +96,8 @@ def generate_training_boxes_many(
 
     n_gts = len(gts)
     counts = np.zeros(n_gts, dtype=np.int64)
-    pieces: list[np.ndarray] = []
+    rows = np.empty((n_gts * q, 4))  # each ground truth keeps at most q rows
+    filled = 0
     stream = np.empty((0, chunk, 4))  # chunks drawn but not yet scanned
     k = 0  # first ground truth of the pass
     n0 = run0 = 0  # its accepts and rejection run, carried from the last pass
@@ -116,7 +117,9 @@ def generate_training_boxes_many(
         settled = m if (stop >= 0).all() else int(np.argmin(stop >= 0))
         used = min(settled + 1, m)  # the settled ground truths and the one cut short
         last = np.where(stop[:used] >= 0, stop[:used], span * chunk - 1)
-        pieces.append(boxes[:used][ok[:used] & (np.arange(span * chunk) <= last[:, None])])
+        accepted = boxes[:used][ok[:used] & (np.arange(span * chunk) <= last[:, None])]
+        rows[filled : filled + len(accepted)] = accepted
+        filled += len(accepted)
         counts[k : k + settled] = n[:settled]
         stream = stream[int((last // chunk + 1).sum()) :]
         k += settled
@@ -131,8 +134,7 @@ def generate_training_boxes_many(
             SampleBudgetWarning,
             stacklevel=2,
         )
-    rows = np.concatenate(pieces) if pieces else np.empty((0, 4))
-    return rows, counts
+    return rows[:filled], counts
 
 
 def _scan(ok: np.ndarray, q: int, budget: int, n0: np.ndarray, run0: np.ndarray):

@@ -1,8 +1,9 @@
 """Scene construction: annotation ingestion and synthetic scene generation.
 
-A scene is one image's ground-truth boxes plus a feature map standing in
-for a backbone network. Feature maps are synthesized from the geometry:
-channel 0 is object occupancy, channels 1 and 2 are signed per-axis
+A scene is one image's ground-truth boxes, a (G, 4) center-form array,
+and the feature map that stands in for a backbone network: its own, if
+it carries one, else one that `scene_map` synthesizes from the geometry.
+Channel 0 is object occupancy, channels 1 and 2 are signed per-axis
 distances to the nearest object center, normalized by that object's
 side length and clamped to [-2, 2]. No pixels are ever read.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, boxes_to_array, iou
+from .boxes import Box, iou
 from .errors import DataFormatError
 from .features import FEATURE_STRIDE, FeatureMap
 from .ioutil import BinaryReader, atomic_write, check_id, open_input
@@ -39,41 +40,50 @@ class SceneBudgetWarning(RuntimeWarning):
     """Object placement ran out of attempts and the scene was simplified."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scene:
-    """One image: identifier, extents, ground truths, cached features."""
+    """One image: identifier, extents, (G, 4) center-form ground truths, and its own feature map if it has one."""
 
     id: str
     width: float
     height: float
-    gts: list[Box]
+    boxes: np.ndarray
     labels: list[int | None] | None = None
-    _fm: FeatureMap | None = field(default=None, repr=False, compare=False)
+    features: FeatureMap | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        check_id(self.id)
-        if not (math.isfinite(self.width) and math.isfinite(self.height) and self.width > 0 and self.height > 0):
-            raise ValueError(f"scene {self.id}: image dims must be finite and positive, got {self.width} x {self.height}")
-        for g in self.gts:
-            if not _within_slack(g, self.width, self.height):
-                raise ValueError(f"scene {self.id}: ground truth {g} too far outside image bounds")
-        if self.labels is not None and len(self.labels) != len(self.gts):
+        _check_extent(self.id, self.width, self.height)
+        boxes = np.asarray(self.boxes, dtype=np.float64)
+        if boxes.shape[1:] != (4,):
+            raise ValueError(f"scene {self.id}: boxes must be a (G, 4) array, got shape {boxes.shape}")
+        object.__setattr__(self, "boxes", boxes)
+        for row in boxes.tolist():
+            if not _within_slack(*row, self.width, self.height):
+                raise ValueError(f"scene {self.id}: ground truth {Box(*row)} too far outside image bounds")
+        if self.labels is not None and len(self.labels) != len(boxes):
             raise ValueError(f"scene {self.id}: labels and ground truths misaligned")
 
-    def feature_map(self) -> FeatureMap:
-        """Noise-free feature map, computed on first use and cached."""
-        if self._fm is None:
-            self._fm = build_feature_map(self.width, self.height, self.gts)
-        return self._fm
+    @property
+    def gts(self) -> list[Box]:
+        """The ground truths as Box values, for callers outside the library."""
+        return [Box(*row) for row in self.boxes.tolist()]
+
+    @property
+    def channels(self) -> int:
+        """Channels of scene_map(self), found without making it: 3 unless the scene carries its own map."""
+        return 3 if self.features is None else self.features.channels
 
 
-def _within_slack(g: Box, width: float, height: float) -> bool:
-    return (
-        g.x - 0.5 * g.w >= -BOUNDS_SLACK * width
-        and g.x + 0.5 * g.w <= (1 + BOUNDS_SLACK) * width
-        and g.y - 0.5 * g.h >= -BOUNDS_SLACK * height
-        and g.y + 0.5 * g.h <= (1 + BOUNDS_SLACK) * height
-    )
+def _check_extent(scene_id: str, width: float, height: float) -> None:
+    check_id(scene_id)
+    if not (math.isfinite(width) and math.isfinite(height) and width > 0 and height > 0):
+        raise ValueError(f"scene {scene_id}: image dims must be finite and positive, got {width} x {height}")
+
+
+def _within_slack(x: float, y: float, w: float, h: float, width: float, height: float) -> bool:
+    """Whether (x, y, w, h) has positive sides and sticks out of a width x height image by at most BOUNDS_SLACK."""
+    return (w > 0 and h > 0 and x - 0.5 * w >= -BOUNDS_SLACK * width and x + 0.5 * w <= (1 + BOUNDS_SLACK) * width
+            and y - 0.5 * h >= -BOUNDS_SLACK * height and y + 0.5 * h <= (1 + BOUNDS_SLACK) * height)
 
 
 def _feature_grid_shape(width: float, height: float) -> tuple[int, int]:
@@ -81,15 +91,17 @@ def _feature_grid_shape(width: float, height: float) -> tuple[int, int]:
     return max(1, math.ceil(height / FEATURE_STRIDE)), max(1, math.ceil(width / FEATURE_STRIDE))
 
 
-def build_feature_map(width: float, height: float, gts: list[Box]) -> FeatureMap:
-    """Synthesize the noise-free 3-channel backbone stand-in for a set of boxes.
+def scene_map(scene: Scene) -> FeatureMap:
+    """The scene's own feature map, or else its noise-free 3-channel map, made on each call.
 
     Cells sample their center point. With no ground truths all channels
     are zero.
     """
-    if gts:
-        return FeatureMap(_feature_data(width, height, [boxes_to_array(gts)])[0])
-    return FeatureMap(np.zeros((3, *_feature_grid_shape(width, height)), dtype=np.float64))
+    if scene.features is not None:
+        return scene.features
+    if len(scene.boxes):
+        return FeatureMap(_feature_data(scene.width, scene.height, [scene.boxes])[0])
+    return FeatureMap(np.zeros((3, *_feature_grid_shape(scene.width, scene.height))))
 
 
 def _feature_data(width: float, height: float, gts: list[np.ndarray]) -> np.ndarray:
@@ -132,7 +144,7 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
     Annotations referencing unknown images, with non-positive extents,
     or placed too far outside their image are skipped with a warning.
     With short_side set, each scene's coordinates are rescaled so the
-    shorter image side matches it.
+    shorter image side matches it, and every check reads rescaled values.
     """
     try:
         with open_input(path) as f:
@@ -148,23 +160,26 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
         if not isinstance(doc[key], list):
             raise DataFormatError(f"{path}: {key} must be an array, got {type(doc[key]).__name__}")
 
-    scenes: dict[object, Scene] = {}
+    images: dict[object, tuple] = {}  # JSON id -> (scene id, width, height, scale, rows, labels), all scaled
     names: set[str] = set()  # scene ids: ids 1 and "1" are distinct keys but one scene id
     for i, img in enumerate(doc["images"]):
         try:
             width, height = _json_numbers([img["width"], img["height"]], 2, "width and height must be JSON numbers")
-            scene = Scene(id=str(_json_id(img["id"], "id")), width=width, height=height, gts=[], labels=[])
-            if img["id"] in scenes or scene.id in names:
+            name = str(_json_id(img["id"], "id"))
+            _check_extent(name, width, height)
+            scale = 1.0 if short_side is None else short_side / min(width, height)
+            _check_extent(name, width * scale, height * scale)
+            if img["id"] in images or name in names:
                 raise ValueError(f"duplicate image id {img['id']!r}")
-            names.add(scene.id)
-            scenes[img["id"]] = scene
+            names.add(name)
+            images[img["id"]] = (name, width * scale, height * scale, scale, [], [])
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataFormatError(f"{path}: images[{i}]: {e}") from None
 
     for i, ann in enumerate(doc["annotations"]):
         try:
             image_id = _json_id(ann["image_id"], "image_id")
-            scene = scenes.get(image_id)
+            image = images.get(image_id)
             x, y, w, h = _json_numbers(ann["bbox"], 4, "bbox must be an array of 4 JSON numbers")
             label = ann.get("category_id")
         except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -175,23 +190,22 @@ def load_annotations(path: str, short_side: float | None = None) -> list[Scene]:
             )
         if not all(map(math.isfinite, (x, y, w, h))):
             raise DataFormatError(f"{path}: annotations[{i}]: bbox values must be finite, got {[x, y, w, h]}")
-        if scene is None:
+        if image is None:
             warnings.warn(f"{path}: annotations[{i}] references unknown image {image_id!r}; skipped", stacklevel=2)
             continue
         if w <= 0 or h <= 0:
             warnings.warn(f"{path}: annotations[{i}] has non-positive box dims; skipped", stacklevel=2)
             continue
-        g = Box(x + 0.5 * w, y + 0.5 * h, w, h)
-        if not _within_slack(g, scene.width, scene.height):
+        _, width, height, scale, rows, labels = image
+        row = [(x + 0.5 * w) * scale, (y + 0.5 * h) * scale, w * scale, h * scale]
+        if not _within_slack(*row, width, height):
             warnings.warn(f"{path}: annotations[{i}] lies too far outside its image; skipped", stacklevel=2)
             continue
-        scene.gts.append(g)
-        scene.labels.append(label)
+        rows.append(row)
+        labels.append(label)
 
-    out = list(scenes.values())
-    if short_side is not None:
-        out = [_rescale_scene(s, short_side) for s in out]
-    return out
+    return [Scene(id=name, width=width, height=height, boxes=np.array(rows).reshape(-1, 4), labels=labels)
+            for name, width, height, _, rows, labels in images.values()]
 
 
 def _json_numbers(values, n: int, what: str) -> list[float]:
@@ -208,32 +222,13 @@ def _json_id(value, what: str):
     return value
 
 
-def _rescale_scene(s: Scene, short_side: float) -> Scene:
-    f = short_side / min(s.width, s.height)
-    return Scene(
-        id=s.id,
-        width=s.width * f,
-        height=s.height * f,
-        gts=[Box(g.x * f, g.y * f, g.w * f, g.h * f) for g in s.gts],
-        labels=s.labels,
-    )
-
-
 def filter_categories(scenes: list[Scene], excluded: set[int]) -> list[Scene]:
     """Drop every scene containing at least one excluded-category box.
 
     Removal is image-level: one excluded annotation removes the whole
     scene. Surviving scenes pass through untouched.
     """
-    if not excluded:
-        return list(scenes)
-    kept = []
-    for s in scenes:
-        labels = s.labels or []
-        if any(lbl in excluded for lbl in labels):
-            continue
-        kept.append(s)
-    return kept
+    return [s for s in scenes if not any(lbl in excluded for lbl in s.labels or ())]
 
 
 @dataclass(frozen=True)
@@ -282,16 +277,16 @@ def synth_scenes(cfg: SynthConfig, count: int) -> list[Scene]:
     scenes = []
     for start in range(0, count, batch):
         placed = [_synth_gts(cfg, i) for i in range(start, min(start + batch, count))]
-        maps = _feature_data(size, size, [boxes_to_array(gts) for gts, _ in placed])
+        maps = _feature_data(size, size, [gts for gts, _ in placed])
         for index, ((gts, rng), data) in enumerate(zip(placed, maps), start):
             if cfg.noise > 0.0:
                 data += rng.normal(0.0, cfg.noise, size=data.shape)
-            scenes.append(Scene(id=f"synth-{index:04d}", width=size, height=size, gts=gts, _fm=FeatureMap(data)))
+            scenes.append(Scene(id=f"synth-{index:04d}", width=size, height=size, boxes=gts, features=FeatureMap(data)))
     return scenes
 
 
-def _synth_gts(cfg: SynthConfig, index: int) -> tuple[list[Box], np.random.Generator]:
-    """A scene's ground truths and its stream, positioned for the feature-map noise."""
+def _synth_gts(cfg: SynthConfig, index: int) -> tuple[np.ndarray, np.random.Generator]:
+    """A scene's (G, 4) ground truths and its stream, positioned for the feature-map noise."""
     rng = np.random.default_rng([cfg.seed, index, 0])
     if cfg.adjacent_pairs:
         n_initial = 2
@@ -317,7 +312,7 @@ def _synth_gts(cfg: SynthConfig, index: int) -> tuple[list[Box], np.random.Gener
         retry += 1  # a single object always places, so this terminates
 
 
-def _place_objects(cfg: SynthConfig, rng: np.random.Generator, n_target: int) -> list[Box] | None:
+def _place_objects(cfg: SynthConfig, rng: np.random.Generator, n_target: int) -> np.ndarray | None:
     size = float(cfg.image_size)
     placed = np.empty((n_target, 4))
     for k in range(n_target):
@@ -329,10 +324,10 @@ def _place_objects(cfg: SynthConfig, rng: np.random.Generator, n_target: int) ->
                 break
         else:
             return None
-    return [Box(*b) for b in placed.tolist()]
+    return placed
 
 
-def _place_adjacent_pair(cfg: SynthConfig, rng: np.random.Generator) -> list[Box] | None:
+def _place_adjacent_pair(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray | None:
     # Two boxes sharing a vertical edge, jointly centered at random.
     size = float(cfg.image_size)
     for _ in range(40):
@@ -344,9 +339,7 @@ def _place_adjacent_pair(cfg: SynthConfig, rng: np.random.Generator) -> list[Box
             continue
         x_left = rng.uniform(0.0, size - wa - wb)
         cy = rng.uniform(0.5 * max(ha, hb), size - 0.5 * max(ha, hb))
-        a = Box(x_left + 0.5 * wa, cy, wa, ha)
-        b = Box(x_left + wa + 0.5 * wb, cy, wb, hb)
-        return [a, b]
+        return np.array([[x_left + 0.5 * wa, cy, wa, ha], [x_left + wa + 0.5 * wb, cy, wb, hb]])
     return None
 
 
@@ -357,6 +350,8 @@ def _cacheable(label) -> bool:
 def save_scenes(path: str, scenes: list[Scene]) -> None:
     """Write scenes to the versioned binary cache format.
 
+    A scene's feature map is written exactly when it carries one
+    (`Scene.features`): synth scenes always do, annotation scenes never.
     Raises DataFormatError, before anything is written, for what the
     cache cannot read back: a scene id listed twice, which load_scenes
     refuses, an id of more than 65,535 UTF-8 bytes, or a label that is
@@ -364,7 +359,6 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
     """
     seen = set()
     for i, s in enumerate(scenes):
-        check_id(s.id)  # a Scene checks its id, but the field can be set again after
         if s.id in seen:
             raise DataFormatError(f"{path}: scenes[{i}]: duplicate scene id {s.id!r}")
         seen.add(s.id)
@@ -378,15 +372,15 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
         f.write(SCENE_CACHE_MAGIC + struct.pack("<I", len(scenes)))
         for s in scenes:
             ident = s.id.encode("utf-8")
-            f.write(struct.pack(f"<H{len(ident)}sddI", len(ident), ident, s.width, s.height, len(s.gts)))
-            f.write(boxes_to_array(s.gts).astype("<f8").tobytes())
+            f.write(struct.pack(f"<H{len(ident)}sddI", len(ident), ident, s.width, s.height, len(s.boxes)))
+            f.write(s.boxes.astype("<f8").tobytes())
             f.write(struct.pack("<B", s.labels is not None))
             if s.labels is not None:
                 f.write(np.array([NO_LABEL if lbl is None else lbl for lbl in s.labels], dtype="<i4").tobytes())
-            f.write(struct.pack("<B", s._fm is not None))
-            if s._fm is not None:
-                f.write(struct.pack("<III", *s._fm.data.shape))
-                f.write(s._fm.data.astype("<f8").tobytes())
+            f.write(struct.pack("<B", s.features is not None))
+            if s.features is not None:
+                f.write(struct.pack("<III", *s.features.data.shape))
+                f.write(s.features.data.astype("<f8").tobytes())
 
 
 def load_scenes(path: str) -> list[Scene]:
@@ -407,15 +401,17 @@ def load_scenes(path: str) -> list[Scene]:
         seen.add(ident)
         width, height, n_gts = r.unpack("<ddI")
         # The whole boxes come first, each checked, so a cut inside the
-        # block is reported at the first incomplete box.
+        # block is reported at the first incomplete box. A row that is a
+        # box but lies outside the image is refused with the scene below.
         at = r.pos
-        gts = []
-        for i, row in enumerate(r.array("<f8", (min(n_gts, r.left() // 32), 4)).tolist()):
-            try:
-                gts.append(Box(*row))
-            except ValueError as e:
-                raise r.error(f"scene {ident}: {e}", at + 32 * i) from None
-        if len(gts) < n_gts:
+        boxes = r.array("<f8", (min(n_gts, r.left() // 32), 4))
+        for i, row in enumerate(boxes.tolist()):
+            if not _within_slack(*row, width, height):
+                try:
+                    Box(*row)
+                except ValueError as e:
+                    raise r.error(f"scene {ident}: {e}", at + 32 * i) from None
+        if len(boxes) < n_gts:
             r.take(32)
         labels = None
         if r.flag(f"scene {ident}: has-labels"):
@@ -437,7 +433,7 @@ def load_scenes(path: str) -> list[Scene]:
                     raise r.error(f"scene {ident}: feature map is {h} x {w} cells, a {width:g} x {height:g} image "
                                   f"has {expect[0]} x {expect[1]}", at)
         try:
-            scenes.append(Scene(id=ident, width=width, height=height, gts=gts, labels=labels, _fm=fm))
+            scenes.append(Scene(id=ident, width=width, height=height, boxes=boxes, labels=labels, features=fm))
         except ValueError as e:
             raise r.error(str(e), start) from None
     r.end()

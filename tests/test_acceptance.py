@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from boxregress import cli
-from boxregress.boxes import Box, boxes_to_array, iou
+from boxregress.boxes import Box, iou
 from boxregress.losses import LossConfig
 from boxregress.metrics import EvalRecord, corloc, recall_at, recall_curve
 from boxregress.model import TrainConfig, refine, save_model, train
@@ -55,11 +55,11 @@ def bench():
     held_scenes = synth_scenes(SYNTH_HELD, N_HELD)
 
     rng = np.random.default_rng(EVAL_SEED)
-    held_inputs = [generate_training_boxes_many(boxes_to_array(s.gts), SAMPLER, rng)[0] for s in held_scenes]
+    held_inputs = [generate_training_boxes_many(s.boxes, SAMPLER, rng)[0] for s in held_scenes]
 
     # Input quality is recorded before any training happens.
     per_scene_base = [
-        iou(b[:, None], boxes_to_array(s.gts)[None]).max(axis=1)
+        iou(b[:, None], s.boxes[None]).max(axis=1)
         for s, b in zip(held_scenes, held_inputs)
     ]
     baseline_mean_iou = float(np.mean(np.concatenate(per_scene_base)))
@@ -78,7 +78,7 @@ def bench():
     def scene_trajectories(model, iterations=3):
         per_scene = []
         for s, boxes in zip(held_scenes, held_inputs):
-            gts = boxes_to_array(s.gts)
+            gts = s.boxes
             traj = refine(model, s, boxes, iterations=iterations)
             per_scene.append([iou(stage[:, None], gts[None]).max(axis=1) for stage in traj])
         return per_scene
@@ -215,8 +215,8 @@ def test_criterion_7_proposal_recall(bench):
     raw_records = []
     for s in scenes:
         ranked = generate_proposals(bench.model_t03, s)
-        refined_records.append(EvalRecord(s.id, ranked[:, :4], boxes_to_array(s.gts)))
-        raw_records.append(EvalRecord(s.id, seed_grid(s.width, s.height), boxes_to_array(s.gts)))
+        refined_records.append(EvalRecord(s.id, ranked[:, :4], s.boxes))
+        raw_records.append(EvalRecord(s.id, seed_grid(s.width, s.height), s.boxes))
 
     beats = []
     for k in (1, 10, 100):
@@ -242,11 +242,11 @@ def test_criterion_7_proposal_recall(bench):
 def test_example_single_object_top1(bench):
     # Single-object scenes: the top-ranked proposal should already enclose
     # the object at IoU >= 0.7 with the trained benchmark model.
-    singles = [s for s in bench.held_scenes if len(s.gts) == 1][:8]
+    singles = [s for s in bench.held_scenes if len(s.boxes) == 1][:8]
     assert singles
     for s in singles:
         top = generate_proposals(bench.model_t03, s)[0]
-        overlap = iou(top[:4], row(s.gts[0]))
+        overlap = iou(top[:4], s.boxes[0])
         assert overlap >= 0.7, f"{s.id}: top-1 IoU {overlap:.3f}"
 
 
@@ -291,7 +291,7 @@ def test_criterion_8_corloc_oracle():
         else:
             g = gts[0]
             pred = [Box(g.x, g.y, g.w / 2, g.h)]  # IoU exactly 0.5
-        records.append(EvalRecord(str(i), boxes_to_array(pred), boxes_to_array(gts)))
+        records.append(EvalRecord(str(i), np.array([row(b) for b in pred]).reshape(-1, 4), np.array([row(g) for g in gts])))
 
     got = corloc(records)
     want = brute_force_corloc(records)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
+from boxregress.boxes import Box, apply_offsets_array, encode_offsets_array, iou
 from boxregress.errors import DataFormatError
 from boxregress.proposals import read_corner_csv, write_corner_csv
+from boxregress.scenes import Scene
 
 
 def random_box(rng):
@@ -15,7 +16,8 @@ def random_box(rng):
 
 
 def row(b):
-    return np.array([b.x, b.y, b.w, b.h])
+    """The (4,) float64 center-form row of a Box."""
+    return np.array([b.x, b.y, b.w, b.h], dtype=np.float64)
 
 
 def raster_iou(u, v, cells=1000):
@@ -128,8 +130,8 @@ class TestIou:
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(3)
         pairs = [(random_box(rng), random_box(rng)) for _ in range(1000)]
-        u = boxes_to_array([p[0] for p in pairs])
-        v = boxes_to_array([p[1] for p in pairs])
+        u = np.array([row(p[0]) for p in pairs])
+        v = np.array([row(p[1]) for p in pairs])
         a, b = iou(u, v), iou(v, u)
         assert np.array_equal(a, b)
         assert ((0.0 <= a) & (a <= 1.0)).all()
@@ -168,8 +170,8 @@ class TestOffsets:
     def test_roundtrip_sweep(self):
         rng = np.random.default_rng(5)
         pairs = [(random_box(rng), random_box(rng)) for _ in range(10_000)]
-        b = boxes_to_array([p[0] for p in pairs])
-        g = boxes_to_array([p[1] for p in pairs])
+        b = np.array([row(p[0]) for p in pairs])
+        g = np.array([row(p[1]) for p in pairs])
         r = apply_offsets_array(b, encode_offsets_array(b, g))
         assert np.abs(r - g).max() < 1e-9
 
@@ -204,7 +206,7 @@ class TestMatching:
         for _ in range(300):
             b = random_box(rng)
             gts = [random_box(rng) for _ in range(5)]
-            idx = nearest_gt(row(b)[None], boxes_to_array(gts))[0]
+            idx = nearest_gt(row(b)[None], np.array([row(g) for g in gts]))[0]
             best = max(oracle_iou(b, g) for g in gts)
             assert oracle_iou(b, gts[idx]) == best
 
@@ -217,7 +219,7 @@ class TestCornerConversion:
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
-        b = boxes_to_array([random_box(rng) for _ in range(1000)])
+        b = np.array([row(random_box(rng)) for _ in range(1000)])
         path = str(tmp_path / "boxes.csv")
         write_corner_csv(path, {"a": b})
         r = read_corner_csv(path, scored=False)["a"]
@@ -234,14 +236,17 @@ class TestCornerConversion:
 
 class TestArrayHelpers:
     def test_array_roundtrip(self):
+        # A scene keeps float64 rows and gives them back as Box values at its edge.
         boxes = [Box(1, 2, 3, 4), Box(-1, 0, 0.5, 9)]
-        assert [Box(*r) for r in boxes_to_array(boxes).tolist()] == boxes
+        scene = Scene(id="a", width=8, height=16, boxes=np.array([row(b) for b in boxes]))
+        assert scene.boxes.dtype == np.float64
+        assert scene.gts == boxes
 
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(8)
         a = [random_box(rng) for _ in range(12)]
         b = [random_box(rng) for _ in range(9)]
-        mat = iou(boxes_to_array(a)[:, None], boxes_to_array(b)[None])
+        mat = iou(np.array([row(u) for u in a])[:, None], np.array([row(v) for v in b])[None])
         for i, u in enumerate(a):
             for j, v in enumerate(b):
                 assert mat[i, j] == oracle_iou(u, v)
@@ -250,7 +255,7 @@ class TestArrayHelpers:
         rng = np.random.default_rng(9)
         a = [random_box(rng) for _ in range(20)]
         b = [random_box(rng) for _ in range(20)]
-        vals = iou(boxes_to_array(a), boxes_to_array(b))
+        vals = iou(np.array([row(u) for u in a]), np.array([row(v) for v in b]))
         for i in range(20):
             assert vals[i] == oracle_iou(a[i], b[i])
 
@@ -258,8 +263,9 @@ class TestArrayHelpers:
         rng = np.random.default_rng(10)
         boxes = [random_box(rng) for _ in range(50)]
         gts = [random_box(rng) for _ in range(50)]
-        enc = encode_offsets_array(boxes_to_array(boxes), boxes_to_array(gts))
-        applied = apply_offsets_array(boxes_to_array(boxes), enc)
+        box_rows = np.array([row(b) for b in boxes])
+        enc = encode_offsets_array(box_rows, np.array([row(g) for g in gts]))
+        applied = apply_offsets_array(box_rows, enc)
         for i in range(50):
             assert np.allclose(enc[i], oracle_encode_offsets(boxes[i], gts[i]), atol=1e-15)
             assert np.allclose(applied[i], [gts[i].x, gts[i].y, gts[i].w, gts[i].h], atol=1e-9)

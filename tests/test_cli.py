@@ -5,17 +5,18 @@ import inspect
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from boxregress import cli
-from boxregress.boxes import Box
 from boxregress.features import FeatureMap
 from boxregress.model import MAX_HIDDEN, MAX_POOL_SIZE, MODEL_MAGIC, init_model, save_model
 from boxregress.proposals import MAX_SEEDS
 from boxregress.sampling import MAX_BOXES_PER_GT
-from boxregress.scenes import MAX_IMAGE_SIDE, SCENE_CACHE_MAGIC, SynthConfig, save_scenes, synth_scenes
+from boxregress.scenes import (MAX_IMAGE_SIDE, SCENE_CACHE_MAGIC, SynthConfig, load_annotations, save_scenes,
+                              synth_scenes)
 
 from test_formats import cache_with_id
 
@@ -227,8 +228,8 @@ class TestDataErrors:
     def test_corrupt_scene_cache(self, tmp_path, capsys, offset, patch, where):
         cache = tmp_path / "scenes.bin"
         scenes = synth_scenes(SynthConfig(seed=3), 1)
-        assert scenes[0].id == "synth-0000" and scenes[0].gts
-        assert scenes[0].feature_map().data.shape == (3, 32, 32)
+        assert scenes[0].id == "synth-0000" and len(scenes[0].boxes)
+        assert scenes[0].features.data.shape == (3, 32, 32)
         save_scenes(str(cache), scenes)
         blob = bytearray(cache.read_bytes())
         assert blob[: len(SCENE_CACHE_MAGIC)] == SCENE_CACHE_MAGIC
@@ -399,7 +400,7 @@ class TestDataErrors:
     def test_train_mixed_channel_counts(self, tmp_path, capsys):
         scenes = synth_scenes(SynthConfig(seed=3), 6)
         odd = scenes[2]
-        odd._fm = FeatureMap(np.concatenate([odd.feature_map().data, odd.feature_map().data[:2]]))
+        scenes[2] = replace(odd, features=FeatureMap(np.concatenate([odd.features.data, odd.features.data[:2]])))
         cache = tmp_path / "mixed.scenes"
         save_scenes(str(cache), scenes)
         code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--scene-cache", str(cache),
@@ -517,8 +518,8 @@ class TestPipeline:
         boxes = tmp_path / "boxes.csv"
         lines = []
         for s in scenes:
-            for g in s.gts:
-                lines.append(f"{s.id},{g.x - g.w / 2},{g.y - g.h / 2},{g.x + g.w / 2},{g.y + g.h / 2}")
+            for x, y, w, h in s.boxes.tolist():
+                lines.append(f"{s.id},{x - w / 2},{y - h / 2},{x + w / 2},{y + h / 2}")
         boxes.write_text("\n".join(lines) + "\n")
         out = str(tmp_path / "r")
         code = run_cli([
@@ -650,6 +651,34 @@ class TestValidation:
                         "--proposals", str(tmp_path / "missing.csv")])
         assert code == 2
         assert "missing.csv" in one_line_error(capsys, "data error: ")
+
+    def test_short_side_box_at_the_bound_is_judged_rescaled(self, tmp_path, capsys):
+        # The first box's left edge is exactly the slack bound in the file's
+        # coordinates, and just beyond it once scaled by 600 / 375.
+        x, y, w, h = -187.5, 150, 18.395431757345897, 100
+        scale = 600 / 375
+        assert x == -0.5 * 375 and (x + 0.5 * w) * scale - 0.5 * (w * scale) < -0.5 * 600
+        ann = tmp_path / "edge.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": 375, "height": 443}],
+            "annotations": [{"image_id": 1, "bbox": [x, y, w, h]}, {"image_id": 1, "bbox": [100, 100, 50, 60]}],
+        }))
+        with pytest.warns(UserWarning, match=r"annotations\[0\] lies too far outside its image; skipped"):
+            assert [len(s.boxes) for s in load_annotations(str(ann), short_side=600)] == [1]
+            code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", str(ann),
+                            "--max-epochs", "1", "--hidden", "4,4", "--boxes-per-gt", "4"])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "o" / "model.ubbr").exists()
+
+    def test_short_side_that_scales_a_side_to_inf_is_a_data_error(self, tmp_path, capsys):
+        ann = tmp_path / "huge.json"
+        ann.write_text(json.dumps({"images": [{"id": 1, "width": 1e-300, "height": 1e308}], "annotations": []}))
+        code = run_cli(["train", "--out-dir", str(tmp_path / "o"), "--annotations", str(ann)])
+        assert code == 2
+        msg = one_line_error(capsys, "data error: ")
+        assert msg.endswith("images[0]: scene 1: image dims must be finite and positive, got 600.0 x inf")
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys, no_work):
         cfg = tmp_path / "run.cfg"

@@ -6,18 +6,18 @@ values that save back to the same bytes; no other exception escapes.
 
 import struct
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box
 from boxregress.errors import DataFormatError
 from boxregress.ioutil import check_id
 from boxregress.model import MODEL_MAGIC, init_model, load_model, save_model
 from boxregress.proposals import read_corner_csv, write_corner_csv
-from boxregress.scenes import SCENE_CACHE_MAGIC, Scene, SynthConfig, load_scenes, save_scenes, synth_scenes
+from boxregress.scenes import SCENE_CACHE_MAGIC, Scene, SynthConfig, load_scenes, save_scenes, scene_map, synth_scenes
 
 
 def saved(path, save, value):
@@ -33,9 +33,9 @@ def small_model():
 def small_scenes():
     """Synth scenes with maps, a labelled scene with a None label and a map, one without labels or a map."""
     scenes = synth_scenes(SynthConfig(image_size=8, seed=1, max_objects=2), 2)
-    labelled = Scene(id="lab", width=12, height=8, gts=[Box(3, 3, 2, 2), Box(8, 4, 3, 2)], labels=[7, None])
-    labelled.feature_map()
-    return scenes + [labelled, Scene(id="nomap", width=20, height=10, gts=[Box(5, 5, 4, 4)])]
+    labelled = Scene(id="lab", width=12, height=8, boxes=np.array([[3, 3, 2, 2], [8, 4, 3, 2]]), labels=[7, None])
+    labelled = replace(labelled, features=scene_map(labelled))
+    return scenes + [labelled, Scene(id="nomap", width=20, height=10, boxes=np.array([[5, 5, 4, 4]]))]
 
 
 FORMATS = {
@@ -104,7 +104,8 @@ def test_loaded_arrays_own_aligned_writable_memory(tmp_path):
     save_model(str(tmp_path / "m.ubbr"), small_model())
     save_scenes(str(tmp_path / "c.bin"), small_scenes())
     model, scenes = load_model(str(tmp_path / "m.ubbr")), load_scenes(str(tmp_path / "c.bin"))
-    arrays = list(model.params().values()) + [s._fm.data for s in scenes if s._fm is not None]
+    arrays = list(model.params().values()) + [s.features.data for s in scenes if s.features is not None]
+    arrays += [s.boxes for s in scenes]
     for a in arrays:
         assert a.flags.owndata and a.flags.aligned and a.flags.writeable and a.flags.c_contiguous
         assert a.dtype == np.float64
@@ -112,7 +113,7 @@ def test_loaded_arrays_own_aligned_writable_memory(tmp_path):
 
 def test_cut_inside_the_boxes_is_reported_at_the_first_incomplete_box(tmp_path):
     # Boxes before the cut are checked first, so a bad box before it is what is reported.
-    scene = Scene(id="s", width=64, height=64, gts=[Box(20, 20, 10, 10), Box(30, 30, 10, 10), Box(9, 9, 4, 4)])
+    scene = Scene(id="s", width=64, height=64, boxes=np.array([[20, 20, 10, 10], [30, 30, 10, 10], [9, 9, 4, 4]]))
     blob = saved(tmp_path / "c.bin", save_scenes, [scene])
     first_box = len(SCENE_CACHE_MAGIC) + 4 + 2 + 1 + 20
     path = tmp_path / "cut.bin"
@@ -208,11 +209,13 @@ def test_image_id_round_trips_or_is_refused_everywhere(tmp_path_factory, image_i
         write_corner_csv(csv, {image_id: rows})
     assert not (d / "p.csv").exists()
     with pytest.raises(ValueError, match="image id"):
-        Scene(id=image_id, width=64, height=64, gts=[])
-    scene = Scene(id="a", width=64, height=64, gts=[])
-    scene.id = image_id
-    with pytest.raises(ValueError):
-        save_scenes(str(cache), [scene])
+        Scene(id=image_id, width=64, height=64, boxes=np.empty((0, 4)))
+    # A scene's id is checked once and cannot be set again, so save_scenes never sees a bad one.
+    scene = Scene(id="a", width=64, height=64, boxes=np.empty((0, 4)))
+    with pytest.raises(FrozenInstanceError):
+        scene.id = image_id
+    with pytest.raises(ValueError, match="image id"):
+        replace(scene, id=image_id)
     assert not cache.exists()
     cache.write_bytes(cache_with_id(image_id.encode("utf-8", "surrogatepass")))
     with pytest.raises(DataFormatError, match="image id|not valid UTF-8"):
@@ -240,17 +243,18 @@ def scene_lists(draw):
     for k in range(draw(st.integers(0, 4))):
         width, height = draw(st.floats(1.0, 40.0)), draw(st.floats(1.0, 40.0))
         gts = [
-            Box(draw(st.floats(0.0, width)), draw(st.floats(0.0, height)),
-                draw(st.floats(0.01, width)), draw(st.floats(0.01, height)))
+            [draw(st.floats(0.0, width)), draw(st.floats(0.0, height)),
+             draw(st.floats(0.01, width)), draw(st.floats(0.01, height))]
             for _ in range(draw(st.integers(0, 3)))
         ]
         labels = draw(st.none() | st.lists(st.none() | st.integers(0, 2**31 - 1), min_size=len(gts), max_size=len(gts)))
         # A leading index keeps ids distinct; st.text draws no lone surrogates.
         ident = f"{k}{draw(st.text(max_size=6).filter(lambda t: valid_id(f'{k}{t}')))}"
-        scene = Scene(id=ident, width=width, height=height, gts=gts, labels=labels)
+        scene = Scene(id=ident, width=width, height=height, boxes=np.array(gts).reshape(-1, 4), labels=labels)
         if draw(st.booleans()):
-            scene.feature_map()
-            scene._fm.data.flat[0] = draw(FINITE)
+            fm = scene_map(scene)
+            fm.data.flat[0] = draw(FINITE)
+            scene = replace(scene, features=fm)
         scenes.append(scene)
     return scenes
 
@@ -269,6 +273,6 @@ def test_scene_cache_round_trip_is_byte_identical(tmp_path_factory, scenes):
     d = tmp_path_factory.mktemp("c")
     blob = saved(d / "a.bin", save_scenes, scenes)
     loaded = load_scenes(str(d / "a.bin"))
-    assert [(s.id, s.width, s.height, s.gts, s.labels) for s in loaded] == \
-        [(s.id, s.width, s.height, s.gts, s.labels) for s in scenes]
+    assert [(s.id, s.width, s.height, s.boxes.tolist(), s.labels) for s in loaded] == \
+        [(s.id, s.width, s.height, s.boxes.tolist(), s.labels) for s in scenes]
     assert saved(d / "b.bin", save_scenes, loaded) == blob

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, boxes_to_array
 from boxregress.metrics import (
     EvalRecord,
     corloc,
@@ -20,29 +19,30 @@ from test_boxes import oracle_iou_pairwise
 
 
 def record(image_id, boxes, gts):
-    """An EvalRecord of ranked proposal boxes and ground truths given as Box lists."""
-    return EvalRecord(image_id, boxes_to_array(boxes), boxes_to_array(gts))
+    """An EvalRecord of ranked proposal boxes and ground truths given as lists of (x, y, w, h) rows."""
+    return EvalRecord(image_id, np.array(boxes, dtype=np.float64).reshape(-1, 4),
+                      np.array(gts, dtype=np.float64).reshape(-1, 4))
 
 
 class TestRecallAt:
     def test_perfect_proposals(self):
-        gts = [Box(10, 10, 5, 5), Box(30, 30, 8, 8)]
+        gts = [[10, 10, 5, 5], [30, 30, 8, 8]]
         rec = record("a", gts, gts)
         assert recall_at([rec], 0.5, k=2) == 1.0
 
     def test_no_proposal_reaches_threshold(self):
-        rec = record("a", [Box(90, 90, 5, 5)], [Box(10, 10, 5, 5)])
+        rec = record("a", [[90, 90, 5, 5]], [[10, 10, 5, 5]])
         assert recall_at([rec], 0.5, k=5) == 0.0
 
     def test_hand_case_half(self):
-        g1, g2 = Box(10, 10, 10, 10), Box(60, 60, 10, 10)
-        near = Box(10.5, 10, 10, 10)  # IoU 0.905 with g1
+        g1, g2 = [10, 10, 10, 10], [60, 60, 10, 10]
+        near = [10.5, 10, 10, 10]  # IoU 0.905 with g1
         rec = record("a", [near, g2], [g1, g2])
         assert recall_at([rec], 0.5, k=1) == 0.5
 
     def test_strictness_at_threshold(self):
-        g = Box(0, 0, 10, 10)
-        half = Box(0, 0, 5, 10)  # IoU exactly 0.5
+        g = [0, 0, 10, 10]
+        half = [0, 0, 5, 10]  # IoU exactly 0.5
         rec = record("a", [half], [g])
         assert recall_at([rec], 0.5, k=1) == 0.0
 
@@ -50,10 +50,10 @@ class TestRecallAt:
         rng = np.random.default_rng(0)
         records = []
         for i in range(10):
-            gts = [Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)) for _ in range(3)]
+            gts = [[rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)] for _ in range(3)]
             # Each box is drawn with a score, which the metrics ignore.
             ranked = [
-                (Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)), rng.uniform(0, 5))
+                ([rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)], rng.uniform(0, 5))
                 for _ in range(30)
             ]
             records.append(record(str(i), [b for b, _ in ranked], gts))
@@ -65,24 +65,24 @@ class TestRecallAt:
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
-            recall_at([record("a", [], [Box(0, 0, 1, 1)])], 0.5, k=0)
+            recall_at([record("a", [], [[0, 0, 1, 1]])], 0.5, k=0)
 
 
 class TestCorloc:
     def test_perfect(self):
-        gts = [Box(10, 10, 5, 5)]
+        gts = [[10, 10, 5, 5]]
         recs = [record("a", [gts[0]], gts)]
         assert corloc(recs) == 100.0
 
     def test_boundary_not_counted(self):
-        g = Box(0, 0, 2, 2)
-        half = Box(0, 0, 1, 2)  # IoU exactly 0.5
+        g = [0, 0, 2, 2]
+        half = [0, 0, 1, 2]  # IoU exactly 0.5
         recs = [record("a", [half], [g])]
         assert corloc(recs) == 0.0
 
     def test_two_of_three(self):
-        g = Box(10, 10, 6, 6)
-        miss = Box(50, 50, 6, 6)
+        g = [10, 10, 6, 6]
+        miss = [50, 50, 6, 6]
         recs = [
             record("a", [g], [g]),
             record("b", [g], [g]),
@@ -91,12 +91,12 @@ class TestCorloc:
         assert abs(corloc(recs) - 100 * 2 / 3) < 1e-9
 
     def test_top1_only(self):
-        g = Box(10, 10, 6, 6)
-        recs = [record("a", [Box(50, 50, 6, 6), g], [g])]
+        g = [10, 10, 6, 6]
+        recs = [record("a", [[50, 50, 6, 6], g], [g])]
         assert corloc(recs) == 0.0
 
     def test_no_predictions_is_failure_not_error(self):
-        recs = [record("a", [], [Box(10, 10, 6, 6)])]
+        recs = [record("a", [], [[10, 10, 6, 6]])]
         assert corloc(recs) == 0.0
 
     def test_empty_records_rejected(self):
@@ -106,36 +106,36 @@ class TestCorloc:
 
 class TestMeanIouTrajectory:
     def test_identity_trajectory(self):
-        gts = boxes_to_array([Box(10, 10, 8, 8)])
-        boxes = boxes_to_array([Box(11, 10, 8, 8), Box(10, 12, 8, 8)])
+        gts = np.array([[10, 10, 8, 8]], dtype=np.float64)
+        boxes = np.array([[11, 10, 8, 8], [10, 12, 8, 8]], dtype=np.float64)
         means = mean_iou_trajectory(boxes, [boxes, boxes], gts)
         assert len(means) == 3
         assert means[0] == means[1] == means[2]
 
     def test_hand_mean(self):
-        g = Box(0, 0, 10, 10)
-        b04 = Box(0, 0, 4, 10)  # IoU 0.4
-        b06 = Box(0, 0, 6, 10)  # IoU 0.6
-        boxes = boxes_to_array([b04, b06])
-        means = mean_iou_trajectory(boxes, [boxes], boxes_to_array([g]))
+        g = [0, 0, 10, 10]
+        b04 = [0, 0, 4, 10]  # IoU 0.4
+        b06 = [0, 0, 6, 10]  # IoU 0.6
+        boxes = np.array([b04, b06], dtype=np.float64)
+        means = mean_iou_trajectory(boxes, [boxes], np.array([g], dtype=np.float64))
         assert abs(means[0] - 0.5) < 1e-12
 
     def test_empty_trajectory_rejected(self):
-        one = boxes_to_array([Box(0, 0, 1, 1)])
+        one = np.array([[0, 0, 1, 1]], dtype=np.float64)
         with pytest.raises(ValueError):
             mean_iou_trajectory(one, [], one)
 
 
 class TestRecallCurve:
     def test_saturation(self):
-        gts = [Box(10, 10, 5, 5)]
+        gts = [[10, 10, 5, 5]]
         recs = [record("a", [gts[0]], gts)]
         curve = recall_curve(recs, 0.5, ks=[1, 10, 1000])
         assert [r for _, r in curve] == [1.0, 1.0, 1.0]
 
     def test_k_grid_passthrough(self):
-        gts = [Box(10, 10, 5, 5)]
-        recs = [record("a", [Box(40, 40, 5, 5), gts[0]], gts)]
+        gts = [[10, 10, 5, 5]]
+        recs = [record("a", [[40, 40, 5, 5], gts[0]], gts)]
         curve = recall_curve(recs, 0.5, ks=[1, 2])
         assert curve == [(1, 0.0), (2, 1.0)]
 
@@ -145,9 +145,9 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(5)
         records = []
         for i in range(8):
-            gts = [Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)) for _ in range(2)]
+            gts = [[rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)] for _ in range(2)]
             ps = [
-                Box(rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10))
+                [rng.uniform(5, 55), rng.uniform(5, 55), rng.uniform(4, 10), rng.uniform(4, 10)]
                 for _ in range(10)
             ]
             records.append(record(str(i), ps, gts))
@@ -179,7 +179,7 @@ class TestWriters:
 
 
 # Reference metrics: recall_at and corloc as they were on records holding
-# lists of Box values, converting the top k boxes on every call.
+# lists of (x, y, w, h) rows, converting the top k boxes on every call.
 
 
 def oracle_recall_at(records, iou_thresh, k):
@@ -191,8 +191,8 @@ def oracle_recall_at(records, iou_thresh, k):
         total += len(gts)
         if not boxes:
             continue
-        top = boxes_to_array(boxes[:k])
-        covered += int((oracle_iou_pairwise(top, boxes_to_array(gts)) > iou_thresh).any(axis=0).sum())
+        top = np.array(boxes[:k], dtype=np.float64)
+        covered += int((oracle_iou_pairwise(top, np.array(gts, dtype=np.float64)) > iou_thresh).any(axis=0).sum())
     return covered / total
 
 
@@ -201,14 +201,14 @@ def oracle_corloc(records, iou_thresh):
     for image_id, boxes, gts in records:
         if not boxes or not gts:
             continue
-        if float(oracle_iou_pairwise(boxes_to_array(boxes[:1]), boxes_to_array(gts)).max()) > iou_thresh:
+        if float(oracle_iou_pairwise(np.array(boxes[:1], dtype=np.float64), np.array(gts, dtype=np.float64)).max()) > iou_thresh:
             hits += 1
     return 100.0 * hits / len(records)
 
 
 COORD = st.integers(0, 40).map(float)
 SIDE = st.integers(1, 20).map(float)
-BOXES = st.builds(Box, COORD, COORD, SIDE, SIDE)
+BOXES = st.tuples(COORD, COORD, SIDE, SIDE)
 
 
 class TestArrayRecords:
@@ -222,7 +222,7 @@ class TestArrayRecords:
         # Integer boxes make exact-threshold IoUs common.
         lists = [(str(i), boxes, gts) for i, (boxes, gts) in enumerate(images)]
         from_arrays = [
-            EvalRecord(i, np.array([[b.x, b.y, b.w, b.h] for b in boxes]).reshape(-1, 4), boxes_to_array(gts))
+            EvalRecord(i, np.array(boxes).reshape(-1, 4), np.array(gts))
             for i, boxes, gts in lists
         ]
         for k in ks:
@@ -230,7 +230,7 @@ class TestArrayRecords:
         assert corloc(from_arrays, thresh) == oracle_corloc(lists, thresh)
 
     def test_record_holds_arrays(self):
-        rec = record("a", [Box(1, 2, 3, 4), Box(5, 6, 7, 8)], [Box(0, 0, 1, 1)])
+        rec = record("a", [[1, 2, 3, 4], [5, 6, 7, 8]], [[0, 0, 1, 1]])
         assert rec.boxes.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
         assert rec.gts.tolist() == [[0, 0, 1, 1]]
         assert record("b", [], []).boxes.shape == (0, 4)

@@ -13,7 +13,7 @@ import pytest
 
 import boxregress
 from boxregress import model as model_module
-from boxregress.boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
+from boxregress.boxes import Box, apply_offsets_array, encode_offsets_array, iou
 from boxregress.features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from boxregress.losses import LossConfig, iou_loss_terms_batch, smooth_l1_terms_batch
 from boxregress.model import (
@@ -32,7 +32,7 @@ from boxregress.model import (
 )
 from boxregress.proposals import SeedGridConfig, seed_grid
 from boxregress.sampling import SampleBudgetWarning, SamplerConfig, generate_training_boxes_many
-from boxregress.scenes import Scene, SynthConfig, synth_scenes
+from boxregress.scenes import Scene, SynthConfig, scene_map, synth_scenes
 
 from test_features import oracle_roi_align_many
 from test_sampling import oracle_generate_training_boxes
@@ -233,7 +233,7 @@ class TestRefine:
     def test_single_iteration_equals_one_pass(self):
         scenes = synth_scenes(SynthConfig(seed=1), 1)
         m = init_model(3, 7, (16, 16), init_std=0.05, rng=np.random.default_rng(3))
-        boxes = boxes_to_array(scenes[0].gts)
+        boxes = scenes[0].boxes
         one = refine(m, scenes[0], boxes, iterations=1)
         three = refine(m, scenes[0], boxes, iterations=3)
         assert np.array_equal(one[0], three[0])
@@ -241,12 +241,12 @@ class TestRefine:
     def test_iterations_validated(self):
         scenes = synth_scenes(SynthConfig(seed=2), 1)
         with pytest.raises(ValueError):
-            refine(zero_model(), scenes[0], boxes_to_array(scenes[0].gts), iterations=0)
+            refine(zero_model(), scenes[0], scenes[0].boxes, iterations=0)
 
     def test_channel_mismatch_rejected(self):
         scenes = synth_scenes(SynthConfig(seed=3), 1)
         with pytest.raises(ValueError):
-            refine(zero_model(channels=5), scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
+            refine(zero_model(channels=5), scenes[0], scenes[0].boxes, iterations=1)
 
     @pytest.mark.parametrize("iterations", [1, 2, 3])
     def test_inference_forward_matches_training_forward(self, iterations):
@@ -256,7 +256,7 @@ class TestRefine:
         m = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(iterations))
         arr = seed_grid(scene.width, scene.height)
         traj = refine(m, scene, arr, iterations=iterations)
-        buf = plane_buffer([scene.feature_map()])
+        buf = plane_buffer([scene_map(scene)])
         for stage in traj:
             pred, _ = oracle_forward_batch(m, roi_align_many(buf, arr / FEATURE_STRIDE, m.pool_size))
             arr = apply_offsets_array(arr, pred)
@@ -270,7 +270,7 @@ class TestRefine:
         m = zero_model()
         m.b3[2] = tw
         with pytest.raises(OverflowError):
-            refine(m, scenes[0], boxes_to_array(scenes[0].gts), iterations=1)
+            refine(m, scenes[0], scenes[0].boxes, iterations=1)
 
 
 def openblas_core() -> str:
@@ -294,7 +294,7 @@ import numpy as np
 from boxregress.boxes import apply_offsets_array
 from boxregress.features import FEATURE_STRIDE, plane_buffer, roi_align_many
 from boxregress.model import _forward, init_model, refine
-from boxregress.scenes import SynthConfig, synth_scenes
+from boxregress.scenes import SynthConfig, scene_map, synth_scenes
 
 try:
     lib = ctypes.CDLL(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))[0])
@@ -303,7 +303,7 @@ try:
 except (IndexError, OSError, AttributeError):
     print("unknown")
 scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
-buf = plane_buffer([scene.feature_map()])
+buf = plane_buffer([scene_map(scene)])
 model = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(0))
 rng = np.random.default_rng(1)
 for n in (1, 4, 5, 300, 511, 512, 513, 1023, 1024, 1025, 1535, 1536, 2047, 2100, 3072, 3073):
@@ -332,7 +332,6 @@ class TestRefineChunks:
     @pytest.mark.parametrize("stride", [0.0625, 0.03125])  # 3072 and 12288 seeds
     def test_working_memory_is_bounded(self, stride):
         scene = synth_scenes(SynthConfig(seed=5, max_objects=3), 1)[0]
-        scene.feature_map()
         seeds = seed_grid(scene.width, scene.height, SeedGridConfig(stride=stride))
         assert len(seeds) == 3072 * (0.0625 / stride) ** 2
         model = init_model(3, 7, (256, 256), init_std=0.1, rng=np.random.default_rng(0))
@@ -383,7 +382,7 @@ class TestTrain:
             train(scenes, TrainConfig(), SamplerConfig(), LossConfig(kind="huber"))
         from boxregress.scenes import Scene
 
-        empty = Scene(id="x", width=64, height=64, gts=[])
+        empty = Scene(id="x", width=64, height=64, boxes=np.empty((0, 4)))
         with pytest.raises(ValueError):
             train([empty], TrainConfig(), SamplerConfig(), LOSS_CFG)
 
@@ -431,12 +430,13 @@ def oracle_build_pool(scenes, sampler_cfg, rng, pool_size):
     input_rows = []
     gt_rows = []
     for scene in scenes:
-        arr = np.concatenate([oracle_generate_training_boxes_array(g, sampler_cfg, rng) for g in scene.gts])
+        arr = np.concatenate([oracle_generate_training_boxes_array(Box(*g), sampler_cfg, rng)
+                              for g in scene.boxes.tolist()])
         if not len(arr):
             continue
-        gts_arr = boxes_to_array(scene.gts)
+        gts_arr = scene.boxes
         matched = iou(arr[:, None], gts_arr[None]).argmax(axis=1)
-        feats.append(oracle_roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size))
+        feats.append(oracle_roi_align_many(scene_map(scene), arr / FEATURE_STRIDE, pool_size))
         input_rows.append(arr)
         gt_rows.append(gts_arr[matched])
     if not feats:
@@ -457,7 +457,7 @@ class TestBuildPoolOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleBudgetWarning)
             boxes, matched, scene_of = _build_pool(scenes, sampler_cfg, rng_new)
-            buf = plane_buffer([s.feature_map() for s in scenes])
+            buf = plane_buffer([scene_map(s) for s in scenes])
             got = (roi_align_many(buf, boxes / FEATURE_STRIDE, pool_size, scene_of), boxes, matched)
             want = oracle_build_pool(scenes, sampler_cfg, rng_old, pool_size)
         for a, b in zip(got, want):
@@ -516,21 +516,21 @@ def oracle_loss_and_weight_grads(
 
 def reference_build_pool(scenes, sampler_cfg, rng, pool_size):
     """The epoch's full pool, as _build_pool built it before training pooled per span."""
-    gts = [boxes_to_array(scene.gts) for scene in scenes]
+    gts = [scene.boxes for scene in scenes]
     rows, counts = generate_training_boxes_many(
         np.concatenate(gts) if gts else np.empty((0, 4)), sampler_cfg, rng
     )
     if not len(rows):
         raise ValueError("no training boxes could be generated")
     row_ends = np.concatenate(([0], np.cumsum(counts)))[np.cumsum([len(g) for g in gts], dtype=np.int64)]
-    feats = np.empty((len(rows), scenes[0].feature_map().channels * pool_size * pool_size))
+    feats = np.empty((len(rows), scene_map(scenes[0]).channels * pool_size * pool_size))
     matched = np.empty_like(rows)
     start = 0
     for scene, gts_arr, end in zip(scenes, gts, row_ends):
         if end > start:
             arr = rows[start:end]
             matched[start:end] = gts_arr[iou(arr[:, None], gts_arr[None]).argmax(axis=1)]
-            feats[start:end] = oracle_roi_align_many(scene.feature_map(), arr / FEATURE_STRIDE, pool_size)
+            feats[start:end] = oracle_roi_align_many(scene_map(scene), arr / FEATURE_STRIDE, pool_size)
         start = end
     return feats, rows, matched
 
@@ -554,7 +554,7 @@ def oracle_train(
     if not scenes:
         raise ValueError("train requires at least one scene")
     for s in scenes:
-        if not s.gts:
+        if not len(s.boxes):
             raise ValueError(f"scene {s.id} has no ground-truth boxes")
 
     if len(scenes) >= 2:
@@ -563,7 +563,7 @@ def oracle_train(
     else:
         train_scenes = val_scenes = list(scenes)
 
-    channels = train_scenes[0].feature_map().channels
+    channels = scene_map(train_scenes[0]).channels
     model = init_model(channels, cfg.pool_size, cfg.hidden, cfg.init_std,
                        np.random.default_rng([cfg.seed, 0]))
     velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
@@ -701,8 +701,8 @@ def mixed_size_scenes():
     for i, size in enumerate((48, 100, 128)):
         scenes += synth_scenes(SynthConfig(seed=30 + i, image_size=size, max_objects=3, noise=0.3), 3)
     scenes += [
-        Scene(id="wide", width=160, height=72, gts=[Box(40, 30, 50, 30), Box(120, 40, 30, 40)]),
-        Scene(id="tall", width=56, height=140, gts=[Box(28, 100, 30, 50)]),
+        Scene(id="wide", width=160, height=72, boxes=np.array([[40, 30, 50, 30], [120, 40, 30, 40]])),
+        Scene(id="tall", width=56, height=140, boxes=np.array([[28, 100, 30, 50]])),
     ]
     return [scenes[i] for i in np.random.default_rng(0).permutation(len(scenes))]
 
@@ -722,7 +722,7 @@ class TestTrainEpochOracle:
         ref = model.copy()
         velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
         ref_velocity = {k: np.zeros_like(v) for k, v in ref.params().items()}
-        buf = plane_buffer([s.feature_map() for s in scenes])
+        buf = plane_buffer([scene_map(s) for s in scenes])
         for epoch in range(2):
             got = model_module._train_epoch(model, velocity, scenes, buf, np.random.default_rng([3, 1, epoch]),
                                             cfg.initial_lr, cfg, sampler, LossConfig(kind=loss))
@@ -753,7 +753,7 @@ class TestTrainMemory:
         sampler = SamplerConfig()
         model = init_model(3, cfg.pool_size, cfg.hidden, cfg.init_std, np.random.default_rng(0))
         velocity = {k: np.zeros_like(v) for k, v in model.params().items()}
-        buf = plane_buffer([s.feature_map() for s in scenes])
+        buf = plane_buffer([scene_map(s) for s in scenes])
         rows = len(model_module._build_pool(scenes, sampler, np.random.default_rng(4))[0])
         pool_bytes = rows * model.in_dim * 8
         peak = traced_peak(model_module._train_epoch, model, velocity, scenes, buf, np.random.default_rng(4),

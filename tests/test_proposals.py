@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxregress.boxes import Box, _iou_of_extents, boxes_to_array, iou
+from boxregress.boxes import Box, _iou_of_extents, iou
 from boxregress.errors import DataFormatError
 from boxregress import proposals
 from boxregress.model import init_model, refine
@@ -26,11 +26,11 @@ from boxregress.proposals import (
 )
 from boxregress.scenes import Scene, SynthConfig, synth_scenes
 
-from test_boxes import oracle_iou_pairwise
+from test_boxes import oracle_iou_pairwise, row
 
 
 def box_iou(u, v):
-    return float(iou(boxes_to_array([u]), boxes_to_array([v]))[0])
+    return float(iou(row(u), row(v)))
 
 
 def overlap_pair(target_iou, w=10.0):
@@ -73,13 +73,13 @@ def proposal_rows(props):
 
 def neighbor_scores(boxes):
     """Each box's proposal score: the other boxes overlapping it at IoU above NEIGHBOR_IOU."""
-    counts = _neighbor_graph(boxes_to_array(boxes), NEIGHBOR_IOU, NEIGHBOR_IOU)[3]
+    counts = _neighbor_graph(np.array([row(b) for b in boxes]).reshape(-1, 4), NEIGHBOR_IOU, NEIGHBOR_IOU)[3]
     return (counts - 1).astype(np.float64).tolist()
 
 
 def ranked_rows(boxes, scores, iou_thresh=0.6, decay=10.0):
     """decay_nms over a Box list and its scores, as (N, 5) rows in emission order."""
-    arr = boxes_to_array(boxes)
+    arr = np.array([row(b) for b in boxes]).reshape(-1, 4)
     order, emitted = decay_nms(arr, np.array(scores, dtype=np.float64), iou_thresh, decay)
     return np.column_stack([arr[order], emitted])
 
@@ -179,31 +179,31 @@ def random_proposals(rng, n, lo, hi, side_lo, side_hi, score_lo, score_hi):
 
 class TestDecayNms:
     def test_two_identical_boxes_trace(self):
-        b = Box(5, 5, 4, 4)
-        _, emitted = decay_nms(boxes_to_array([b, b]), np.array([10.0, 9.0]))
+        b = [5.0, 5, 4, 4]
+        _, emitted = decay_nms(np.array([b, b]), np.array([10.0, 9.0]))
         assert emitted.tolist() == [10.0, 0.9]
 
     def test_decayed_box_emitted_after_higher_scores(self):
-        b = Box(5, 5, 4, 4)
-        c = Box(50, 50, 4, 4)
-        order, emitted = decay_nms(boxes_to_array([b, b, c]), np.array([10.0, 9.0, 5.0]))
+        b = [5.0, 5, 4, 4]
+        c = [50.0, 50, 4, 4]
+        order, emitted = decay_nms(np.array([b, b, c]), np.array([10.0, 9.0, 5.0]))
         assert emitted.tolist() == [10.0, 5.0, 0.9]
         assert order[1] == 2
 
     def test_non_overlapping_plain_descending(self):
-        boxes = [Box(i * 100, 0, 5, 5) for i in range(4)]
-        _, emitted = decay_nms(boxes_to_array(boxes), np.array([3.0, 9.0, 1.0, 7.0]))
+        boxes = np.array([[i * 100, 0, 5, 5] for i in range(4)], dtype=np.float64)
+        _, emitted = decay_nms(boxes, np.array([3.0, 9.0, 1.0, 7.0]))
         assert emitted.tolist() == [9.0, 7.0, 3.0, 1.0]
 
     def test_tie_breaks_to_input_order(self):
-        arr = boxes_to_array([Box(i * 100, 0, 5, 5) for i in range(4)])
+        arr = np.array([[i * 100, 0, 5, 5] for i in range(4)], dtype=np.float64)
         order, _ = decay_nms(arr, np.full(4, 2.0))
         assert arr[order, 0].tolist() == [0, 100, 200, 300]
 
     def test_permutation_of_input(self):
         rng = np.random.default_rng(1)
         boxes, scores = random_proposals(rng, 60, 0, 30, 2, 10, 0, 10)
-        arr = boxes_to_array(boxes)
+        arr = np.array([row(b) for b in boxes])
         order, emitted = decay_nms(arr, np.array(scores))
         assert len(order) == len(emitted) == len(boxes)
         assert sorted(map(tuple, arr[order].tolist())) == sorted(map(tuple, arr.tolist()))
@@ -211,7 +211,7 @@ class TestDecayNms:
     def test_emitted_scores_non_increasing(self):
         rng = np.random.default_rng(2)
         boxes, scores = random_proposals(rng, 50, 0, 20, 2, 10, 0, 10)
-        scores = decay_nms(boxes_to_array(boxes), np.array(scores))[1].tolist()
+        scores = decay_nms(np.array([row(b) for b in boxes]), np.array(scores))[1].tolist()
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
     def test_huge_decay_matches_hard_nms_prefix(self):
@@ -227,28 +227,28 @@ class TestDecayNms:
             return kept
 
         kept = hard_nms()
-        order, _ = decay_nms(boxes_to_array(boxes), np.array(scores), decay=1e15)
+        order, _ = decay_nms(np.array([row(b) for b in boxes]), np.array(scores), decay=1e15)
         assert order[: len(kept)].tolist() == kept
 
     def test_decay_validation(self):
         for decay in (1.0, 0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
-                decay_nms(boxes_to_array([Box(0, 0, 1, 1)]), np.array([1.0]), decay=decay)
+                decay_nms(np.array([[0.0, 0, 1, 1]]), np.array([1.0]), decay=decay)
 
     def test_iou_thresh_validation(self):
         for thresh in (-0.5, 1.5, math.nan):
             with pytest.raises(ValueError):
-                decay_nms(boxes_to_array([Box(0, 0, 1, 1)]), np.array([1.0]), iou_thresh=thresh)
+                decay_nms(np.array([[0.0, 0, 1, 1]]), np.array([1.0]), iou_thresh=thresh)
 
     @pytest.mark.parametrize("score", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
     def test_score_validation(self, score):
         # The ranking's early exit assumes no live score is negative.
-        arr = boxes_to_array([Box(0, 0, 1, 1), Box(5, 5, 1, 1)])
+        arr = np.array([[0.0, 0, 1, 1], [5, 5, 1, 1]])
         with pytest.raises(ValueError, match="proposal score must be finite and >= 0"):
             decay_nms(arr, np.array([1.0, score]))
 
     def test_shape_validation(self):
-        arr = boxes_to_array([Box(0, 0, 1, 1), Box(5, 5, 1, 1)])
+        arr = np.array([[0.0, 0, 1, 1], [5, 5, 1, 1]])
         for boxes, scores in ((arr, np.ones(3)), (arr, np.ones(1)), (arr, np.ones((2, 1))), (arr[:, :3], np.ones(2))):
             with pytest.raises(ValueError):
                 decay_nms(boxes, scores)
@@ -271,18 +271,18 @@ class TestGenerateProposals:
         )
 
     def test_empty_scene_completes(self):
-        scene = Scene(id="empty", width=128, height=128, gts=[])
+        scene = Scene(id="empty", width=128, height=128, boxes=np.empty((0, 4)))
         props = generate_proposals(self.zero_model(), scene)
         assert len(props) == len(seed_grid(128, 128))
 
     def test_deterministic(self):
-        scene = Scene(id="s", width=128, height=128, gts=[Box(60, 60, 30, 30)])
+        scene = Scene(id="s", width=128, height=128, boxes=np.array([[60, 60, 30, 30]]))
         a = generate_proposals(self.zero_model(), scene)
         b = generate_proposals(self.zero_model(), scene)
         assert a.tobytes() == b.tobytes()
 
     def test_output_clipped(self):
-        scene = Scene(id="s", width=128, height=128, gts=[Box(60, 60, 30, 30)])
+        scene = Scene(id="s", width=128, height=128, boxes=np.array([[60, 60, 30, 30]]))
         for x, y, w, h, _ in generate_proposals(self.zero_model(), scene).tolist():
             assert x - w / 2 >= -1e-9
             assert x + w / 2 <= 128 + 1e-9
@@ -292,7 +292,7 @@ class TestGenerateProposals:
         # its corner extent is 0 and it no longer overlaps even itself.
         model = self.zero_model()
         model.b3[2] = -60.0
-        scene = Scene(id="s", width=128, height=128, gts=[Box(60, 60, 30, 30)])
+        scene = Scene(id="s", width=128, height=128, boxes=np.array([[60, 60, 30, 30]]))
         with pytest.raises(OverflowError, match="floating-point resolution"):
             generate_proposals(model, scene)
 
@@ -363,7 +363,7 @@ def oracle_score_proposals(boxes):
     n = len(boxes)
     if n == 0:
         return []
-    arr = boxes_to_array(boxes)
+    arr = np.array([row(b) for b in boxes])
     counts = np.zeros(n, dtype=np.int64)
     block = 512
     for start in range(0, n, block):
@@ -377,7 +377,7 @@ def oracle_decay_nms(boxes, scores, iou_thresh=0.6, decay=10.0):
     n = len(boxes)
     if n == 0:
         return []
-    arr = boxes_to_array(boxes)
+    arr = np.array([row(b) for b in boxes])
     scores = np.array(scores, dtype=np.float64)
     remaining = np.ones(n, dtype=bool)
     out = []
@@ -393,7 +393,8 @@ def oracle_decay_nms(boxes, scores, iou_thresh=0.6, decay=10.0):
 
 def oracle_generate_proposals(model, scene, grid_cfg, iterations, nms_iou, decay):
     seeds = oracle_seed_grid(scene.width, scene.height, grid_cfg)
-    refined = [Box(*r) for r in refine(model, scene, boxes_to_array(seeds), iterations=iterations)[-1].tolist()]
+    seed_rows = np.array([row(b) for b in seeds])
+    refined = [Box(*r) for r in refine(model, scene, seed_rows, iterations=iterations)[-1].tolist()]
     ranked = oracle_decay_nms(refined, oracle_score_proposals(refined), nms_iou, decay)
     return [(oracle_clip_box(b, scene.width, scene.height), s) for b, s in ranked]
 
@@ -452,7 +453,7 @@ class TestDenseOracle:
     @DIFFERENTIAL
     @given(st.data(), st.one_of(st.sampled_from([0.0, 0.6, 0.7, 1.0]), st.floats(0.0, 1.0)))
     def test_neighbor_graph_is_dense_above_t(self, data, t):
-        arr = boxes_to_array(data.draw(box_sets(st.just(t))))
+        arr = np.array([row(b) for b in data.draw(box_sets(st.just(t)))]).reshape(-1, 4)
         start, stop, cols, counts = _neighbor_graph(arr, t, t)
         with np.errstate(invalid="ignore"):  # 0/0 for boxes below one ulp of their offset
             dense = oracle_iou_pairwise(arr, arr)
@@ -467,7 +468,7 @@ class TestDenseOracle:
     @given(st.data(), st.sampled_from([0.0, 0.6, 0.7, 0.85, 1.0]))
     def test_neighbor_graph_at_nms_iou_and_neighbor_iou(self, data, nms_iou):
         # generate_proposals' call: lists above nms_iou, counts above 0.7.
-        arr = boxes_to_array(data.draw(box_sets(st.sampled_from([nms_iou, NEIGHBOR_IOU]))))
+        arr = np.array([row(b) for b in data.draw(box_sets(st.sampled_from([nms_iou, NEIGHBOR_IOU])))]).reshape(-1, 4)
         start, stop, cols, counts = _neighbor_graph(arr, nms_iou, NEIGHBOR_IOU)
         with np.errstate(invalid="ignore"):
             dense = oracle_iou_pairwise(arr, arr)
@@ -511,7 +512,7 @@ class TestDenseOracle:
         want = oracle_generate_proposals(model, scene, grid, iterations, nms_iou, decay)
         assert row_bits(got) == bits(want)
         # The random head must actually move the seeds for this to test refinement.
-        seeds = boxes_to_array(oracle_seed_grid(scene.width, scene.height, grid))
+        seeds = np.array([row(b) for b in oracle_seed_grid(scene.width, scene.height, grid)])
         assert not np.array_equal(refine(model, scene, seeds, iterations)[-1], seeds)
 
     @settings(max_examples=10, deadline=None, database=None,
@@ -600,7 +601,7 @@ class TestDenseOracle:
     @given(st.builds(Box, st.floats(-50.0, 200.0), st.floats(-50.0, 200.0), SIDES, SIDES),
            st.sampled_from([64, 128.0, 600]), st.sampled_from([64, 100.5]))
     def test_clip_box_matches_scalar(self, b, image_w, image_h):
-        got = Box(*_clip_array(boxes_to_array([b]), image_w, image_h)[0].tolist())
+        got = Box(*_clip_array(row(b)[None], image_w, image_h)[0].tolist())
         want = oracle_clip_box(b, image_w, image_h)
         assert bits([(got, 0.0)]) == bits([(want, 0.0)])
 

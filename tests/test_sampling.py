@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxregress import sampling
-from boxregress.boxes import Box, apply_offsets_array, boxes_to_array, encode_offsets_array, iou
+from boxregress.boxes import Box, apply_offsets_array, encode_offsets_array, iou
 from boxregress.sampling import (
     SampleBudgetWarning,
     SamplerConfig,
@@ -291,12 +291,12 @@ class TestEpochStream:
         assert rng.bit_generator.state == state
 
     def test_traced_peak_is_bounded_by_the_pass(self):
-        # 388 ground truths at 1,000 boxes each return 12.4 MB of rows, held
-        # twice while they are joined. A pass holds at most _PASS_BYTES of
-        # offsets; drawing one chunk for every ground truth at once peaked
-        # at 201 MB.
+        # 388 ground truths at 1,000 boxes each return 12.4 MB of rows,
+        # written pass by pass into one buffer of that size. A pass holds at
+        # most _PASS_BYTES of offsets; drawing one chunk for every ground
+        # truth at once peaked at 201 MB.
         scenes = synth_scenes(SynthConfig(seed=5, max_objects=3), 192)
-        gts = np.concatenate([boxes_to_array(s.gts) for s in scenes])
+        gts = np.concatenate([s.boxes for s in scenes])
         assert len(gts) == 388
         tracemalloc.start()
         try:
@@ -304,4 +304,4 @@ class TestEpochStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 20e6

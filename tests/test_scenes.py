@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxregress import cli
-from boxregress.boxes import Box, boxes_to_array, iou
+from boxregress.boxes import iou
 from boxregress.errors import DataFormatError
 from boxregress.scenes import (
     SCENE_CACHE_MAGIC,
     Scene,
     SceneBudgetWarning,
     SynthConfig,
-    build_feature_map,
+    _feature_data,
+    _within_slack,
     filter_categories,
     load_annotations,
     load_scenes,
     save_scenes,
+    scene_map,
     synth_scenes,
 )
 
@@ -43,14 +46,14 @@ class TestLoadAnnotations:
         assert len(scenes) == 1
         s = scenes[0]
         assert (s.width, s.height) == (100, 80)
-        assert s.gts == [Box(25, 40, 30, 40)]
+        assert s.boxes.tolist() == [[25, 40, 30, 40]]
         assert s.labels == [7]
 
     def test_empty_annotations_give_gtless_scene(self, tmp_path):
         doc = {"images": [{"id": 5, "width": 64, "height": 64}], "annotations": []}
         scenes = load_annotations(write_json(tmp_path, doc))
         assert len(scenes) == 1
-        assert scenes[0].gts == []
+        assert scenes[0].boxes.shape == (0, 4)
 
     def test_unknown_image_skipped_with_warning(self, tmp_path):
         doc = {
@@ -59,7 +62,7 @@ class TestLoadAnnotations:
         }
         with pytest.warns(UserWarning, match="unknown image"):
             scenes = load_annotations(write_json(tmp_path, doc))
-        assert scenes[0].gts == []
+        assert scenes[0].boxes.shape == (0, 4)
 
     def test_nonpositive_dims_skipped_with_warning(self, tmp_path):
         doc = {
@@ -68,7 +71,7 @@ class TestLoadAnnotations:
         }
         with pytest.warns(UserWarning, match="non-positive"):
             scenes = load_annotations(write_json(tmp_path, doc))
-        assert scenes[0].gts == []
+        assert scenes[0].boxes.shape == (0, 4)
 
     def test_far_outside_skipped_with_warning(self, tmp_path):
         doc = {
@@ -77,7 +80,7 @@ class TestLoadAnnotations:
         }
         with pytest.warns(UserWarning, match="outside"):
             scenes = load_annotations(write_json(tmp_path, doc))
-        assert scenes[0].gts == []
+        assert scenes[0].boxes.shape == (0, 4)
 
     def test_truncated_file_fails_closed(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -146,15 +149,15 @@ class TestLoadAnnotations:
         s = scenes[0]
         # factor 600 / 80 = 7.5
         assert (s.width, s.height) == (750, 600)
-        assert s.gts == [Box(25 * 7.5, 40 * 7.5, 30 * 7.5, 40 * 7.5)]
+        assert s.boxes.tolist() == [[25 * 7.5, 40 * 7.5, 30 * 7.5, 40 * 7.5]]
 
 
 class TestFilterCategories:
     def make(self):
         return [
-            Scene(id="a", width=64, height=64, gts=[Box(10, 10, 5, 5)], labels=[1]),
-            Scene(id="b", width=64, height=64, gts=[Box(10, 10, 5, 5), Box(30, 30, 5, 5)], labels=[2, 3]),
-            Scene(id="c", width=64, height=64, gts=[Box(10, 10, 5, 5)], labels=[3]),
+            Scene(id="a", width=64, height=64, boxes=np.array([[10, 10, 5, 5]]), labels=[1]),
+            Scene(id="b", width=64, height=64, boxes=np.array([[10, 10, 5, 5], [30, 30, 5, 5]]), labels=[2, 3]),
+            Scene(id="c", width=64, height=64, boxes=np.array([[10, 10, 5, 5]]), labels=[3]),
         ]
 
     def test_empty_exclusion_is_identity(self):
@@ -175,26 +178,30 @@ class TestFilterCategories:
         assert kept[0] is scenes[0]
 
 
+def geometry_map(width, height, boxes):
+    """scene_map of a scene that carries no map of its own."""
+    return scene_map(Scene(id="s", width=width, height=height, boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4)))
+
+
 class TestFeatureMapBuild:
     def test_occupancy_exact_inside_outside(self):
         # Object centered on a cell center (cells at 4j + 2).
-        g = Box(62, 62, 40, 32)
-        fm = build_feature_map(128, 128, [g])
+        x, y, w, h = 62, 62, 40, 32
+        fm = geometry_map(128, 128, [[x, y, w, h]])
         assert fm.data.shape == (3, 32, 32)
         cx = (np.arange(32) + 0.5) * 4.0
-        inside_x = np.abs(cx - g.x) <= g.w / 2
-        inside_y = np.abs(cx - g.y) <= g.h / 2
+        inside_x = np.abs(cx - x) <= w / 2
+        inside_y = np.abs(cx - y) <= h / 2
         expected = np.outer(inside_y, inside_x).astype(float)
         assert np.array_equal(fm.data[0], expected)
 
     def test_distance_channels_vanish_at_center(self):
-        fm = build_feature_map(128, 128, [Box(62, 62, 40, 32)])
+        fm = geometry_map(128, 128, [[62, 62, 40, 32]])
         assert fm.data[1][15, 15] == 0.0
         assert fm.data[2][15, 15] == 0.0
 
     def test_distance_normalized_and_clamped(self):
-        g = Box(62, 62, 8, 8)
-        fm = build_feature_map(128, 128, [g])
+        fm = geometry_map(128, 128, [[62, 62, 8, 8]])
         # one cell right of center: dx = 4, normalized 0.5
         assert fm.data[1][15, 16] == 0.5
         # far cells clamp to 2
@@ -202,17 +209,25 @@ class TestFeatureMapBuild:
         assert fm.data[1][15, 0] == -2.0
 
     def test_no_objects_all_zero(self):
-        fm = build_feature_map(64, 64, [])
+        fm = geometry_map(64, 64, [])
         assert np.array_equal(fm.data, np.zeros((3, 16, 16)))
+
+    def test_own_map_is_returned_and_none_is_cached(self):
+        scene = synth_scenes(SynthConfig(seed=2), 1)[0]
+        assert scene_map(scene) is scene.features
+        bare = replace(scene, features=None)
+        first, second = scene_map(bare), scene_map(bare)
+        assert first is not second and bare.features is None
+        assert first.data.tobytes() == scene.features.data.tobytes()
 
     def test_occupancy_integrates_to_area(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             w, h = rng.uniform(20, 80), rng.uniform(20, 80)
-            g = Box(rng.uniform(w / 2, 128 - w / 2), rng.uniform(h / 2, 128 - h / 2), w, h)
-            fm = build_feature_map(128, 128, [g])
+            g = [rng.uniform(w / 2, 128 - w / 2), rng.uniform(h / 2, 128 - h / 2), w, h]
+            fm = geometry_map(128, 128, [g])
             measured = fm.data[0].sum() * 16.0  # cells are 4x4 raster units
-            assert abs(measured - g.area) <= 4 * (g.w + g.h) + 32
+            assert abs(measured - w * h) <= 4 * (w + h) + 32
 
 
 class TestSynthScenes:
@@ -220,39 +235,39 @@ class TestSynthScenes:
         cfg = SynthConfig(seed=3)
         a = synth_scenes(cfg, 5)
         b = synth_scenes(cfg, 5)
-        assert [s.gts for s in a] == [s.gts for s in b]
+        assert [s.boxes.tolist() for s in a] == [s.boxes.tolist() for s in b]
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.feature_map().data, sb.feature_map().data)
+            assert np.array_equal(sa.features.data, sb.features.data)
 
     def test_independent_of_count(self):
         # Scene i draws from its own stream, so prefixes agree.
         cfg = SynthConfig(seed=4)
         a = synth_scenes(cfg, 3)
         b = synth_scenes(cfg, 6)
-        assert [s.gts for s in a] == [s.gts for s in b[:3]]
+        assert [s.boxes.tolist() for s in a] == [s.boxes.tolist() for s in b[:3]]
 
     def test_object_counts_and_separation(self):
         cfg = SynthConfig(seed=5, min_objects=2, max_objects=4)
         for s in synth_scenes(cfg, 30):
-            assert 2 <= len(s.gts) <= 4
-            for i in range(len(s.gts)):
-                for j in range(i + 1, len(s.gts)):
-                    assert iou(*boxes_to_array([s.gts[i], s.gts[j]])) < cfg.max_gt_iou
+            assert 2 <= len(s.boxes) <= 4
+            for i in range(len(s.boxes)):
+                for j in range(i + 1, len(s.boxes)):
+                    assert iou(s.boxes[i], s.boxes[j]) < cfg.max_gt_iou
 
     def test_objects_inside_image(self):
         cfg = SynthConfig(seed=6)
         for s in synth_scenes(cfg, 20):
-            for g in s.gts:
-                assert g.x - g.w / 2 >= 0 and g.x + g.w / 2 <= s.width
-                assert g.y - g.h / 2 >= 0 and g.y + g.h / 2 <= s.height
+            for x, y, w, h in s.boxes.tolist():
+                assert x - w / 2 >= 0 and x + w / 2 <= s.width
+                assert y - h / 2 >= 0 and y + h / 2 <= s.height
 
     def test_adjacent_pair_mode(self):
         cfg = SynthConfig(seed=7, adjacent_pairs=True)
         for s in synth_scenes(cfg, 10):
-            assert len(s.gts) == 2
-            a, b = s.gts
-            assert abs((a.x + a.w / 2) - (b.x - b.w / 2)) < 1e-9
-            assert a.y == b.y
+            assert len(s.boxes) == 2
+            (ax, ay, aw, _), (bx, by, bw, _) = s.boxes.tolist()
+            assert abs((ax + aw / 2) - (bx - bw / 2)) < 1e-9
+            assert ay == by
 
     def test_placement_budget_warning(self):
         # Four near-half-image objects cannot all fit nearly disjoint; the
@@ -261,12 +276,12 @@ class TestSynthScenes:
                           min_size_frac=0.52, max_size_frac=0.55, max_gt_iou=0.02)
         with pytest.warns(SceneBudgetWarning):
             scenes = synth_scenes(cfg, 10)
-        assert all(1 <= len(s.gts) <= 4 for s in scenes)
+        assert all(1 <= len(s.boxes) <= 4 for s in scenes)
 
     def test_noise_applied(self):
         clean = synth_scenes(SynthConfig(seed=9), 1)[0]
         noisy = synth_scenes(SynthConfig(seed=9, noise=0.05), 1)[0]
-        assert not np.array_equal(clean.feature_map().data, noisy.feature_map().data)
+        assert not np.array_equal(clean.features.data, noisy.features.data)
 
 
 # Reference synthesis: the per-scene generator as it was before feature
@@ -277,12 +292,12 @@ class TestSynthScenes:
 def oracle_build_feature_map(width, height, gts, noise=0.0, rng=None):
     cells_h, cells_w = max(1, int(np.ceil(height / 4.0))), max(1, int(np.ceil(width / 4.0)))
     data = np.zeros((3, cells_h, cells_w), dtype=np.float64)
-    if gts:
+    if len(gts):
         cx = (np.arange(cells_w, dtype=np.float64) + 0.5) * 4.0
         cy = (np.arange(cells_h, dtype=np.float64) + 0.5) * 4.0
         px, py = np.meshgrid(cx, cy)
-        centers = np.array([[g.x, g.y] for g in gts])
-        sides = np.array([[g.w, g.h] for g in gts])
+        centers = np.array([[x, y] for x, y, _, _ in gts])
+        sides = np.array([[w, h] for _, _, w, h in gts])
         dx = px[None, :, :] - centers[:, 0, None, None]
         dy = py[None, :, :] - centers[:, 1, None, None]
         inside = (np.abs(dx) <= 0.5 * sides[:, 0, None, None]) & (np.abs(dy) <= 0.5 * sides[:, 1, None, None])
@@ -305,8 +320,8 @@ def oracle_place_objects(cfg, rng, n_target):
         for _ in range(40):
             w = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
             h = rng.uniform(cfg.min_size_frac, cfg.max_size_frac) * size
-            cand = Box(rng.uniform(0.5 * w, size - 0.5 * w), rng.uniform(0.5 * h, size - 0.5 * h), w, h)
-            if not placed or (iou(boxes_to_array([cand]), boxes_to_array(placed)) < cfg.max_gt_iou).all():
+            cand = (rng.uniform(0.5 * w, size - 0.5 * w), rng.uniform(0.5 * h, size - 0.5 * h), w, h)
+            if not placed or (iou(np.array([cand]), np.array(placed)) < cfg.max_gt_iou).all():
                 ok = cand
                 break
         if ok is None:
@@ -356,8 +371,8 @@ class TestSynthOracle:
             (msg, SceneBudgetWarning) for _, _, msg in want if msg is not None
         ]
         for s, (gts, data, _) in zip(scenes, want):
-            assert [(g.x, g.y, g.w, g.h) for g in s.gts] == [(g.x, g.y, g.w, g.h) for g in gts]
-            assert s.feature_map().data.tobytes() == data.tobytes()
+            assert [tuple(g) for g in s.boxes.tolist()] == [tuple(g) for g in np.asarray(gts).tolist()]
+            assert s.features.data.tobytes() == data.tobytes()
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -368,10 +383,13 @@ class TestSynthOracle:
         st.booleans(),
     )
     def test_feature_map_matches_oracle(self, width, height, rel, duplicate):
-        gts = [Box(x * width, y * height, w * width, h * height) for x, y, w, h in rel]
+        gts = [(x * width, y * height, w * width, h * height) for x, y, w, h in rel]
         if duplicate and gts:
             gts.append(gts[-1])
-        got = build_feature_map(width, height, gts).data
+        if all(_within_slack(*g, width, height) for g in gts):
+            got = geometry_map(width, height, gts).data
+        else:  # a Scene refuses these boxes, so the map's kernel is called directly
+            got = _feature_data(width, height, [np.array(gts)])[0]
         assert got.tobytes() == oracle_build_feature_map(width, height, gts).tobytes()
 
 
@@ -380,12 +398,12 @@ def export_coco(path, scenes):
     doc = {"images": [], "annotations": []}
     for i, s in enumerate(scenes):
         doc["images"].append({"id": i, "width": s.width, "height": s.height})
-        for j, g in enumerate(s.gts):
+        for j, (x, y, w, h) in enumerate(s.boxes.tolist()):
             doc["annotations"].append(
                 {
                     "image_id": i,
-                    "bbox": [g.x - g.w / 2, g.y - g.h / 2, g.w, g.h],
-                    "category_id": (s.labels or [None] * len(s.gts))[j],
+                    "bbox": [x - w / 2, y - h / 2, w, h],
+                    "category_id": (s.labels or [None] * len(s.boxes))[j],
                 }
             )
     path.write_text(json.dumps(doc))
@@ -395,8 +413,8 @@ def export_coco(path, scenes):
 class TestAnnotationRoundtrip:
     def test_export_then_load_is_identity(self, tmp_path):
         scenes = [
-            Scene(id="0", width=128, height=96, gts=[Box(20, 20, 10, 8), Box(64, 48, 30, 30)], labels=[1, 2]),
-            Scene(id="1", width=64, height=64, gts=[Box(32, 32, 16, 16)], labels=[5]),
+            Scene(id="0", width=128, height=96, boxes=np.array([[20, 20, 10, 8], [64, 48, 30, 30]]), labels=[1, 2]),
+            Scene(id="1", width=64, height=64, boxes=np.array([[32, 32, 16, 16]]), labels=[5]),
         ]
         path = export_coco(tmp_path / "rt.json", scenes)
         loaded = load_annotations(path)
@@ -404,45 +422,55 @@ class TestAnnotationRoundtrip:
         for a, b in zip(scenes, loaded):
             assert (a.width, a.height) == (b.width, b.height)
             assert a.labels == b.labels
-            for ga, gb in zip(a.gts, b.gts):
-                assert abs(ga.x - gb.x) < 1e-9
-                assert abs(ga.y - gb.y) < 1e-9
-                assert abs(ga.w - gb.w) < 1e-9
-                assert abs(ga.h - gb.h) < 1e-9
+            assert a.boxes.shape == b.boxes.shape
+            assert (np.abs(a.boxes - b.boxes) < 1e-9).all()
+
+
+class TestBoxEdge:
+    def test_gts_read_as_the_benchmark_reads_them_equal_boxes_bitwise(self):
+        # bench/run.py reads ground truths as Box values: len(s.gts), g.x - 0.5 * g.w, ...
+        scenes = synth_scenes(SynthConfig(seed=1, max_objects=3), 20)
+        assert sum(len(s.gts) for s in scenes) == sum(len(s.boxes) for s in scenes)
+        for s in scenes:
+            corners = np.array([[g.x - 0.5 * g.w, g.y - 0.5 * g.h, g.x + 0.5 * g.w, g.y + 0.5 * g.h] for g in s.gts])
+            x, y, w, h = s.boxes.T
+            assert corners.tobytes() == np.column_stack([x - 0.5 * w, y - 0.5 * h, x + 0.5 * w, y + 0.5 * h]).tobytes()
+            assert np.array([[b.x, b.y, b.w, b.h] for b in s.gts]).tobytes() == s.boxes.tobytes()
 
 
 class TestSceneValidation:
     def test_slack_invariant(self):
         with pytest.raises(ValueError):
-            Scene(id="x", width=64, height=64, gts=[Box(-200, 0, 30, 30)])
+            Scene(id="x", width=64, height=64, boxes=np.array([[-200, 0, 30, 30]]))
 
     def test_labels_alignment(self):
         with pytest.raises(ValueError):
-            Scene(id="x", width=64, height=64, gts=[Box(10, 10, 5, 5)], labels=[1, 2])
+            Scene(id="x", width=64, height=64, boxes=np.array([[10, 10, 5, 5]]), labels=[1, 2])
 
 
 class TestSceneCache:
     def test_roundtrip(self, tmp_path):
         scenes = synth_scenes(SynthConfig(seed=10), 4)
-        scenes.append(Scene(id="manual", width=100, height=50, gts=[Box(20, 20, 10, 10)], labels=[None]))
+        scenes.append(Scene(id="manual", width=100, height=50, boxes=np.array([[20, 20, 10, 10]]), labels=[None]))
         path = str(tmp_path / "scenes.bin")
         save_scenes(path, scenes)
         loaded = load_scenes(path)
         assert len(loaded) == len(scenes)
         for a, b in zip(scenes, loaded):
-            assert (a.id, a.width, a.height, a.gts, a.labels) == (b.id, b.width, b.height, b.gts, b.labels)
-            if a._fm is None:
-                assert b._fm is None
+            assert (a.id, a.width, a.height, a.boxes.tolist(), a.labels) == (b.id, b.width, b.height,
+                                                                             b.boxes.tolist(), b.labels)
+            if a.features is None:
+                assert b.features is None
             else:
-                assert np.array_equal(a._fm.data, b._fm.data)
+                assert np.array_equal(a.features.data, b.features.data)
 
     @pytest.mark.parametrize("label", [-1, 2**31, -(2**31) - 1], ids=str)
     def test_unstorable_label_rejected(self, tmp_path, capsys, label):
         # -1 is the cache's "no label" value and labels are int32: either
         # would not read back as written, so the scene is refused.
         scenes = [
-            Scene(id="ok", width=64, height=64, gts=[Box(20, 20, 10, 10)], labels=[2**31 - 1]),
-            Scene(id="bad", width=64, height=64, gts=[Box(20, 20, 10, 10), Box(40, 40, 8, 8)], labels=[None, label]),
+            Scene(id="ok", width=64, height=64, boxes=np.array([[20, 20, 10, 10]]), labels=[2**31 - 1]),
+            Scene(id="bad", width=64, height=64, boxes=np.array([[20, 20, 10, 10], [40, 40, 8, 8]]), labels=[None, label]),
         ]
         path = tmp_path / "scenes.bin"
         with pytest.raises(DataFormatError, match=f"scene bad: label {label}"):
@@ -466,8 +494,8 @@ class TestSceneCache:
     @pytest.mark.parametrize("flag", ["labels", "feature-map"])
     @pytest.mark.parametrize("value", [2, 7, 255])
     def test_flag_byte_must_be_0_or_1(self, tmp_path, flag, value):
-        scene = Scene(id="s", width=64, height=64, gts=[Box(20, 20, 10, 10)], labels=[3])
-        scene.feature_map()
+        scene = Scene(id="s", width=64, height=64, boxes=np.array([[20, 20, 10, 10]]), labels=[3])
+        scene = replace(scene, features=scene_map(scene))
         path = tmp_path / "scenes.bin"
         save_scenes(str(path), [scene])
         # magic, count, id length and id, extents and count, one box; then
@@ -503,7 +531,7 @@ class TestSceneCache:
     def test_save_refuses_repeated_scene_id(self, tmp_path):
         # load_scenes refuses a repeated id, so save_scenes must not write one.
         scenes = synth_scenes(SynthConfig(seed=4), 2)
-        scenes[1].id = scenes[0].id
+        scenes[1] = replace(scenes[1], id=scenes[0].id)
         path = tmp_path / "scenes.bin"
         with pytest.raises(DataFormatError, match=r"scenes\[1\]: duplicate scene id 'synth-0000'"):
             save_scenes(str(path), scenes)
@@ -512,11 +540,11 @@ class TestSceneCache:
     def test_save_refuses_id_longer_than_its_length_field(self, tmp_path):
         # The id length is a uint16; 21,845 three-byte characters are 65,535 bytes.
         path = tmp_path / "scenes.bin"
-        fits = Scene(id="€" * 21845, width=64, height=64, gts=[Box(20, 20, 10, 10)])
+        fits = Scene(id="€" * 21845, width=64, height=64, boxes=np.array([[20, 20, 10, 10]]))
         save_scenes(str(path), [fits])
         assert load_scenes(str(path))[0].id == fits.id
         path.unlink()
-        fits.id += "a"
+        fits = replace(fits, id=fits.id + "a")
         with pytest.raises(DataFormatError, match=r"scenes\[0\]: scene id is longer than 65535 UTF-8 bytes"):
             save_scenes(str(path), [fits])
         assert list(tmp_path.iterdir()) == []
@@ -548,7 +576,7 @@ class TestSceneCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - sum(s.feature_map().data.nbytes for s in scenes) < 24e6
+        assert peak - sum(s.features.data.nbytes for s in scenes) < 24e6
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
