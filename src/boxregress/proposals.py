@@ -259,24 +259,24 @@ def _decay_ranking(start, stop, cols, scores: np.ndarray, decay: float) -> tuple
     ascending index order with their (zero) scores.
     """
     live = np.array(scores, dtype=np.float64)
-    n = len(live)
-    order = np.empty(n, dtype=np.intp)
-    emitted = np.empty(n, dtype=np.float64)
+    order: list[int] = []
+    emitted: list[float] = []
     start, stop = start.tolist(), stop.tolist()
     argmax = live.argmax
-    for k in range(n):
+    for _ in range(len(live)):
         i = int(argmax())
-        top = live[i]
+        top = live.item(i)
         if top == 0.0:
             rest = np.flatnonzero(live == 0.0)
-            order[k:] = rest
-            emitted[k:] = live[rest]
+            order += rest.tolist()
+            emitted += live[rest].tolist()
             break
-        order[k] = i
-        emitted[k] = top
+        order.append(i)
+        emitted.append(top)
         live[i] = -np.inf
-        live[cols[start[i] : stop[i]]] /= decay
-    return order, emitted
+        # An intp index is taken about twice as fast as the int32 slice.
+        live[cols[start[i] : stop[i]].astype(np.intp)] /= decay
+    return np.array(order, dtype=np.intp), np.array(emitted, dtype=np.float64)
 
 
 def decay_nms(
@@ -340,8 +340,9 @@ def generate_proposals(
 
 # Bytes of text per block of read_corner_csv: each block gets one float64
 # conversion and one validation pass, and memory beyond the result is
-# bounded by the block, not the file.
-_READ_BYTES = 1 << 20
+# bounded by the block, not the file. A block's parse peaks at about eight
+# times its text, mostly in Python strings.
+_READ_BYTES = 1 << 18
 
 
 def _block_rows(path: str, lines: list[str], linenos: Sequence[int], width: int) -> tuple[list[str], np.ndarray]:
@@ -407,7 +408,9 @@ def read_corner_csv(path: str, scored: bool = True, limit: int | None = None) ->
     it; every box must be finite with positive sides, and every score
     finite and >= 0. The first bad line in file order raises a
     DataFormatError naming it. Lines are streamed in fixed-size blocks,
-    so memory beyond the result does not grow with the file. With a
+    so memory beyond the result does not grow with the file. Kept rows
+    are written in file order into one array grown in place; only a
+    file whose images interleave is permuted into a second one. With a
     `limit`, each image keeps only its first `limit` rows in file order:
     every row is still checked, and each block drops the rows past their
     image's limit before the next block is read.
@@ -418,16 +421,18 @@ def read_corner_csv(path: str, scored: bool = True, limit: int | None = None) ->
     expected = "6 fields" if scored else "5 or 6 fields"
     index: dict[str, int] = {}  # image id -> code, by first appearance
     seen = np.zeros(0, dtype=np.intp)  # rows per image code so far, capped at limit
-    codes: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
-    done = 0  # lines in earlier blocks
+    codes: list[np.ndarray] = []  # int32 image codes of each block's kept rows
+    out = np.empty((0, width - 1))  # kept rows in file order, grown in place
+    kept = 0
+    done = 0  # lines read so far
     with open_input(path) as f:
         try:
-            while raw := f.readlines(_READ_BYTES):
-                lines = list(map(str.strip, raw))
+            while lines := f.readlines(_READ_BYTES):
+                first, done = done + 1, done + len(lines)
+                lines = list(map(str.strip, lines))  # drops the unstripped lines
                 nonblank = np.fromiter(map(bool, lines), dtype=bool, count=len(lines))
                 lines = list(compress(lines, nonblank))
-                linenos = done + 1 + np.flatnonzero(nonblank)
+                linenos = first + np.flatnonzero(nonblank)
                 n = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp, count=len(lines)) + 1
                 wrong = np.flatnonzero(~np.isin(n, counts))
                 cut = int(wrong[0]) if wrong.size else len(lines)
@@ -437,26 +442,31 @@ def read_corner_csv(path: str, scored: bool = True, limit: int | None = None) ->
                     ids, rows = _block_rows(path, lines[:cut], linenos[:cut], width)
                     for image_id in dict.fromkeys(ids):
                         index.setdefault(image_id, len(index))
-                    code = np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+                    code = np.fromiter(map(index.__getitem__, ids), dtype=np.int32, count=len(ids))
                     if limit is not None:
                         seen = np.pad(seen, (0, len(index) - len(seen)))
                         keep = _first_rows(code, seen, limit)
                         if not keep.all():
                             code, rows = code[keep], rows[keep]
                     codes.append(code)
-                    blocks.append(rows)
+                    if kept + len(rows) > len(out):
+                        # Doubling: glibc grows a large block by remapping it, with no copy.
+                        out.resize((max(2 * len(out), kept + len(rows)), width - 1), refcheck=False)
+                    out[kept : kept + len(rows)] = rows
+                    kept += len(rows)
                 if wrong.size:
                     raise DataFormatError(f"{path}: line {linenos[cut]}: expected {expected}, got {n[cut]}")
-                done += len(raw)
         except UnicodeDecodeError as e:
             raise DataFormatError(f"{path}: not valid UTF-8 after line {done}: {e.reason}") from None
-    if not blocks:
+    if not kept:
         return {}
+    out.resize((kept, width - 1), refcheck=False)
     code = np.concatenate(codes)
-    rows = np.concatenate(blocks)
-    del codes, blocks  # freed before the permuted copy is made: two copies of the rows at most
-    rows = rows[np.argsort(code, kind="stable")]
-    return dict(zip(index, np.split(rows, np.cumsum(np.bincount(code))[:-1])))
+    del codes
+    # Codes follow first appearance, so they only fall where images interleave.
+    if (np.diff(code) < 0).any():
+        out = out[np.argsort(code, kind="stable")]
+    return dict(zip(index, np.split(out, np.cumsum(np.bincount(code))[:-1])))
 
 
 def write_corner_csv(path: str, by_image: dict[str, np.ndarray]) -> None:

@@ -52,15 +52,18 @@ class Scene:
     features: FeatureMap | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "boxes", np.asarray(self.boxes, dtype=np.float64))
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse a bad extent, ground truth or label count: run on creation and again by save_scenes."""
         _check_extent(self.id, self.width, self.height)
-        boxes = np.asarray(self.boxes, dtype=np.float64)
-        if boxes.shape[1:] != (4,):
-            raise ValueError(f"scene {self.id}: boxes must be a (G, 4) array, got shape {boxes.shape}")
-        object.__setattr__(self, "boxes", boxes)
-        for row in boxes.tolist():
+        if self.boxes.shape[1:] != (4,):
+            raise ValueError(f"scene {self.id}: boxes must be a (G, 4) array, got shape {self.boxes.shape}")
+        for row in self.boxes.tolist():
             if not _within_slack(*row, self.width, self.height):
                 raise ValueError(f"scene {self.id}: ground truth {Box(*row)} too far outside image bounds")
-        if self.labels is not None and len(self.labels) != len(boxes):
+        if self.labels is not None and len(self.labels) != len(self.boxes):
             raise ValueError(f"scene {self.id}: labels and ground truths misaligned")
 
     @property
@@ -354,11 +357,18 @@ def save_scenes(path: str, scenes: list[Scene]) -> None:
     (`Scene.features`): synth scenes always do, annotation scenes never.
     Raises DataFormatError, before anything is written, for what the
     cache cannot read back: a scene id listed twice, which load_scenes
-    refuses, an id of more than 65,535 UTF-8 bytes, or a label that is
-    not an int32 or that equals NO_LABEL.
+    refuses, an id of more than 65,535 UTF-8 bytes, a label that is
+    not an int32 or that equals NO_LABEL, or a scene whose arrays were
+    changed in place so that Scene or FeatureMap would now refuse it.
     """
     seen = set()
     for i, s in enumerate(scenes):
+        try:
+            s._check()
+            if s.features is not None:
+                FeatureMap(s.features.data)
+        except ValueError as e:
+            raise DataFormatError(f"{path}: scenes[{i}]: {e}") from None
         if s.id in seen:
             raise DataFormatError(f"{path}: scenes[{i}]: duplicate scene id {s.id!r}")
         seen.add(s.id)

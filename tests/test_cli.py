@@ -10,15 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxregress import cli
+from boxregress import cli, proposals
 from boxregress.features import FeatureMap
-from boxregress.model import MAX_HIDDEN, MAX_POOL_SIZE, MODEL_MAGIC, init_model, save_model
-from boxregress.proposals import MAX_SEEDS
+from boxregress.model import MAX_HIDDEN, MAX_POOL_SIZE, MODEL_MAGIC, init_model, load_model, refine, save_model
+from boxregress.proposals import MAX_SEEDS, write_corner_csv
 from boxregress.sampling import MAX_BOXES_PER_GT
 from boxregress.scenes import (MAX_IMAGE_SIDE, SCENE_CACHE_MAGIC, SynthConfig, load_annotations, save_scenes,
                               synth_scenes)
 
 from test_formats import cache_with_id
+from test_proposals import oracle_load_boxes
 
 
 def run_cli(args):
@@ -532,6 +533,38 @@ class TestPipeline:
         traj = open(os.path.join(out, "trajectory.csv")).read().splitlines()
         assert traj[0] == "stage,mean_iou"
         assert [row.split(",")[0] for row in traj[1:]] == ["input", "iter1", "iter2", "iter3"]
+
+    def test_refine_reads_interleaved_boxes_across_blocks(self, tmp_path, trained_dir, monkeypatch):
+        # The images' lines alternate and a block holds one or two of them,
+        # so the reader groups each image's rows across blocks at its end.
+        scenes = synth_scenes(SynthConfig(seed=3), 3)
+        cache = str(tmp_path / "scenes.bin")
+        save_scenes(cache, scenes)
+        rng = np.random.default_rng(5)
+        lines = []
+        for k in range(4):
+            for s in scenes[::-1]:
+                x, y, w, h = (s.boxes[k % len(s.boxes)] * rng.uniform(0.9, 1.1, 4)).tolist()
+                lines.append(f"{s.id},{x - w / 2!r},{y - h / 2!r},{x + w / 2!r},{y + h / 2!r}")
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text("\n".join(lines) + "\n")
+        model_path = os.path.join(trained_dir, "model.ubbr")
+        out = tmp_path / "r"
+        monkeypatch.setattr(proposals, "_READ_BYTES", 150)
+        code = run_cli(["refine", "--out-dir", str(out), "--scene-cache", cache, "--model", model_path,
+                        "--boxes", str(boxes), "--iters", "2"])
+        assert code == 0
+        by_id = {s.id: s for s in scenes}
+        model = load_model(model_path)
+        trajectories = {
+            image_id: refine(model, by_id[image_id], np.array([[b.x, b.y, b.w, b.h] for b in rows]), iterations=2)
+            for image_id, rows in oracle_load_boxes(str(boxes)).items()
+        }
+        assert list(trajectories) == [s.id for s in scenes[::-1]]
+        for k in (1, 2):
+            want = tmp_path / f"want.iter{k}.csv"
+            write_corner_csv(str(want), {image_id: traj[k - 1] for image_id, traj in trajectories.items()})
+            assert (out / f"refined.iter{k}.csv").read_bytes() == want.read_bytes()
 
     def test_propose_then_eval(self, tmp_path, trained_dir):
         p_out = str(tmp_path / "p")

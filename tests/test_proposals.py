@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -872,6 +873,29 @@ def write_lines(path, lines, newline, final_newline=True):
     path.write_bytes((text + (newline if final_newline and lines else "")).encode("utf-8"))
 
 
+@pytest.fixture(scope="module")
+def propose_sized_csv(tmp_path_factory):
+    """A proposals file grouped by image: 32 images of 3,072 rows at full precision, as propose writes."""
+    path = str(tmp_path_factory.mktemp("reader") / "proposals.csv")
+    rng = np.random.default_rng(0)
+    write_corner_csv(path, {
+        f"img-{i}": np.column_stack([rng.uniform(50, 100, (3072, 2)), rng.uniform(1, 50, (3072, 2)),
+                                     rng.uniform(0, 1e3, 3072)])
+        for i in range(32)
+    })
+    return path
+
+
+def traced_read(path, **kwargs):
+    """Traced peak bytes of read_corner_csv(path, **kwargs), and its result."""
+    tracemalloc.start()
+    try:
+        result = read_corner_csv(path, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 IO_PROPERTY = settings(
     max_examples=200, deadline=None, database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
@@ -956,21 +980,35 @@ class TestCornerCsvOracle:
     def test_limited_read_memory_does_not_grow_with_rows(self, tmp_path, images):
         # 3,072 rows per image, as propose writes, of which 10 are kept: the
         # traced peak is the kept rows plus one block's parsing, whatever
-        # the rows per image. An unlimited read holds every row twice.
+        # the rows per image.
         path = tmp_path / "rows.csv"
         with open(path, "w", encoding="utf-8") as f:
             for i in range(images):
                 f.write(f"img-{i},{i}.5,2.25,{i + 3}.75,40.0,{i}.125\n" * 3072)
         read_bytes = 1 << 16
         with mock.patch.object(proposals, "_READ_BYTES", read_bytes):
-            tracemalloc.start()
-            try:
-                kept = read_corner_csv(str(path), limit=10)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, kept = traced_read(str(path), limit=10)
         assert [len(rows) for rows in kept.values()] == [10] * images
         assert peak < sum(rows.nbytes for rows in kept.values()) + 32 * read_bytes
+
+    def test_block_parse_memory_is_bounded(self, propose_sized_csv):
+        # One row per image is kept, so the traced peak is one block's parse:
+        # its lines, fields and float conversion, at the real block size.
+        peak, kept = traced_read(propose_sized_csv, limit=1)
+        assert len(kept) == 32 and os.path.getsize(propose_sized_csv) >= 4 << 20
+        assert peak < 4e6
+
+    def test_grouped_read_holds_its_rows_once(self, propose_sized_csv):
+        # A file grouped by image needs no permuted copy: the rows grow in
+        # place by doubling beside their int32 image codes, so the peak is
+        # at most twice their bytes plus one block's parse.
+        with mock.patch.object(proposals, "_READ_BYTES", 1 << 14):
+            block, _ = traced_read(propose_sized_csv, limit=1)
+            peak, rows = traced_read(propose_sized_csv)
+        result = sum(r.nbytes for r in rows.values())
+        assert result == 32 * 3072 * 5 * 8
+        codes = 32 * 3072 * 4
+        assert peak <= 2 * (result + codes) + block
 
     @pytest.mark.parametrize("token", ["1_0", "\uff11\uff12", "\u0661\u0662", "+.5", "5.", " 7 ", "1e-400", "-0"])
     def test_float_spellings_match_oracle(self, tmp_path, token):

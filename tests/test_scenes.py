@@ -549,6 +549,30 @@ class TestSceneCache:
             save_scenes(str(path), [fits])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("edit, message", [
+        ("nan-box", "box fields must be finite"),
+        ("far-box", "too far outside image bounds"),
+        ("inf-map", "feature data contains non-finite entries"),
+        ("extra-label", "labels and ground truths misaligned"),
+    ])
+    def test_save_refuses_scene_changed_in_place(self, tmp_path, edit, message):
+        # A frozen scene's arrays and label list can still change in place;
+        # written as they are, load_scenes would refuse each of these caches.
+        scene = Scene(id="s", width=64, height=64, boxes=np.array([[20, 20, 10, 10]]), labels=[3])
+        scenes = [synth_scenes(SynthConfig(seed=4), 1)[0], replace(scene, features=scene_map(scene))]
+        if edit == "nan-box":
+            scenes[1].boxes[0, 0] = np.nan
+        elif edit == "far-box":
+            scenes[1].boxes[0, 2] = 1e6
+        elif edit == "inf-map":
+            scenes[1].features.data[0, 0, 0] = np.inf
+        else:
+            scenes[1].labels.append(4)
+        path = tmp_path / "scenes.bin"
+        with pytest.raises(DataFormatError, match=rf"scenes\[1\]: .*{message}"):
+            save_scenes(str(path), scenes)
+        assert list(tmp_path.iterdir()) == []
+
     # sha256 of the cache of the first 3 noise-free synth scenes of each seed.
     # Placement draws from numpy's PCG64 streams, and the feature maps use
     # only correctly rounded IEEE operations, so the bytes hold on any CPU.
